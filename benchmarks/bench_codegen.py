@@ -20,14 +20,16 @@ STREAM_LENGTH = 256
 
 def test_compile_buffer(benchmark, paper_processes):
     compiled = benchmark(compile_process, paper_processes["buffer"])
-    assert "buffer_iterate" in compiled.python_source
+    assert "def buffer_bind(io, state):" in compiled.python_source
+    assert "bool buffer_iterate()" in compiled.c_source
     _compiled, seconds = timed(compile_process, paper_processes["buffer"])
     RECORD.record("compile buffer", seconds=seconds)
 
 
 def test_compile_filter(benchmark, paper_processes):
     compiled = benchmark(compile_process, paper_processes["filter"])
-    assert "filter_iterate" in compiled.python_source
+    assert "def filter_bind(io, state):" in compiled.python_source
+    assert "bool filter_iterate()" in compiled.c_source
 
 
 def test_generated_buffer_throughput(benchmark, paper_processes):

@@ -69,7 +69,8 @@ def test_sequential_code_generation(benchmark, paper_processes):
         )
 
     deployments = benchmark(generate)
-    assert all(deployment.compiled.python_source for deployment in deployments)
+    assert all("_bind(io, state):" in deployment.compiled.python_source for deployment in deployments)
+    assert all("_iterate() {" in deployment.listing() for deployment in deployments)
 
 
 def test_master_clock_scheme_execution(benchmark, paper_processes):

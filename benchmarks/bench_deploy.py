@@ -1,9 +1,9 @@
 """Fleet-scale deployment execution: the runtime-tier gates.
 
-Measures reactions per second for the four execution tiers behind
-``Design.compile`` — the per-op ``interpreter``, the generated ``compiled``
-step function, the closure-``specialized`` tier and the numpy ``batched``
-fleet runtime — on the eight-stage pipeline workload, and pins the two
+Measures reactions per second for the three execution tiers behind
+``Design.compile`` — the per-op ``interpreter``, the closure-``specialized``
+step function (the default) and the numpy ``batched`` fleet runtime — on the
+eight-stage pipeline workload, and pins the two
 throughput gates plus the batched-vs-scalar identity contract:
 
 * ``specialized`` must reach >= 3x the ``interpreter`` reactions/s on the
@@ -100,7 +100,7 @@ def test_runtime_tier_reactions_per_second(pipeline_design):
     """Cold compile + warm run per tier; gate: specialized >= 3x interpreter."""
     throughput = {}
     reference = None
-    for runtime in ("interpreter", "compiled", "specialized"):
+    for runtime in ("interpreter", "specialized"):
         deployment, cold = timed(
             pipeline_design.compile, "sequential", runtime=runtime, master_clocks=True
         )

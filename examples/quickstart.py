@@ -56,7 +56,7 @@ def main() -> None:
 
     # -- 3. ...and code generation: compile() returns a Deployment -------------
     deployment = design.compile("sequential")
-    print("generated step function:")
+    print("generated Python (binding an IO stream returns the step closure):")
     print(deployment.compiled.python_source)
     flows = deployment.run({"y": stream})
     print(f"simulated output flow x = {flows['x']}")

@@ -34,8 +34,8 @@ from repro.codegen.batch import (
 from repro.codegen.concurrent import ConcurrentComposition
 from repro.codegen.controller import ControlledComposition, synthesize_controller
 from repro.codegen.runtime import EndOfStream, StreamIO
-from repro.codegen.sequential import CompiledProcess, compile_process
-from repro.codegen.specialized import compile_interpreted, compile_specialized
+from repro.codegen.interpreted import compile_interpreted
+from repro.codegen.sequential import compile_process, render_c_source
 from repro.lang.normalize import NormalizedProcess
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -47,15 +47,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 STRATEGIES = ("sequential", "controlled", "concurrent", "ltta")
 
 #: execution tiers for the generated step functions (see docs/architecture.md):
-#: ``interpreter`` walks the scheduled ops with one dispatch per op,
-#: ``compiled`` is the exec-compiled step function of Section 3.6,
-#: ``specialized`` additionally binds IO and delay registers into closures,
-#: ``batched`` steps a whole fleet of instances per call on numpy lanes.
-RUNTIMES = ("compiled", "specialized", "interpreter", "batched")
+#: ``specialized`` is the exec-compiled step function of Section 3.6 with IO
+#: and delay registers bound into closures, ``interpreter`` walks the
+#: scheduled ops with one dispatch per op (the reference), ``batched`` steps a
+#: whole fleet of instances per call on numpy lanes.
+RUNTIMES = ("specialized", "interpreter", "batched")
 
 _COMPONENT_COMPILERS = {
-    "compiled": compile_process,
-    "specialized": compile_specialized,
+    "specialized": compile_process,
     "interpreter": compile_interpreted,
 }
 
@@ -76,7 +75,7 @@ class Deployment:
 
     strategy: str = "abstract"
     #: which execution tier backs :meth:`step` / :meth:`run` (see ``RUNTIMES``)
-    runtime: str = "compiled"
+    runtime: str = "specialized"
 
     @property
     def inputs(self) -> Tuple[str, ...]:
@@ -127,7 +126,7 @@ class SequentialDeployment(Deployment):
     strategy = "sequential"
 
     def __init__(
-        self, design: "Design", master_clocks: bool = False, runtime: str = "compiled"
+        self, design: "Design", master_clocks: bool = False, runtime: str = "specialized"
     ):
         if runtime not in _COMPONENT_COMPILERS:
             raise DeploymentError(
@@ -165,13 +164,7 @@ class SequentialDeployment(Deployment):
         return self.compiled.run(io, max_steps)
 
     def listing(self) -> str:
-        source = getattr(self.compiled, "c_source", None)
-        if source is not None:
-            return source
-        return compile_process(
-            self.design.analysis,
-            master_clocks=bool(self.compiled.master_clock_inputs),
-        ).c_source
+        return render_c_source(self.compiled.program)
 
 
 class ControlledDeployment(Deployment):
@@ -179,7 +172,7 @@ class ControlledDeployment(Deployment):
 
     strategy = "controlled"
 
-    def __init__(self, design: "Design", runtime: str = "compiled"):
+    def __init__(self, design: "Design", runtime: str = "specialized"):
         self.design = design
         self.runtime = runtime
         compiled = _compile_components(design, runtime)
@@ -214,7 +207,7 @@ class ConcurrentDeployment(Deployment):
 
     strategy = "concurrent"
 
-    def __init__(self, design: "Design", max_steps: int = 10_000, runtime: str = "compiled"):
+    def __init__(self, design: "Design", max_steps: int = 10_000, runtime: str = "specialized"):
         self.design = design
         self.runtime = runtime
         self._compiled = _compile_components(design, runtime)
@@ -370,7 +363,7 @@ class BatchedDeployment(Deployment):
     Compiles the design once (sequential schedule, Section 3.6 / 5.1) into
     two engines: the vectorized numpy kernel of :mod:`repro.codegen.batch`
     for instances inside the bool/int64 fragment, and the scalar
-    :class:`~repro.codegen.specialized.SpecializedProcess` for the rest —
+    :class:`~repro.codegen.sequential.CompiledProcess` for the rest —
     results are lane-identical either way.  ``run(inputs)`` executes one
     instance; :meth:`run_many` executes a whole fleet and reports how many
     lanes took each path.
@@ -384,27 +377,25 @@ class BatchedDeployment(Deployment):
     ):
         self.design = design
         self.max_steps = max_steps
-        self._specialized = compile_specialized(
-            design.analysis, master_clocks=master_clocks
-        )
+        self._scalar = compile_process(design.analysis, master_clocks=master_clocks)
         self._batch: Optional[BatchProgram] = None
         self._batch_unavailable: Optional[str] = None
         try:
-            self._batch = BatchProgram(self._specialized.program)
+            self._batch = BatchProgram(self._scalar.program)
         except BatchCompilationError as error:
             self._batch_unavailable = str(error)
 
     @property
     def inputs(self) -> Tuple[str, ...]:
-        return self._specialized.inputs
+        return self._scalar.inputs
 
     @property
     def outputs(self) -> Tuple[str, ...]:
-        return self._specialized.outputs
+        return self._scalar.outputs
 
     @property
     def master_clock_inputs(self) -> List[str]:
-        return list(self._specialized.master_clock_inputs)
+        return list(self._scalar.master_clock_inputs)
 
     @property
     def vectorized(self) -> bool:
@@ -416,7 +407,7 @@ class BatchedDeployment(Deployment):
         return self._batch.python_source if self._batch is not None else None
 
     def reset(self) -> None:
-        self._specialized.reset()
+        self._scalar.reset()
 
     def step(self, io: StreamIO) -> bool:
         raise DeploymentError(
@@ -503,7 +494,7 @@ class BatchedDeployment(Deployment):
                 for position, index in enumerate(vector_rows):
                     results[index] = (steps[position], outputs[position])
         fallback = 0
-        engine = self._specialized
+        engine = self._scalar
         for index in range(n):
             if results[index] is not None:
                 continue
@@ -523,7 +514,7 @@ class BatchedDeployment(Deployment):
         )
 
     def listing(self) -> str:
-        return self._specialized.c_source
+        return render_c_source(self._scalar.program)
 
 
 def _shared_signals(components: Sequence[NormalizedProcess]) -> Set[str]:
@@ -560,7 +551,7 @@ def _dependency_order(components: Sequence[NormalizedProcess]) -> List[Normalize
     return [by_name[name] for name in order]
 
 
-def _compile_components(design: "Design", runtime: str = "compiled") -> List[object]:
+def _compile_components(design: "Design", runtime: str = "specialized") -> List[object]:
     """Separately compile every component, reusing the session's analyses."""
     compiler = _COMPONENT_COMPILERS.get(runtime)
     if compiler is None:
@@ -583,14 +574,14 @@ def _compile_components(design: "Design", runtime: str = "compiled") -> List[obj
 
 
 def build_deployment(
-    design: "Design", strategy: str = "sequential", runtime: str = "compiled", **options
+    design: "Design", strategy: str = "sequential", runtime: str = "specialized", **options
 ) -> Deployment:
     """Instantiate the deployment scheme named by ``strategy``.
 
     ``runtime`` selects the execution tier (see ``RUNTIMES``): the sequential
-    strategy accepts all four (``"batched"`` yields the fleet-capable
+    strategy accepts all three (``"batched"`` yields the fleet-capable
     :class:`BatchedDeployment`); the compositional strategies accept
-    ``"compiled"`` / ``"specialized"`` / ``"interpreter"`` per component.
+    ``"specialized"`` / ``"interpreter"`` per component.
     """
     if runtime not in RUNTIMES:
         raise DeploymentError(f"unknown runtime {runtime!r}; expected one of {RUNTIMES}")

@@ -968,7 +968,7 @@ class Design:
             store_root=self.context.store_root(),
         )
 
-    def compile(self, strategy: str = "sequential", runtime: str = "compiled", **options):
+    def compile(self, strategy: str = "sequential", runtime: str = "specialized", **options):
         """Deploy the design; returns a :class:`~repro.api.deploy.Deployment`.
 
         ``strategy`` is ``"sequential"`` (Section 3.6 / 5.1), ``"controlled"``
@@ -977,12 +977,13 @@ class Design:
         shared signals, Section 4.2).
 
         ``runtime`` selects the execution tier behind the step functions:
-        ``"compiled"`` (the exec-compiled code of Section 3.6, the default),
-        ``"specialized"`` (IO and delay registers bound into closures — no
-        per-step dictionary lookups), ``"interpreter"`` (one dispatch per
-        scheduled operation; the measured baseline) or ``"batched"`` (the
+        ``"specialized"`` (the default: the exec-compiled code of Section 3.6,
+        with IO and delay registers bound into closures — no per-step
+        dictionary lookups), ``"interpreter"`` (one dispatch per scheduled
+        operation; the reference and measured baseline) or ``"batched"`` (the
         numpy fleet runtime of :mod:`repro.codegen.batch`, sequential
-        strategy only — its deployment adds ``run_many(instances)``).
+        strategy only — its deployment adds ``run_many(instances)``).  Every
+        tier runs the same scheduled program, so ``listing()`` is the same.
         """
         from repro.api.deploy import build_deployment
 

@@ -3,15 +3,17 @@
 * :mod:`repro.codegen.runtime` — simulation runtime: stream-based IO and the
   ``main``-style iterate loop of Section 3.6;
 * :mod:`repro.codegen.sequential` — sequential code generation for
-  endochronous (hierarchic) processes: a Python step function (compiled and
-  executable), a C-like listing mirroring the paper's figures, and the
-  scheduled :class:`~repro.codegen.sequential.StepProgram` the execution
-  tiers compile from;
-* :mod:`repro.codegen.specialized` — the closure-specialized execution tier
-  (IO and delay registers bound once per stream) and the per-step-dispatch
-  reference interpreter it is benchmarked against;
-* :mod:`repro.codegen.batch` — the vectorized fleet runtime: numpy lanes
-  stepping thousands of independent deployment instances per call;
+  endochronous (hierarchic) processes: the scheduled
+  :class:`~repro.codegen.sequential.StepProgram`, the only codegen IR, and
+  its printers — the exec-compiled Python step closure (IO and delay
+  registers bound once per stream) and a C-like listing mirroring the
+  paper's figures;
+* :mod:`repro.codegen.interpreted` — the per-step-dispatch reference
+  interpreter of the same program, the oracle the exec tier is benchmarked
+  against;
+* :mod:`repro.codegen.batch` — the vectorized fleet runtime: a numpy printer
+  of the program whose lanes step thousands of independent deployment
+  instances per call;
 * :mod:`repro.codegen.clusters` — grouping of signals by clock class;
 * :mod:`repro.codegen.controller` — the compositional scheme of Section 5.2:
   a synthesized controller that schedules separately compiled endochronous
@@ -29,12 +31,7 @@ from repro.codegen.sequential import (
     build_step_program,
     compile_process,
 )
-from repro.codegen.specialized import (
-    InterpretedProcess,
-    SpecializedProcess,
-    compile_interpreted,
-    compile_specialized,
-)
+from repro.codegen.interpreted import InterpretedProcess, compile_interpreted
 from repro.codegen.batch import (
     BatchCompilationError,
     BatchOverflowError,
@@ -62,9 +59,7 @@ __all__ = [
     "build_step_program",
     "compile_process",
     "InterpretedProcess",
-    "SpecializedProcess",
     "compile_interpreted",
-    "compile_specialized",
     "BatchCompilationError",
     "BatchOverflowError",
     "BatchProgram",

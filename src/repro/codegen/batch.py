@@ -22,7 +22,7 @@ Semantics are *lane-identical* to scalar stepping:
   to a fresh array (``np.where``) otherwise — so chained ``pre`` equations
   see pre-step values, as in the generated sequential code.
 * Numeric lanes run in ``int64``.  The vectorizable fragment excludes ``*``
-  and ``/`` (see ``_ARRAY_OPERATORS``), so magnitudes grow at most by one
+  and ``/`` (see ``_NUMPY_OPERATORS``), so magnitudes grow at most by one
   addition per operation; a periodic register check keeps every lane below
   a chain-depth-scaled bound under which no int64 wrap is possible between
   checks, and the run aborts with :class:`BatchOverflowError` *before* a
@@ -38,7 +38,6 @@ just those lanes to the scalar fallback.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -49,7 +48,17 @@ except Exception:  # pragma: no cover - numpy is part of the toolchain
 
 from repro.lang.ast import Const
 from repro.lang.normalize import NormalizedProcess
-from repro.codegen.sequential import StepProgram, build_step_program
+from repro.codegen.sequential import (
+    ALWAYS,
+    NEVER,
+    Apply,
+    Expr,
+    Ref,
+    Select,
+    StepOp,
+    StepProgram,
+    build_step_program,
+)
 from repro.properties.compilable import ProcessAnalysis
 
 #: per-lane bound on input-stream and initial-register magnitudes
@@ -58,9 +67,32 @@ LANE_LIMIT = 2**31
 #: can run many steps between checks without any intermediate wrapping
 GUARD_LIMIT = 2**47
 
+# numpy-elementwise renderings of the scalar operators.  ``None`` marks an
+# operator outside the vectorizable fragment: ``*`` and ``/`` are excluded so
+# the int64 lanes grow at most additively per step, which makes the overflow
+# guard sound (see ``_grows``).
+_NUMPY_OPERATORS = {
+    "+": "({0} + {1})",
+    "-": "({0} - {1})",
+    "*": None,
+    "/": None,
+    "and": "({0} & {1})",
+    "or": "({0} | {1})",
+    "xor": "({0} != {1})",
+    "=": "({0} == {1})",
+    "/=": "({0} != {1})",
+    "<": "({0} < {1})",
+    "<=": "({0} <= {1})",
+    ">": "({0} > {1})",
+    ">=": "({0} >= {1})",
+    "and not": "({0} & ~{1})",
+}
 
-#: a presence expression that is a bare reference to another presence variable
-_BARE_PRESENCE = re.compile(r"p_\w+")
+_NUMPY_UNARY = {
+    "not": "(~{0})",
+    "-": "(-{0})",
+    "id": "{0}",
+}
 
 
 class BatchCompilationError(Exception):
@@ -89,6 +121,34 @@ def numpy_available() -> bool:
     return _np is not None
 
 
+def numpy_expr(expr: Expr, presence: bool = False) -> Optional[str]:
+    """The elementwise rendering of an expression; ``None`` outside the fragment.
+
+    In a ``presence`` expression the constant clocks are the all-lanes masks
+    ``_ones`` / ``_zeros``; elsewhere constants broadcast as scalars.
+    """
+    if isinstance(expr, Ref):
+        return f"{expr.kind}_{expr.name}"
+    if isinstance(expr, Const):
+        if presence:
+            return "_ones" if expr.value else "_zeros"
+        return repr(expr.value)
+    if isinstance(expr, Select):
+        operands = (expr.condition, expr.then, expr.otherwise)
+        return f"_where({', '.join(map(numpy_expr, operands))})"
+    table = _NUMPY_UNARY if len(expr.args) == 1 else _NUMPY_OPERATORS
+    template = table.get(expr.operator)
+    args = [numpy_expr(arg, presence) for arg in expr.args]
+    if template is None or None in args:
+        return None
+    return template.format(*args)
+
+
+def _grows(op: StepOp) -> bool:
+    """A numeric computation whose magnitude can grow (``+`` / ``-``)."""
+    return isinstance(op.expr, Apply) and op.expr.operator in ("+", "-")
+
+
 def _signal_dtypes(program: StepProgram) -> Dict[str, str]:
     """Map every signal to ``"bool"``/``"num"``; raise outside the fragment."""
     types = program.types
@@ -108,7 +168,7 @@ def _signal_dtypes(program: StepProgram) -> Dict[str, str]:
 
 def _check_fragment(program: StepProgram, dtypes: Mapping[str, str]) -> None:
     for op in program.ops:
-        if op.kind in ("presence", "compute") and op.array_expr is None:
+        if op.expr is not None and numpy_expr(op.expr, op.kind == "presence") is None:
             raise BatchCompilationError(
                 f"operation on {op.target!r} has no elementwise rendering "
                 "(operator outside the vectorizable fragment)"
@@ -159,8 +219,8 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
     registers = sorted(program.initial_state)
     outputs = list(program.outputs)
     ops = program.ops
-    presence_exprs: Dict[str, str] = {
-        op.target: op.array_expr or "" for op in ops if op.kind == "presence"
+    presence_of: Dict[str, Expr] = {
+        op.target: op.expr for op in ops if op.kind == "presence"
     }
     delay_register: Dict[str, str] = {
         op.target: op.register for op in ops if op.kind == "delay"
@@ -177,13 +237,13 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
         aliased = delay_register.get(op.source or "")
         if aliased is not None:
             later_delay_sources.add(aliased)
-    guarded = sum(1 for op in ops if op.kind == "compute" and op.guard)
+    guarded = sum(map(_grows, ops))
     numeric_registers = [r for r in registers if dtypes[r] == "num"]
     always_reads = [
         op.target
         for op in ops
         if op.kind == "master_read"
-        or (op.kind == "read" and presence_exprs.get(op.target) == "_ones")
+        or (op.kind == "read" and presence_of.get(op.target) == ALWAYS)
     ]
 
     lines: List[str] = [f"def {name}_batch(_streams, _n, _max_steps):"]
@@ -270,25 +330,27 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
     # (the program is scheduled SSA per reaction), so identical presence
     # expressions can share one computation — designs whose signals share a
     # clock collapse to a single mask per clock class.
-    presence_canonical: Dict[str, str] = {}
-    presence_cache: Dict[str, str] = {}
+    presence_canonical: Dict[Ref, Expr] = {}
+    presence_cache: Dict[Expr, Ref] = {}
     # Writes and updates all run after the last read of the step, so `_alive`
     # is stable there and their `p & _alive` masks can be shared as well.
-    mask_cache: Dict[str, str] = {}
+    mask_cache: Dict[Expr, str] = {}
     saturated_cache: Dict[str, str] = {}
 
-    def _sink_mask(target: str) -> str:
-        presence = presence_canonical.get(f"p_{target}", f"p_{target}")
-        if presence == "_ones":
+    def _presence(target: str) -> Expr:
+        return presence_canonical.get(Ref("p", target), Ref("p", target))
+
+    def _sink_mask(presence: Expr) -> str:
+        if presence == ALWAYS:
             return "_alive"
-        if presence == "_zeros":
+        if presence == NEVER:
             return "_zeros"
         cached = mask_cache.get(presence)
         if cached is not None:
             return cached
         mask = f"_m{len(mask_cache)}"
         mask_cache[presence] = mask
-        step.append(f"{mask} = {presence} & _alive")
+        step.append(f"{mask} = {numpy_expr(presence)} & _alive")
         return mask
 
     def _saturated(mask: str) -> str:
@@ -309,7 +371,7 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
             # a read whose presence is the root activation (or a master read)
             # fires on every live lane: the miss set is exactly the lanes whose
             # stream ran dry, so the template collapses to an in-place cull
-            if op.kind == "master_read" or presence_exprs.get(target) == "_ones":
+            if op.kind == "master_read" or presence_of.get(target) == ALWAYS:
                 step.extend(
                     [
                         f"_alive &= _c_{target} < _l_{target}",
@@ -329,29 +391,29 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
                     ]
                 )
         elif op.kind == "presence":
-            expr = op.array_expr or ""
-            target_var = f"p_{op.target}"
-            if expr in ("_ones", "_zeros") or _BARE_PRESENCE.fullmatch(expr):
-                # a bare alias of another presence variable: record the root so
-                # every sink sharing this clock class shares one mask
-                presence_canonical[target_var] = presence_canonical.get(expr, expr)
-                step.append(f"{target_var} = {expr}")
-                continue
-            shared = presence_cache.get(expr)
-            if shared is None:
-                presence_cache[expr] = target_var
-                step.append(f"{target_var} = {expr}")
+            expr = op.expr
+            target = Ref("p", op.target)
+            printed = numpy_expr(expr, presence=True)
+            if isinstance(expr, Const) or (isinstance(expr, Ref) and expr.kind == "p"):
+                # a constant clock or a bare alias of another presence
+                # variable: record the root so every sink sharing this clock
+                # class shares one mask
+                presence_canonical[target] = presence_canonical.get(expr, expr)
+            elif expr in presence_cache:
+                shared = presence_cache[expr]
+                presence_canonical[target] = presence_canonical.get(shared, shared)
+                printed = f"p_{shared.name}"
             else:
-                presence_canonical[target_var] = presence_canonical.get(shared, shared)
-                step.append(f"{target_var} = {shared}")
+                presence_cache[expr] = target
+            step.append(f"p_{op.target} = {printed}")
         elif op.kind == "delay":
             # plain alias: the pre-step view survives because any update that
             # a later delay reader depends on rebinds instead of mutating
             step.append(f"v_{op.target} = st_{op.register}")
         elif op.kind == "compute":
-            step.append(f"v_{op.target} = {op.array_expr}")
+            step.append(f"v_{op.target} = {numpy_expr(op.expr)}")
         elif op.kind == "write":
-            mask = _sink_mask(op.target)
+            mask = _sink_mask(_presence(op.target))
             step.extend(
                 [
                     f"_wq_{op.target}[_t] = {mask}",
@@ -359,9 +421,10 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
                 ]
             )
         elif op.kind == "update":
-            mask = _sink_mask(op.source or "")
-            if mask == "_zeros":
+            presence = _presence(op.source or "")
+            if presence == NEVER:
                 continue  # this clock never fires: the register keeps its value
+            mask = _sink_mask(presence)
             if op.register in rebind:
                 step.append(
                     f"st_{op.register} = _np.where({mask}, v_{op.source}, st_{op.register})"
@@ -413,7 +476,7 @@ class BatchProgram:
         self.dtypes = _signal_dtypes(program)
         _check_fragment(program, self.dtypes)
         self.python_source = render_batch_source(program, self.dtypes)
-        guarded = sum(1 for op in program.ops if op.kind == "compute" and op.guard)
+        guarded = sum(map(_grows, program.ops))
         # Overflow invariant: with every register at most GUARD_LIMIT at a
         # check, one step grows magnitudes by at most a factor of
         # (guarded + 1), so after K unchecked steps they stay below

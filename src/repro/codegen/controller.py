@@ -71,8 +71,8 @@ class _ComponentIO:
 
     The adapter is persistent: one instance per component lives across global
     steps and is :meth:`rebind`-ed with the step's fresh inputs.  A stable IO
-    identity lets the specialized execution tier
-    (:class:`~repro.codegen.specialized.SpecializedProcess`) keep its bound
+    identity lets the exec-compiled tier
+    (:class:`~repro.codegen.sequential.CompiledProcess`) keep its bound
     step closure across steps instead of recompiling the binding each time.
     """
 

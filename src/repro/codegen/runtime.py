@@ -10,8 +10,8 @@ Since the deployment-runtime work the IO objects are also the hot path of
 fleet-scale execution: per-signal read/write logs are allocated once (not
 ``setdefault``-rebuilt on every call), live streams can be extended with
 :meth:`StreamIO.feed`, and :meth:`StreamIO.reader` / :meth:`StreamIO.writer`
-hand out bound fast-path callables that the specialized step functions of
-:mod:`repro.codegen.specialized` close over — one deque ``popleft`` / list
+hand out bound fast-path callables that the step closures of
+:mod:`repro.codegen.sequential` close over — one deque ``popleft`` / list
 ``append`` per event, no per-step dictionary lookups.
 """
 

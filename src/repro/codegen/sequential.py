@@ -1,15 +1,20 @@
 """Sequential code generation (Sections 3.6 and 5.1).
 
-For an endochronous (compilable and hierarchic) process, the generator emits
-a *step function*: one call computes one reaction, reading the inputs that
-the clock calculus proves are needed and writing the outputs that are
-present, exactly like the ``buffer_iterate`` transition function of the
-paper.  Two artefacts are produced from the same schedule:
+For an endochronous (compilable and hierarchic) process, the generator
+schedules a *step function*: one call computes one reaction, reading the
+inputs that the clock calculus proves are needed and writing the outputs
+that are present, exactly like the ``buffer_iterate`` transition function of
+the paper.  The schedule is a :class:`StepProgram`, a stream of
+:class:`StepOp` whose expressions are small trees (:class:`Ref`, ``Const``,
+:class:`Apply`, :class:`Select`).  Every artefact is printed from it:
 
-* executable Python source (compiled with ``exec``), used by the tests, the
-  controller of Section 5.2 and the benchmarks;
-* a C-like listing that mirrors the paper's figures, for documentation and
-  inspection.
+* the executable Python *bind* function of :class:`CompiledProcess`
+  (:func:`render_bind_source`): binding an IO object returns a closure whose
+  body is straight-line code with the readers/writers resolved once and the
+  delay registers held in closure locals;
+* a C-like listing that mirrors the paper's figures (:func:`render_c_source`),
+  for documentation and inspection;
+* the numpy fleet kernel of :mod:`repro.codegen.batch`.
 
 For a process whose hierarchy has several roots the generator can either
 refuse (the default — the compositional scheme of Section 5.2 should be used
@@ -20,8 +25,8 @@ the paper's ``main_iterate``) and rely on the environment to drive them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.lang.ast import (
     ClockBinary,
@@ -33,7 +38,6 @@ from repro.lang.ast import (
     Const,
 )
 from repro.lang.normalize import (
-    ClockEquation,
     DelayEquation,
     FunctionEquation,
     MergeEquation,
@@ -48,8 +52,42 @@ class CodeGenerationError(Exception):
     """Raised when a process cannot be compiled by the sequential scheme."""
 
 
-Slot = Tuple[str, str]  # ("p", signal) or ("v", signal)
+class Ref(NamedTuple):
+    """The presence (``kind="p"``) or value (``kind="v"``) of a signal.
 
+    A reference doubles as a scheduling slot: a statement is ready once every
+    reference its expression reads has been computed.
+    """
+
+    kind: str
+    name: str
+
+
+@dataclass(frozen=True)
+class Apply:
+    """An operator of the printers' tables applied to one or two operands."""
+
+    operator: str
+    args: Tuple["Expr", ...]
+
+
+@dataclass(frozen=True)
+class Select:
+    """``then`` where ``condition`` holds, else ``otherwise`` (the merge default)."""
+
+    condition: Ref
+    then: Ref
+    otherwise: Ref
+
+
+Expr = Union[Ref, Const, Apply, Select]
+
+#: the root activation and the empty clock, as presence expressions
+ALWAYS = Const(True)
+NEVER = Const(False)
+
+# ``and not`` is the clock difference (and the ``[-x]`` sample); it is not a
+# language operator, so no function equation can name it.
 _PYTHON_OPERATORS = {
     "+": "({0} + {1})",
     "-": "({0} - {1})",
@@ -64,6 +102,7 @@ _PYTHON_OPERATORS = {
     "<=": "({0} <= {1})",
     ">": "({0} > {1})",
     ">=": "({0} >= {1})",
+    "and not": "({0} and not {1})",
 }
 
 _PYTHON_UNARY = {
@@ -86,6 +125,7 @@ _C_OPERATORS = {
     "<=": "({0} <= {1})",
     ">": "({0} > {1})",
     ">=": "({0} >= {1})",
+    "and not": "({0} && !{1})",
 }
 
 _C_UNARY = {
@@ -94,83 +134,69 @@ _C_UNARY = {
     "id": "{0}",
 }
 
-# numpy-elementwise renderings of the same operators, used by the batch
-# runtime (:mod:`repro.codegen.batch`).  ``None`` marks an operator outside
-# the vectorizable fragment: ``*`` and ``/`` are excluded so the int64 lanes
-# grow at most additively per step, which makes the batch runtime's overflow
-# guard sound (see ``StepOp.guard``).
-_ARRAY_OPERATORS = {
-    "+": "({0} + {1})",
-    "-": "({0} - {1})",
-    "*": None,
-    "/": None,
-    "and": "({0} & {1})",
-    "or": "({0} | {1})",
-    "xor": "({0} != {1})",
-    "=": "({0} == {1})",
-    "/=": "({0} != {1})",
-    "<": "({0} < {1})",
-    "<=": "({0} <= {1})",
-    ">": "({0} > {1})",
-    ">=": "({0} >= {1})",
-}
 
-_ARRAY_UNARY = {
-    "not": "(~{0})",
-    "-": "(-{0})",
-    "id": "{0}",
-}
+def expr_refs(expr: Optional[Expr]) -> Set[Ref]:
+    """Every presence/value reference an expression reads."""
+    if isinstance(expr, Ref):
+        return {expr}
+    if isinstance(expr, Apply):
+        return set().union(*map(expr_refs, expr.args))
+    if isinstance(expr, Select):
+        return {expr.condition, expr.then, expr.otherwise}
+    return set()
 
 
-def _presence_var(name: str) -> str:
-    return f"p_{name}"
+def python_expr(expr: Expr) -> str:
+    """The Python rendering of an expression (``p_x`` / ``v_x`` variables)."""
+    if isinstance(expr, Ref):
+        return f"{expr.kind}_{expr.name}"
+    if isinstance(expr, Const):
+        return repr(expr.value)
+    if isinstance(expr, Select):
+        return (
+            f"({python_expr(expr.then)} if {python_expr(expr.condition)} "
+            f"else {python_expr(expr.otherwise)})"
+        )
+    table = _PYTHON_UNARY if len(expr.args) == 1 else _PYTHON_OPERATORS
+    return table[expr.operator].format(*map(python_expr, expr.args))
 
 
-def _value_var(name: str) -> str:
-    return f"v_{name}"
-
-
-def _python_constant(value: object) -> str:
-    return repr(value)
-
-
-def _c_constant(value: object) -> str:
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    return repr(value)
+def c_expr(expr: Expr) -> str:
+    """The C rendering of an expression (``C_x`` clocks, bare ``x`` values)."""
+    if isinstance(expr, Ref):
+        return f"C_{expr.name}" if expr.kind == "p" else expr.name
+    if isinstance(expr, Const):
+        if isinstance(expr.value, bool):
+            return "TRUE" if expr.value else "FALSE"
+        return repr(expr.value)
+    if isinstance(expr, Select):
+        return f"({c_expr(expr.condition)} ? {c_expr(expr.then)} : {c_expr(expr.otherwise)})"
+    table = _C_UNARY if len(expr.args) == 1 else _C_OPERATORS
+    return table[expr.operator].format(*map(c_expr, expr.args))
 
 
 @dataclass(frozen=True)
 class StepOp:
     """One semantic operation of a step function, in schedule order.
 
-    The textual listings (Python / C sources) are renderings of this stream;
-    the specialized and batch runtimes of :mod:`repro.codegen.specialized`
-    and :mod:`repro.codegen.batch` compile it directly instead of re-parsing
-    the text.  Kinds:
+    The listings, the bind function and the batch kernel are printed from
+    this stream; the interpreter tier walks it directly.  Kinds:
 
     * ``"master_read"`` — unconditionally read the master-clock input ``target``;
-    * ``"presence"`` — ``p_<target> = py_expr``;
+    * ``"presence"`` — ``p_<target> = expr``;
     * ``"read"`` — if present, read input ``target`` from the environment;
     * ``"delay"`` — if present, ``v_<target>`` is the delay register ``register``;
-    * ``"compute"`` — if present, ``v_<target> = py_expr``;
+    * ``"compute"`` — if present, ``v_<target> = expr``;
     * ``"write"`` — if present, emit ``v_<target>`` to the environment;
     * ``"update"`` — if ``source`` is present, store ``v_<source>`` into
       ``register``.
-
-    ``array_expr`` is the numpy-elementwise rendering (``None`` when the
-    expression falls outside the vectorizable fragment); ``guard`` marks
-    numeric computations whose magnitude can grow (``+`` / ``-``), which the
-    batch runtime bounds with an overflow check.
     """
 
     kind: str
     target: str
-    py_expr: Optional[str] = None
-    array_expr: Optional[str] = None
+    expr: Optional[Expr] = None
     register: Optional[str] = None
     source: Optional[str] = None
-    guard: bool = False
 
 
 @dataclass(frozen=True)
@@ -195,30 +221,8 @@ class StepProgram:
         return tuple(self.process.outputs)
 
 
-@dataclass
-class _Statement:
-    """One emitted statement: target slot, Python lines, C lines, dependencies."""
-
-    slot: Slot
-    python_lines: List[str]
-    c_lines: List[str]
-    dependencies: Set[Slot] = field(default_factory=set)
-    op: Optional[StepOp] = None
-
-
-@dataclass
-class _Candidate:
-    """A candidate way of computing a presence slot."""
-
-    python_expr: str
-    c_expr: str
-    dependencies: Set[Slot]
-    origin: str
-    array_expr: Optional[str] = None
-
-
 class _Generator:
-    """Builds the statement list of the step function for one process."""
+    """Schedules the operations of the step function for one process."""
 
     def __init__(self, analysis: ProcessAnalysis, master_clocks: bool):
         self.analysis = analysis
@@ -259,299 +263,130 @@ class _Generator:
             ]
 
     # -- clock expression translation --------------------------------------------------
-    def _clock_expr(
-        self, expression: ClockExpressionSyntax
-    ) -> Tuple[str, str, str, Set[Slot]]:
-        """Translate a clock expression into (python, c, array, dependencies)."""
+    def _clock_expr(self, expression: ClockExpressionSyntax) -> Expr:
         if isinstance(expression, ClockEmpty):
-            return "False", "FALSE", "_zeros", set()
+            return NEVER
         if isinstance(expression, ClockOf):
-            name = expression.name
-            return _presence_var(name), f"C_{name}", _presence_var(name), {("p", name)}
+            return Ref("p", expression.name)
         if isinstance(expression, (ClockTrue, ClockFalse)):
-            name = expression.name
-            deps = {("p", name), ("v", name)}
-            if isinstance(expression, ClockTrue):
-                return (
-                    f"({_presence_var(name)} and {_value_var(name)})",
-                    f"(C_{name} && {name})",
-                    f"({_presence_var(name)} & {_value_var(name)})",
-                    deps,
-                )
-            return (
-                f"({_presence_var(name)} and not {_value_var(name)})",
-                f"(C_{name} && !{name})",
-                f"({_presence_var(name)} & ~{_value_var(name)})",
-                deps,
-            )
+            sample = (Ref("p", expression.name), Ref("v", expression.name))
+            return Apply("and" if isinstance(expression, ClockTrue) else "and not", sample)
         if isinstance(expression, ClockBinary):
-            left_py, left_c, left_np, left_deps = self._clock_expr(expression.left)
-            right_py, right_c, right_np, right_deps = self._clock_expr(expression.right)
-            deps = left_deps | right_deps
-            if expression.operator == "and":
-                return (
-                    f"({left_py} and {right_py})",
-                    f"({left_c} && {right_c})",
-                    f"({left_np} & {right_np})",
-                    deps,
-                )
-            if expression.operator == "or":
-                return (
-                    f"({left_py} or {right_py})",
-                    f"({left_c} || {right_c})",
-                    f"({left_np} | {right_np})",
-                    deps,
-                )
-            return (
-                f"({left_py} and not {right_py})",
-                f"({left_c} && !{right_c})",
-                f"({left_np} & ~{right_np})",
-                deps,
+            operator = expression.operator if expression.operator in ("and", "or") else "and not"
+            return Apply(
+                operator, (self._clock_expr(expression.left), self._clock_expr(expression.right))
             )
         raise CodeGenerationError(f"unsupported clock expression {expression!r}")
 
     # -- presence candidates ----------------------------------------------------------
-    def _presence_candidates(self, name: str) -> List[_Candidate]:
-        candidates: List[_Candidate] = []
+    def _presence_candidates(self, name: str) -> List[Expr]:
+        candidates: List[Expr] = []
         # 1. explicit clock relations (in disjunctive form)
         for relation in self.analysis.disjunctive.relations.clock_relations:
             for own, other in ((relation.left, relation.right), (relation.right, relation.left)):
                 if isinstance(own, ClockOf) and own.name == name:
                     if name in other.free_signals():
                         continue
-                    python_expr, c_expr, array_expr, deps = self._clock_expr(other)
-                    candidates.append(
-                        _Candidate(python_expr, c_expr, deps, "clock relation", array_expr)
-                    )
+                    candidates.append(self._clock_expr(other))
         # 2. the defining equation
         equation = self._defined_by.get(name)
         if isinstance(equation, FunctionEquation):
             signal_operands = [op for op in equation.operands if isinstance(op, str)]
             if signal_operands:
-                source = signal_operands[0]
-                candidates.append(
-                    _Candidate(
-                        _presence_var(source),
-                        f"C_{source}",
-                        {("p", source)},
-                        "synchronous operand",
-                        _presence_var(source),
-                    )
-                )
+                candidates.append(Ref("p", signal_operands[0]))
         elif isinstance(equation, DelayEquation):
-            candidates.append(
-                _Candidate(
-                    _presence_var(equation.source),
-                    f"C_{equation.source}",
-                    {("p", equation.source)},
-                    "synchronous delay",
-                    _presence_var(equation.source),
-                )
-            )
+            candidates.append(Ref("p", equation.source))
         elif isinstance(equation, SamplingEquation):
             condition = equation.condition
-            deps = {("p", condition), ("v", condition)}
-            python_expr = f"({_presence_var(condition)} and {_value_var(condition)})"
-            c_expr = f"(C_{condition} && {condition})"
-            array_expr = f"({_presence_var(condition)} & {_value_var(condition)})"
+            sample: Expr = Apply("and", (Ref("p", condition), Ref("v", condition)))
             if isinstance(equation.source, str):
-                deps.add(("p", equation.source))
-                python_expr = f"({_presence_var(equation.source)} and {python_expr})"
-                c_expr = f"(C_{equation.source} && {c_expr})"
-                array_expr = f"({_presence_var(equation.source)} & {array_expr})"
-            candidates.append(_Candidate(python_expr, c_expr, deps, "sampling", array_expr))
+                sample = Apply("and", (Ref("p", equation.source), sample))
+            candidates.append(sample)
         elif isinstance(equation, MergeEquation):
-            deps = {("p", equation.preferred), ("p", equation.alternative)}
             candidates.append(
-                _Candidate(
-                    f"({_presence_var(equation.preferred)} or {_presence_var(equation.alternative)})",
-                    f"(C_{equation.preferred} || C_{equation.alternative})",
-                    deps,
-                    "merge",
-                    f"({_presence_var(equation.preferred)} | {_presence_var(equation.alternative)})",
-                )
+                Apply("or", (Ref("p", equation.preferred), Ref("p", equation.alternative)))
             )
         # 3. root activation
         if name in self._root_signals:
             if self.master_clocks and len(self.master_clock_inputs) > 0:
-                master = f"C_{self._root_of_signal[name]}"
-                candidates.append(
-                    _Candidate(
-                        f"bool({_value_var(master)})",
-                        master,
-                        {("v", master)},
-                        "master clock",
-                        _value_var(master),
-                    )
-                )
+                candidates.append(Ref("v", f"C_{self._root_of_signal[name]}"))
             else:
-                candidates.append(_Candidate("True", "TRUE", set(), "root activation", "_ones"))
+                candidates.append(ALWAYS)
         return candidates
 
-    # -- value statements --------------------------------------------------------------
-    def _operand_python(self, operand: Union[str, Const]) -> Tuple[str, Set[Slot]]:
-        if isinstance(operand, Const):
-            return _python_constant(operand.value), set()
-        return _value_var(operand), {("v", operand)}
+    # -- value operations --------------------------------------------------------------
+    @staticmethod
+    def _operand(operand: Union[str, Const]) -> Expr:
+        return operand if isinstance(operand, Const) else Ref("v", operand)
 
-    def _operand_c(self, operand: Union[str, Const]) -> str:
-        if isinstance(operand, Const):
-            return _c_constant(operand.value)
-        return operand
-
-    def _value_statement(self, name: str) -> Optional[_Statement]:
-        presence = _presence_var(name)
-        value = _value_var(name)
+    def _value_op(self, name: str) -> Optional[StepOp]:
         equation = self._defined_by.get(name)
-        deps: Set[Slot] = {("p", name)}
-
         if equation is None:
-            if name in self.process.inputs:
-                python_lines = [
-                    f"if {presence}:",
-                    "    try:",
-                    f"        {value} = io.read({name!r})",
-                    "    except EndOfStream:",
-                    "        return False",
-                ]
-                c_lines = [
-                    f"if (C_{name}) {{",
-                    f"  if (!r_{self.process.name}_{name}(&{name})) return FALSE;",
-                    "}",
-                ]
-                op = StepOp(kind="read", target=name)
-                return _Statement(("v", name), python_lines, c_lines, deps, op)
-            return None
-
-        expr_array: Optional[str] = None
-        guard = False
+            return StepOp(kind="read", target=name) if name in self.process.inputs else None
+        if isinstance(equation, DelayEquation):
+            return StepOp(kind="delay", target=name, register=name)
         if isinstance(equation, FunctionEquation):
-            rendered_py: List[str] = []
-            rendered_c: List[str] = []
-            for operand in equation.operands:
-                py, operand_deps = self._operand_python(operand)
-                rendered_py.append(py)
-                rendered_c.append(self._operand_c(operand))
-                deps |= operand_deps
-            if equation.operator in _PYTHON_UNARY and len(rendered_py) == 1:
-                expr_py = _PYTHON_UNARY[equation.operator].format(rendered_py[0])
-                expr_c = _C_UNARY[equation.operator].format(rendered_c[0])
-                template = _ARRAY_UNARY.get(equation.operator)
-            elif equation.operator in _PYTHON_OPERATORS and len(rendered_py) == 2:
-                expr_py = _PYTHON_OPERATORS[equation.operator].format(*rendered_py)
-                expr_c = _C_OPERATORS[equation.operator].format(*rendered_c)
-                template = _ARRAY_OPERATORS.get(equation.operator)
-            else:
+            table = {1: _PYTHON_UNARY, 2: _PYTHON_OPERATORS}.get(len(equation.operands), {})
+            if equation.operator not in table:
                 raise CodeGenerationError(
                     f"unsupported operator {equation.operator!r} in equation for {name!r}"
                 )
-            if template is not None:
-                # the python operand rendering (v_<x> / repr(const)) is also
-                # valid elementwise, so the array expression reuses it
-                expr_array = template.format(*rendered_py)
-                guard = equation.operator in ("+", "-")
-        elif isinstance(equation, DelayEquation):
-            expr_py = f"state[{name!r}]"
-            expr_c = name
+            expr: Expr = Apply(equation.operator, tuple(map(self._operand, equation.operands)))
         elif isinstance(equation, SamplingEquation):
-            expr_py, source_deps = self._operand_python(equation.source)
-            expr_c = self._operand_c(equation.source)
-            deps |= source_deps
-            expr_array = expr_py
+            expr = self._operand(equation.source)
         elif isinstance(equation, MergeEquation):
-            expr_py = (
-                f"({_value_var(equation.preferred)} if {_presence_var(equation.preferred)} "
-                f"else {_value_var(equation.alternative)})"
+            expr = Select(
+                Ref("p", equation.preferred),
+                Ref("v", equation.preferred),
+                Ref("v", equation.alternative),
             )
-            expr_c = f"(C_{equation.preferred} ? {equation.preferred} : {equation.alternative})"
-            expr_array = (
-                f"_where({_presence_var(equation.preferred)}, "
-                f"{_value_var(equation.preferred)}, {_value_var(equation.alternative)})"
-            )
-            deps |= {
-                ("p", equation.preferred),
-                ("v", equation.preferred),
-                ("v", equation.alternative),
-            }
         else:
             raise CodeGenerationError(f"unsupported equation {equation!r}")
+        return StepOp(kind="compute", target=name, expr=expr)
 
-        python_lines = [f"if {presence}:", f"    {value} = {expr_py}"]
-        if isinstance(equation, DelayEquation):
-            c_lines: List[str] = []
-            op = StepOp(kind="delay", target=name, register=name)
-        else:
-            c_lines = [f"if (C_{name}) {name} = {expr_c};"]
-            op = StepOp(
-                kind="compute",
-                target=name,
-                py_expr=expr_py,
-                array_expr=expr_array,
-                guard=guard,
-            )
-        return _Statement(("v", name), python_lines, c_lines, deps, op)
-
-    # Merge value dependencies are conditional: when the preferred operand is
-    # absent its value is not read, so the hard dependency is only on its
-    # presence.  The resolver treats conditional value dependencies as soft.
-    def _soften(self, statement: _Statement) -> Set[Slot]:
-        equation = self._defined_by.get(statement.slot[1])
-        if isinstance(equation, MergeEquation):
-            return {("v", equation.preferred), ("v", equation.alternative)}
-        return set()
-
-    # -- assembly ----------------------------------------------------------------------
-    def build_statements(self) -> List[_Statement]:
+    # -- scheduling --------------------------------------------------------------------
+    def schedule(self) -> List[StepOp]:
+        """The presence and value operations in a dependency-respecting order."""
         signals = self.process.all_signals()
-        statements: Dict[Slot, _Statement] = {}
-        candidates: Dict[Slot, List[_Candidate]] = {}
+        values: Dict[Ref, StepOp] = {}
+        # per value slot: (hard dependencies, soft dependencies)
+        dependencies: Dict[Ref, Tuple[Set[Ref], Set[Ref]]] = {}
+        candidates: Dict[Ref, List[Tuple[Expr, Set[Ref]]]] = {}
 
         for master in self.master_clock_inputs:
-            slot = ("v", master)
-            statements[slot] = _Statement(
-                slot,
-                [
-                    "try:",
-                    f"    {_value_var(master)} = io.read({master!r})",
-                    "except EndOfStream:",
-                    "    return False",
-                ],
-                [f"if (!r_{self.process.name}_{master}(&{master})) return FALSE;"],
-                set(),
-                StepOp(kind="master_read", target=master),
-            )
+            slot = Ref("v", master)
+            values[slot] = StepOp(kind="master_read", target=master)
+            dependencies[slot] = (set(), set())
 
         for name in signals:
-            candidates[("p", name)] = self._presence_candidates(name)
-            value_statement = self._value_statement(name)
-            if value_statement is not None:
-                statements[("v", name)] = value_statement
+            candidates[Ref("p", name)] = [
+                (expr, expr_refs(expr)) for expr in self._presence_candidates(name)
+            ]
+            op = self._value_op(name)
+            if op is None:
+                continue
+            slot = Ref("v", name)
+            values[slot] = op
+            # Merge value dependencies are conditional: when the preferred
+            # operand is absent its value is not read, so the hard dependency
+            # is only on its presence.
+            soft = {op.expr.then, op.expr.otherwise} if isinstance(op.expr, Select) else set()
+            dependencies[slot] = ({Ref("p", name)} | expr_refs(op.expr)) - soft, soft
 
         # Greedy resolution: repeatedly emit any slot whose dependencies are met.
-        resolved: Set[Slot] = set()
-        order: List[_Statement] = []
-        pending_presence = {("p", name) for name in signals}
-        pending_values = set(statements.keys())
+        resolved: Set[Ref] = set()
+        order: List[StepOp] = []
+        pending_presence = {Ref("p", name) for name in signals}
+        pending_values = set(values)
+        # Slots that will never be produced (e.g. values of signals that are
+        # neither inputs nor defined — they can only be absent).
+        pending_never = {Ref("v", name) for name in signals} - pending_values
 
         def try_resolve_presence() -> bool:
             for slot in sorted(pending_presence):
-                name = slot[1]
-                for candidate in candidates[slot]:
-                    if candidate.dependencies <= resolved:
-                        order.append(
-                            _Statement(
-                                slot,
-                                [f"{_presence_var(name)} = {candidate.python_expr}"],
-                                [f"C_{name} = {candidate.c_expr};"],
-                                set(candidate.dependencies),
-                                StepOp(
-                                    kind="presence",
-                                    target=name,
-                                    py_expr=candidate.python_expr,
-                                    array_expr=candidate.array_expr,
-                                ),
-                            )
-                        )
+                for expr, needs in candidates[slot]:
+                    if needs <= resolved:
+                        order.append(StepOp(kind="presence", target=slot.name, expr=expr))
                         resolved.add(slot)
                         pending_presence.discard(slot)
                         return True
@@ -559,22 +394,14 @@ class _Generator:
 
         def try_resolve_value() -> bool:
             for slot in sorted(pending_values):
-                statement = statements[slot]
-                hard = statement.dependencies - self._soften(statement)
-                soft = statement.dependencies & self._soften(statement)
+                hard, soft = dependencies[slot]
                 soft_ready = all(dependency in resolved or dependency in pending_never for dependency in soft)
                 if hard <= resolved and soft_ready:
-                    order.append(statement)
+                    order.append(values[slot])
                     resolved.add(slot)
                     pending_values.discard(slot)
                     return True
             return False
-
-        # Slots that will never be produced (e.g. values of signals that are
-        # neither inputs nor defined — they can only be absent).
-        pending_never: Set[Slot] = {
-            ("v", name) for name in signals if ("v", name) not in statements
-        }
 
         while pending_presence or pending_values:
             if try_resolve_presence():
@@ -584,45 +411,13 @@ class _Generator:
             unresolved = sorted(pending_presence | pending_values)
             raise CodeGenerationError(
                 f"cannot order the computations of {self.process.name!r}; "
-                f"unresolved slots: {unresolved[:8]}"
+                f"unresolved slots: {[tuple(slot) for slot in unresolved[:8]]}"
             )
         return order
 
-    def state_updates(self) -> Tuple[List[str], List[str], Dict[str, object]]:
-        python_lines: List[str] = []
-        c_lines: List[str] = []
-        initial: Dict[str, object] = {}
-        for equation in self.process.equations:
-            if not isinstance(equation, DelayEquation):
-                continue
-            initial[equation.target] = equation.initial
-            python_lines.append(
-                f"if {_presence_var(equation.source)}:"
-            )
-            python_lines.append(
-                f"    state[{equation.target!r}] = {_value_var(equation.source)}"
-            )
-            c_lines.append(f"if (C_{equation.source}) {equation.target} = {equation.source};")
-        return python_lines, c_lines, initial
-
-    def output_writes(self) -> Tuple[List[str], List[str]]:
-        python_lines: List[str] = []
-        c_lines: List[str] = []
-        for name in self.process.outputs:
-            python_lines.append(f"if {_presence_var(name)}:")
-            python_lines.append(f"    io.write({name!r}, {_value_var(name)})")
-            c_lines.append(f"if (C_{name}) w_{self.process.name}_{name}({name});")
-        return python_lines, c_lines
-
-    def step_ops(self, statements: Sequence[_Statement]) -> Tuple[StepOp, ...]:
-        """The full semantic op stream in schedule order.
-
-        Mirrors the layout of the rendered sources exactly: the scheduled
-        statements, then the output writes, then the delay-register updates.
-        """
-        ops: List[StepOp] = [
-            statement.op for statement in statements if statement.op is not None
-        ]
+    def step_ops(self) -> Tuple[StepOp, ...]:
+        """The full op stream: the schedule, the output writes, the register updates."""
+        ops = self.schedule()
         for name in self.process.outputs:
             ops.append(StepOp(kind="write", target=name))
         for equation in self.process.equations:
@@ -638,37 +433,219 @@ class _Generator:
         return tuple(ops)
 
 
-@dataclass
+def build_step_program(
+    process: Union[NormalizedProcess, ProcessAnalysis],
+    master_clocks: bool = False,
+    check_compilable: bool = True,
+) -> StepProgram:
+    """The scheduled :class:`StepProgram` of a process.
+
+    ``master_clocks=True`` reproduces the *current scheme* of Section 5.1 for
+    multi-rooted processes: one boolean master-clock input ``C_<root>`` per
+    hierarchy root is added to the interface and read at every step.
+    """
+    analysis = process if isinstance(process, ProcessAnalysis) else ProcessAnalysis(process)
+    if check_compilable and not analysis.is_compilable():
+        raise CodeGenerationError(
+            f"process {analysis.process.name!r} is not compilable "
+            f"(well_clocked={analysis.is_well_clocked()}, acyclic={analysis.is_acyclic()})"
+        )
+    generator = _Generator(analysis, master_clocks)
+    return StepProgram(
+        process=analysis.process,
+        ops=generator.step_ops(),
+        initial_state={
+            equation.target: equation.initial
+            for equation in analysis.process.equations
+            if isinstance(equation, DelayEquation)
+        },
+        master_clock_inputs=tuple(generator.master_clock_inputs),
+    )
+
+
+def render_c_source(program: StepProgram) -> str:
+    """The C-like listing of a step program, in the style of the paper's figures."""
+    process = program.process.name
+    lines: List[str] = [f"bool {process}_iterate() {{"]
+    for op in program.ops:
+        name = op.target
+        if op.kind == "master_read":
+            lines.append(f"  if (!r_{process}_{name}(&{name})) return FALSE;")
+        elif op.kind == "presence":
+            lines.append(f"  C_{name} = {c_expr(op.expr)};")
+        elif op.kind == "read":
+            lines.extend(
+                [f"  if (C_{name}) {{", f"    if (!r_{process}_{name}(&{name})) return FALSE;", "  }"]
+            )
+        elif op.kind == "compute":
+            lines.append(f"  if (C_{name}) {name} = {c_expr(op.expr)};")
+        elif op.kind == "write":
+            lines.append(f"  if (C_{name}) w_{process}_{name}({name});")
+        elif op.kind == "update":
+            lines.append(f"  if (C_{op.source}) {op.register} = {op.source};")
+        # a delay reads its register in place: the listing needs no statement
+    lines.extend(["  return TRUE;", "}"])
+    return "\n".join(lines) + "\n"
+
+
+def render_bind_source(program: StepProgram) -> str:
+    """The Python source of the bind function for one step program."""
+    name = program.process.name
+    registers = sorted(program.initial_state)
+    lines: List[str] = [f"def {name}_bind(io, state):"]
+    body: List[str] = []
+    for signal in program.inputs:
+        body.append(f"_r_{signal} = _reader(io, {signal!r})")
+    for signal in program.outputs:
+        body.append(f"_w_{signal} = _writer(io, {signal!r})")
+    for register in registers:
+        body.append(f"s_{register} = state[{register!r}]")
+    body.append("def _sync():")
+    if registers:
+        body.extend(f"    state[{register!r}] = s_{register}" for register in registers)
+    else:
+        body.append("    pass")
+    body.append("def step():")
+    if registers:
+        body.append("    nonlocal " + ", ".join(f"s_{register}" for register in registers))
+    # only the readers raise EndOfStream, and every read precedes every
+    # register update, so one handler around the whole reaction suffices
+    step_body: List[str] = []
+    for op in program.ops:
+        if op.kind == "master_read":
+            step_body.append(f"v_{op.target} = _r_{op.target}()")
+        elif op.kind == "presence":
+            step_body.append(f"p_{op.target} = {python_expr(op.expr)}")
+        elif op.kind == "read":
+            step_body.extend([f"if p_{op.target}:", f"    v_{op.target} = _r_{op.target}()"])
+        elif op.kind == "delay":
+            step_body.extend([f"if p_{op.target}:", f"    v_{op.target} = s_{op.register}"])
+        elif op.kind == "compute":
+            step_body.extend([f"if p_{op.target}:", f"    v_{op.target} = {python_expr(op.expr)}"])
+        elif op.kind == "write":
+            step_body.extend([f"if p_{op.target}:", f"    _w_{op.target}(v_{op.target})"])
+        elif op.kind == "update":
+            step_body.extend([f"if p_{op.source}:", f"    s_{op.register} = v_{op.source}"])
+        else:  # pragma: no cover - exhaustive over StepOp kinds
+            raise CodeGenerationError(f"unknown step op kind {op.kind!r}")
+    body.append("    try:")
+    body.extend(f"        {line}" for line in step_body)
+    body.extend(
+        [
+            "    except EndOfStream:",
+            "        _sync()",
+            "        return False",
+            "    return True",
+            "return step, _sync",
+        ]
+    )
+    lines.extend(f"    {line}" for line in body)
+    return "\n".join(lines) + "\n"
+
+
+def _bind_reader(io: StreamIO, name: str) -> Callable[[], object]:
+    """Resolve the fastest available read callable for one input signal."""
+    factory = getattr(io, "reader", None)
+    if factory is not None:
+        return factory(name)
+
+    def read_one() -> object:
+        return io.read(name)
+
+    return read_one
+
+
+def _bind_writer(io: StreamIO, name: str) -> Callable[[object], None]:
+    """Resolve the fastest available write callable for one output signal."""
+    factory = getattr(io, "writer", None)
+    if factory is not None:
+        return factory(name)
+
+    def write_one(value: object) -> None:
+        io.write(name, value)
+
+    return write_one
+
+
 class CompiledProcess:
-    """A sequentially compiled process: executable step function plus listings."""
+    """A sequentially compiled process: a step closure per IO, plus listings.
 
-    process: NormalizedProcess
-    python_source: str
-    c_source: str
-    initial_state: Dict[str, object]
-    master_clock_inputs: List[str] = field(default_factory=list)
-    _step_function: object = None
-    state: Dict[str, object] = field(default_factory=dict)
-    program: Optional[StepProgram] = None
+    ``python_source`` is the exec-compiled bind function; ``c_source`` is the
+    paper-style listing.  Each IO object is bound once: the first
+    ``step``/``run`` against an IO builds the closure and later calls merely
+    invoke it.  Binding is keyed by IO identity — stepping a different IO
+    flushes the registers of the previous binding and rebinds, so
+    interleaved use stays correct (just slower).
+    """
 
-    def __post_init__(self) -> None:
-        self.reset()
+    def __init__(self, program: StepProgram):
+        self.program = program
+        self.process: NormalizedProcess = program.process
+        self.initial_state: Dict[str, object] = dict(program.initial_state)
+        self.master_clock_inputs: List[str] = list(program.master_clock_inputs)
+        self.python_source = render_bind_source(program)
+        namespace: Dict[str, object] = {
+            "EndOfStream": EndOfStream,
+            "_reader": _bind_reader,
+            "_writer": _bind_writer,
+        }
+        function_name = f"{self.process.name}_bind"
+        exec(compile(self.python_source, f"<generated {function_name}>", "exec"), namespace)
+        self._bind = namespace[function_name]
+        self._bound: Optional[tuple] = None  # (io, step, sync)
+        self._state: Dict[str, object] = dict(self.initial_state)
+
+    @property
+    def c_source(self) -> str:
+        return render_c_source(self.program)
+
+    # -- state ------------------------------------------------------------------------
+    @property
+    def state(self) -> Dict[str, object]:
+        """The delay registers, flushed from any live binding first."""
+        bound = self._bound
+        if bound is not None:
+            bound[2]()
+        return self._state
+
+    @state.setter
+    def state(self, value: Dict[str, object]) -> None:
+        self._bound = None
+        self._state = dict(value)
 
     def reset(self) -> None:
         """Reset the delay registers to their initial values."""
-        self.state = dict(self.initial_state)
+        self._bound = None
+        self._state = dict(self.initial_state)
+
+    # -- execution --------------------------------------------------------------------
+    def _rebind(self, io: StreamIO) -> tuple:
+        bound = self._bound
+        if bound is not None:
+            bound[2]()
+        bound = (io, *self._bind(io, self._state))
+        self._bound = bound
+        return bound
 
     def step(self, io: StreamIO) -> bool:
         """Execute one reaction; returns False when an input stream ends."""
-        return self._step_function(io, self.state)
+        bound = self._bound
+        if bound is None or bound[0] is not io:
+            bound = self._rebind(io)
+        return bound[1]()
 
     def run(self, io: StreamIO, max_steps: int = 1_000_000) -> int:
         """Iterate until the step function returns False (paper's simulation main)."""
+        bound = self._bound
+        if bound is None or bound[0] is not io:
+            bound = self._rebind(io)
+        step = bound[1]
         steps = 0
-        while steps < max_steps and self.step(io):
+        while steps < max_steps and step():
             steps += 1
         return steps
 
+    # -- interface --------------------------------------------------------------------
     @property
     def inputs(self) -> Tuple[str, ...]:
         return tuple(self.process.inputs) + tuple(self.master_clock_inputs)
@@ -683,85 +660,8 @@ def compile_process(
     master_clocks: bool = False,
     check_compilable: bool = True,
 ) -> CompiledProcess:
-    """Generate and compile the sequential step function of a process.
+    """Schedule a process and exec-compile its step function.
 
-    ``master_clocks=True`` reproduces the *current scheme* of Section 5.1 for
-    multi-rooted processes: one boolean master-clock input ``C_<root>`` per
-    hierarchy root is added to the interface and read at every step.
+    See :func:`build_step_program` for ``master_clocks``.
     """
-    analysis = process if isinstance(process, ProcessAnalysis) else ProcessAnalysis(process)
-    if check_compilable and not analysis.is_compilable():
-        raise CodeGenerationError(
-            f"process {analysis.process.name!r} is not compilable "
-            f"(well_clocked={analysis.is_well_clocked()}, acyclic={analysis.is_acyclic()})"
-        )
-    generator = _Generator(analysis, master_clocks)
-    statements = generator.build_statements()
-    update_py, update_c, initial_state = generator.state_updates()
-    writes_py, writes_c = generator.output_writes()
-
-    function_name = f"{analysis.process.name}_iterate"
-    python_lines: List[str] = [f"def {function_name}(io, state):"]
-    body: List[str] = []
-    for statement in statements:
-        body.extend(statement.python_lines)
-    body.extend(writes_py)
-    body.extend(update_py)
-    body.append("return True")
-    python_lines.extend(f"    {line}" for line in body)
-    python_source = "\n".join(python_lines) + "\n"
-
-    c_lines: List[str] = [f"bool {function_name}() {{"]
-    for statement in statements:
-        c_lines.extend(f"  {line}" for line in statement.c_lines)
-    c_lines.extend(f"  {line}" for line in writes_c)
-    c_lines.extend(f"  {line}" for line in update_c)
-    c_lines.append("  return TRUE;")
-    c_lines.append("}")
-    c_source = "\n".join(c_lines) + "\n"
-
-    namespace: Dict[str, object] = {"EndOfStream": EndOfStream}
-    exec(compile(python_source, f"<generated {function_name}>", "exec"), namespace)
-    program = StepProgram(
-        process=analysis.process,
-        ops=generator.step_ops(statements),
-        initial_state=dict(initial_state),
-        master_clock_inputs=tuple(generator.master_clock_inputs),
-    )
-    compiled = CompiledProcess(
-        process=analysis.process,
-        python_source=python_source,
-        c_source=c_source,
-        initial_state=initial_state,
-        master_clock_inputs=list(generator.master_clock_inputs),
-        _step_function=namespace[function_name],
-        program=program,
-    )
-    return compiled
-
-
-def build_step_program(
-    process: Union[NormalizedProcess, ProcessAnalysis],
-    master_clocks: bool = False,
-    check_compilable: bool = True,
-) -> StepProgram:
-    """The scheduled :class:`StepProgram` of a process, without rendering text.
-
-    This is the semantic artefact behind :func:`compile_process`; the
-    specialized and batch runtimes compile it directly.
-    """
-    analysis = process if isinstance(process, ProcessAnalysis) else ProcessAnalysis(process)
-    if check_compilable and not analysis.is_compilable():
-        raise CodeGenerationError(
-            f"process {analysis.process.name!r} is not compilable "
-            f"(well_clocked={analysis.is_well_clocked()}, acyclic={analysis.is_acyclic()})"
-        )
-    generator = _Generator(analysis, master_clocks)
-    statements = generator.build_statements()
-    _update_py, _update_c, initial_state = generator.state_updates()
-    return StepProgram(
-        process=analysis.process,
-        ops=generator.step_ops(statements),
-        initial_state=initial_state,
-        master_clock_inputs=tuple(generator.master_clock_inputs),
-    )
+    return CompiledProcess(build_step_program(process, master_clocks, check_compilable))

@@ -32,7 +32,7 @@ from repro.sched.reinforce import reinforce
 
 
 class ProcessAnalysis:
-    """Lazily computed analysis artefacts of one normalized process."""
+    """Lazily computed analysis artefacts and verdicts of one normalized process."""
 
     def __init__(self, process: NormalizedProcess, manager: Optional[BDDManager] = None):
         self.process = process
@@ -43,6 +43,8 @@ class ProcessAnalysis:
         self._disjunctive: Optional[DisjunctiveFormResult] = None
         self._graph: Optional[SchedulingGraph] = None
         self._reinforced: Optional[SchedulingGraph] = None
+        self._well_clocked: Optional[bool] = None
+        self._acyclic: Optional[bool] = None
 
     # -- constructors -----------------------------------------------------------
     @classmethod
@@ -102,11 +104,17 @@ class ProcessAnalysis:
     # -- verdicts -------------------------------------------------------------------
     def is_well_clocked(self) -> bool:
         """Definition 7: well-formed hierarchy and disjunctive relations."""
-        return self.hierarchy.well_formed() and self.disjunctive.is_disjunctive()
+        if self._well_clocked is None:
+            self._well_clocked = (
+                self.hierarchy.well_formed() and self.disjunctive.is_disjunctive()
+            )
+        return self._well_clocked
 
     def is_acyclic(self) -> bool:
         """Definition 8 on the reinforced scheduling graph."""
-        return is_acyclic(self.reinforced_graph)
+        if self._acyclic is None:
+            self._acyclic = is_acyclic(self.reinforced_graph)
+        return self._acyclic
 
     def is_compilable(self) -> bool:
         """Definition 10: acyclic and well-clocked."""

@@ -25,8 +25,7 @@ from repro.codegen.batch import (
     numpy_available,
 )
 from repro.codegen.runtime import StreamIO
-from repro.codegen.sequential import build_step_program
-from repro.codegen.specialized import compile_specialized
+from repro.codegen.sequential import build_step_program, compile_process
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process
@@ -69,7 +68,7 @@ def swap_process(name="swap"):
 
 
 def scalar_outputs(process, lanes):
-    engine = compile_specialized(process)
+    engine = compile_process(process)
     results = []
     for lane in lanes:
         engine.reset()

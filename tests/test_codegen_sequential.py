@@ -4,7 +4,12 @@ import pytest
 
 from repro.codegen.runtime import EndOfStream, RecordingIO, StreamIO, simulate
 from repro.codegen.clusters import clock_clusters
-from repro.codegen.sequential import CodeGenerationError, compile_process
+from repro.codegen.sequential import (
+    CodeGenerationError,
+    build_step_program,
+    compile_process,
+    render_c_source,
+)
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process, merge_process
@@ -49,9 +54,9 @@ class TestBufferCodegen:
 
     def test_buffer_python_listing_structure(self):
         compiled = compile_process(normalize(buffer_process()))
-        assert "def buffer_iterate(io, state):" in compiled.python_source
-        assert "io.read('y')" in compiled.python_source
-        assert "io.write('x', v_x)" in compiled.python_source
+        assert "def buffer_bind(io, state):" in compiled.python_source
+        assert "_r_y = _reader(io, 'y')" in compiled.python_source
+        assert "_w_x(v_x)" in compiled.python_source
 
     def test_buffer_c_listing_matches_paper_shape(self):
         """The generated C-like code reads y at [¬t], writes x at [t], updates s."""
@@ -67,6 +72,57 @@ class TestBufferCodegen:
         compiled.run(io)
         compiled.reset()
         assert compiled.state == compiled.initial_state
+
+
+BUFFER_C = """\
+bool buffer_iterate() {
+  C_buffer_m = TRUE;
+  C_buffer_r = C_buffer_m;
+  C_buffer_s = TRUE;
+  C_buffer_t = C_buffer_s;
+  if (C_buffer_t) buffer_t = (!buffer_s);
+  C_x = (C_buffer_r && (C_buffer_t && buffer_t));
+  C_y = (C_buffer_t && !buffer_t);
+  if (C_y) {
+    if (!r_buffer_y(&y)) return FALSE;
+  }
+  if (C_buffer_r) buffer_r = (C_y ? y : buffer_m);
+  if (C_x) x = buffer_r;
+  if (C_x) w_buffer_x(x);
+  if (C_buffer_t) buffer_s = buffer_t;
+  if (C_buffer_r) buffer_m = buffer_r;
+  return TRUE;
+}
+"""
+
+FILTER_C = """\
+bool filter_iterate() {
+  C__x_cond_1 = TRUE;
+  C_x_prev = C__x_cond_1;
+  C_y = C__x_cond_1;
+  if (C_y) {
+    if (!r_filter_y(&y)) return FALSE;
+  }
+  if (C__x_cond_1) _x_cond_1 = (y != x_prev);
+  C_x = (C__x_cond_1 && _x_cond_1);
+  if (C_x) x = TRUE;
+  if (C_x) w_filter_x(x);
+  if (C_y) x_prev = y;
+  return TRUE;
+}
+"""
+
+
+class TestListings:
+    """The C printer's output on the paper's processes, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "factory,listing", [(buffer_process, BUFFER_C), (filter_process, FILTER_C)]
+    )
+    def test_paper_listing_is_pinned(self, factory, listing):
+        compiled = compile_process(normalize(factory()))
+        assert compiled.c_source == listing
+        assert render_c_source(build_step_program(normalize(factory()))) == listing
 
 
 class TestOracleEquivalence:

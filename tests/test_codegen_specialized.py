@@ -1,33 +1,44 @@
-"""The exec-specialized execution tier: differential coverage and hot-path IO.
+"""The runtime tiers: differential coverage and hot-path IO.
 
-The specialized tier binds IO callables and delay registers into one exec
-compiled closure per process; the per-op dispatch interpreter is the
-reference it is measured against.  Every test here pins the tier contract:
-*identical flows* across ``compiled`` / ``specialized`` / ``interpreter``
-(and ``batched`` where applicable) for the same design and inputs.
+The exec tier (``runtime="specialized"``, :func:`compile_process`) binds IO
+callables and delay registers into one exec-compiled closure per process;
+the per-op dispatch interpreter is the reference it is measured against, and
+the batched tier runs the same program on numpy lanes.  Every test here pins
+the tier contract: *identical flows* across ``specialized`` /
+``interpreter`` / ``batched`` for the same design and inputs.
 """
 
 from __future__ import annotations
+
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Design
-from repro.api.deploy import DeploymentError
+from repro.api.deploy import RUNTIMES, DeploymentError
+from repro.codegen.batch import numpy_available
+from repro.codegen.interpreted import InterpretedProcess, compile_interpreted
 from repro.codegen.runtime import EndOfStream, RecordingIO, StreamIO
-from repro.codegen.sequential import build_step_program, compile_process
-from repro.codegen.specialized import (
-    InterpretedProcess,
-    SpecializedProcess,
-    compile_interpreted,
-    compile_specialized,
+from repro.codegen.sequential import (
+    CodeGenerationError,
+    CompiledProcess,
+    build_step_program,
+    compile_process,
     render_bind_source,
 )
+from repro.gen.corpus import Corpus
+from repro.gen.topologies import sample_design
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.properties import compilable
+from repro.semantics.interpreter import ClockError, SignalInterpreter, UnderdeterminedError
+
+CORPUS = Corpus.load(Path(__file__).resolve().parent.parent / "corpus" / "corpus.json")
 
 
 @pytest.fixture
@@ -44,6 +55,15 @@ def run_io(engine, inputs):
     io = StreamIO({name: list(values) for name, values in inputs.items()})
     steps = engine.run(io)
     return steps, {name: io.output(name) for name in engine.outputs}
+
+
+def run_lane(process, inputs):
+    """One lane of the batched tier, as ``(steps, outputs)`` like :func:`run_io`."""
+    deployment = Design(name=process.name, components=[process]).compile(
+        "sequential", runtime="batched"
+    )
+    fleet = deployment.run_many([inputs])
+    return fleet.steps[0], fleet.outputs[0]
 
 
 class TestStreamIOHotPath:
@@ -85,7 +105,7 @@ class TestStreamIOHotPath:
 
 
 class TestSpecializedDifferential:
-    """specialized == compiled == interpreter on the paper's processes."""
+    """specialized == interpreter == batched on the paper's processes."""
 
     CASES = [
         (buffer_process, {"y": [3, 1, 4, 1, 5, 9]}),
@@ -95,34 +115,32 @@ class TestSpecializedDifferential:
     @pytest.mark.parametrize("factory,inputs", CASES)
     def test_three_tiers_agree(self, factory, inputs):
         process = normalize(factory())
-        engines = [
-            compile_process(process),
-            compile_specialized(process),
-            compile_interpreted(process),
+        results = [
+            run_io(compile_process(process), inputs),
+            run_io(compile_interpreted(process), inputs),
         ]
-        results = [run_io(engine, inputs) for engine in engines]
-        assert results[0] == results[1] == results[2]
+        if numpy_available():
+            results.append(run_lane(process, inputs))
+        assert all(result == results[0] for result in results)
 
     @pytest.mark.parametrize("factory,inputs", CASES)
     def test_specialized_is_repeatable(self, factory, inputs):
-        engine = compile_specialized(normalize(factory()))
+        engine = compile_process(normalize(factory()))
         assert run_io(engine, inputs) == run_io(engine, inputs)
 
     @settings(max_examples=40, deadline=None)
     @given(stream=st.lists(st.booleans(), max_size=24))
     def test_filter_differential_hypothesis(self, stream):
         process = normalize(filter_process())
-        reference = run_io(compile_process(process), {"y": stream})
-        assert run_io(compile_specialized(process), {"y": stream}) == reference
-        assert run_io(compile_interpreted(process), {"y": stream}) == reference
+        reference = run_io(compile_interpreted(process), {"y": stream})
+        assert run_io(compile_process(process), {"y": stream}) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(stream=st.lists(st.integers(-2**31, 2**31), max_size=24))
     def test_buffer_differential_hypothesis(self, stream):
         process = normalize(buffer_process())
-        reference = run_io(compile_process(process), {"y": stream})
-        assert run_io(compile_specialized(process), {"y": stream}) == reference
-        assert run_io(compile_interpreted(process), {"y": stream}) == reference
+        reference = run_io(compile_interpreted(process), {"y": stream})
+        assert run_io(compile_process(process), {"y": stream}) == reference
 
 
 class TestBindSource:
@@ -136,10 +154,10 @@ class TestBindSource:
         assert "_writer(io, 'x')" in prologue
 
     def test_specialized_exposes_program_and_source(self):
-        engine = compile_specialized(normalize(buffer_process()))
-        assert isinstance(engine, SpecializedProcess)
+        engine = compile_process(normalize(buffer_process()))
+        assert isinstance(engine, CompiledProcess)
         assert engine.inputs == ("y",)
-        assert "bind" in engine.python_source
+        assert engine.python_source == render_bind_source(engine.program)
 
     def test_interpreted_runs_same_program(self):
         engine = compile_interpreted(normalize(buffer_process()))
@@ -163,7 +181,7 @@ class TestDesignRuntimes:
     def test_sequential_tiers_agree(self, producer_consumer):
         design = self.design(producer_consumer)
         flows = []
-        for runtime in ("compiled", "specialized", "interpreter"):
+        for runtime in RUNTIMES:
             deployment = design.compile(
                 "sequential", runtime=runtime, master_clocks=True
             )
@@ -174,19 +192,49 @@ class TestDesignRuntimes:
         assert flows[0] == flows[1] == flows[2]
         assert flows[0]["v"]  # the composition produced something
 
+    def test_listing_is_the_same_on_every_tier(self, producer_consumer):
+        design = self.design(producer_consumer)
+        listings = {
+            runtime: design.compile("sequential", runtime=runtime, master_clocks=True).listing()
+            for runtime in RUNTIMES
+        }
+        assert len(set(listings.values())) == 1
+        assert "bool main_iterate()" in listings["interpreter"]
+
     @pytest.mark.parametrize("strategy", ["controlled", "concurrent"])
     def test_compositional_tiers_agree(self, producer_consumer, strategy):
         design = self.design(producer_consumer)
-        reference = design.compile(strategy, runtime="compiled").run(dict(self.INPUTS))
-        for runtime in ("specialized", "interpreter"):
-            assert (
-                design.compile(strategy, runtime=runtime).run(dict(self.INPUTS))
-                == reference
-            )
+        reference = design.compile(strategy, runtime="specialized").run(dict(self.INPUTS))
+        assert design.compile(strategy, runtime="interpreter").run(dict(self.INPUTS)) == reference
+        assert design.compile(strategy).run(dict(self.INPUTS)) == reference
 
     def test_unknown_runtime_is_rejected(self, producer_consumer):
         with pytest.raises(DeploymentError, match="unknown runtime"):
             self.design(producer_consumer).compile("sequential", runtime="warp")
+
+    def test_compiled_runtime_is_gone(self, producer_consumer):
+        with pytest.raises(DeploymentError) as raised:
+            self.design(producer_consumer).compile("sequential", runtime="compiled")
+        message = str(raised.value)
+        assert all(repr(runtime) in message for runtime in ("specialized", "interpreter", "batched"))
+        assert RUNTIMES == ("specialized", "interpreter", "batched")
+
+    def test_controlled_compile_checks_compilability_once(self, producer_consumer, monkeypatch):
+        calls = []
+        original = compilable.is_acyclic
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(compilable, "is_acyclic", counting)
+        design = self.design(producer_consumer)
+        design.compile("controlled")
+        # the deployment checks every component and compile_process checks it
+        # again; the verdict is memoized per analysis, so each reinforced
+        # graph is walked once
+        assert len(calls) >= len(design.components)
+        assert len({id(graph) for graph in calls}) == len(calls)
 
     def test_batched_requires_sequential_strategy(self, producer_consumer):
         with pytest.raises(DeploymentError, match="sequential strategy only"):
@@ -220,3 +268,74 @@ class TestObservability:
         deployment.run({"a": [True], "b": [False]})
         names = [span["name"] for span in obs_trace.get_tracer().spans]
         assert "deploy.run" in names
+
+
+def _seeded_feed(rng, deployment, types, steps):
+    feed = {}
+    for name in deployment.inputs:
+        if name in deployment.master_clock_inputs or types.get(name) == "bool":
+            feed[name] = [rng.random() < 0.7 for _ in range(steps)]
+        else:
+            feed[name] = [rng.randrange(0, 64) for _ in range(steps)]
+    return feed
+
+
+def _interpreter_flows(design, feed):
+    """``SignalInterpreter`` flows, or None where it rejects the feed.
+
+    Applies when every input is present at every instant of the feed, which
+    is how the deployments consume it.
+    """
+    process = design.composition
+    if set(feed) != set(process.inputs):
+        return None
+    interpreter = SignalInterpreter(process)
+    flows = {name: [] for name in process.outputs}
+    for instant in range(len(next(iter(feed.values()), []))):
+        try:
+            result = interpreter.step({name: values[instant] for name, values in feed.items()})
+        except (ClockError, UnderdeterminedError):
+            return None
+        for name in flows:
+            if result.present(name):
+                flows[name].append(result.value(name))
+    return flows
+
+
+@pytest.mark.skipif(not numpy_available(), reason="the batched tier requires numpy")
+class TestCorpusTiers:
+    """Every committed corpus design that deploys runs alike on the three tiers."""
+
+    def test_corpus_sweep(self):
+        deployed = interpreted = 0
+        for entry in CORPUS.entries:
+            generated = sample_design(entry.seed, depth=entry.depth)
+            design = Design(name=entry.name, components=list(generated.components))
+            for master_clocks in (False, True):
+                try:
+                    tiers = [
+                        design.compile("sequential", runtime=runtime, master_clocks=master_clocks)
+                        for runtime in RUNTIMES
+                    ]
+                    break
+                except (CodeGenerationError, DeploymentError):
+                    tiers = None
+            if tiers is None:
+                continue  # not hierarchic even with master clocks
+            rng = random.Random(entry.seed)
+            types = dict(design.composition.types)
+            for _attempt in range(8):
+                feed = _seeded_feed(rng, tiers[0], types, 24)
+                try:
+                    expected = tiers[0].run(feed)
+                except Exception:  # noqa: BLE001 - the feed breaks a clock constraint
+                    continue
+                assert tiers[1].run(feed) == expected, entry.name
+                assert tiers[2].run_many([feed]).outputs == [expected], entry.name
+                reference = _interpreter_flows(design, feed)
+                if reference is not None:
+                    assert reference == expected, entry.name
+                    interpreted += 1
+                deployed += 1
+                break
+        assert deployed >= 54 and interpreted > 0, (deployed, interpreted)

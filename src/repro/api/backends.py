@@ -27,12 +27,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.mc.onthefly import OnTheFlyChecker
-from repro.mc.symbolic import (
-    SymbolicChecker,
-    SymbolicProductChecker,
-    event_variable,
-    next_variable,
-)
+from repro.mc.symbolic import SymbolicChecker, SymbolicProductChecker
 from repro.properties.compilable import verify_compilable, verify_hierarchic
 from repro.properties.composition import verify_weakly_hierarchic
 from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
@@ -209,12 +204,8 @@ def _symbolic_non_blocking(design: "Design", max_states: int) -> Verdict:
     with stopwatch() as elapsed:
         lts = context.lts(design.composition, max_states)
         checker = SymbolicChecker(lts, manager=context.manager)
-        reachable = checker.reachable_states()
-        step_variables = [next_variable(register) for register in checker.registers]
-        step_variables += [event_variable(signal) for signal in checker.signals]
-        has_successor = checker.transition_relation.exists(step_variables)
-        deadlocks = reachable & ~has_successor
-        holds = not deadlocks.is_satisfiable()
+        result = checker.is_non_blocking()
+        holds = result.holds
         states = checker.reachable_count()
         nodes = checker.bdd_nodes()
     return Verdict(
@@ -235,7 +226,7 @@ def _symbolic_non_blocking(design: "Design", max_states: int) -> Verdict:
             bdd_nodes=nodes,
             state_bound=max_states,
         ),
-        report=deadlocks,
+        report=result,
     )
 
 

@@ -70,7 +70,8 @@ class BDDBackend(Protocol):
     """What a BDD kernel must provide to sit under the verification engines.
 
     The protocol is the *manager* surface: node construction
-    (``var``/``ite``/``apply``), cofactors and quantification, the
+    (``var``/``ite``/``apply``), cofactors and quantification (the
+    relational product ``and_exists`` and its special cases), the
     enumeration family (``satisfy_one``/``satisfy_all``/``satisfy_matrix``/
     ``count``), serialization (``dump``/``load``) and the maintenance hooks
     (``collect_garbage``/``reorder``/``sift``).  Handles stay the shared
@@ -123,13 +124,24 @@ class BDDBackend(Protocol):
     # -- cofactors, quantification, substitution -----------------------------
     def restrict(self, node: BDD, assignment: Mapping[str, bool]) -> BDD: ...
 
+    def and_exists(self, left: BDD, right: BDD, variables: Iterable[str]) -> BDD:
+        """The relational product ∃variables.(left ∧ right), one memoized pass.
+
+        The conjunction is never built; ``exists`` is ``and_exists`` with
+        ``true`` and ``forall`` its dual, so a kernel owes one quantifier.
+        """
+        ...
+
     def exists(self, node: BDD, variables: Iterable[str]) -> BDD: ...
 
     def forall(self, node: BDD, variables: Iterable[str]) -> BDD: ...
 
     def compose(self, node: BDD, substitution: Mapping[str, BDD]) -> BDD: ...
 
-    def rename(self, node: BDD, renaming: Mapping[str, str]) -> BDD: ...
+    def rename(self, node: BDD, renaming: Mapping[str, str]) -> BDD:
+        """Rename variables: one level-relabelling walk when the renaming
+        keeps the support's level order, ``compose`` otherwise."""
+        ...
 
     # -- queries -------------------------------------------------------------
     def support(self, node: BDD) -> FrozenSet[str]: ...

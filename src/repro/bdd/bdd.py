@@ -5,9 +5,16 @@ The implementation follows the classical Bryant construction:
 * nodes are triples ``(level, low, high)`` interned in a unique table, so
   structural equality is pointer equality;
 * boolean operations go through a memoized Shannon expansion (``apply``);
-* quantification, restriction (cofactors), substitution of variables by
-  functions (``compose``) and satisfying-assignment enumeration are provided,
-  which is all the clock calculus and the symbolic model checker need.
+* quantification is one kernel operation, the relational product
+  ``and_exists(f, g, V)`` = ∃V.(f ∧ g) computed in a single memoized pass
+  (Brace–Rudell–Bryant, DAC 1990; CUDD's ``Cudd_bddAndAbstract``) —
+  ``exists`` and ``forall`` are its special cases, and it is the image
+  operator of the symbolic model checker;
+* ``rename`` relabels levels in one walk when the renaming keeps the
+  support's level order, and falls back to ``compose`` (substitution of
+  variables by functions) otherwise;
+* restriction (cofactors) and satisfying-assignment enumeration complete
+  what the clock calculus and the symbolic model checker need.
 
 Variables are referred to by name; their order is the order of registration
 with :meth:`BDDManager.declare` (callers that care about ordering declare
@@ -20,7 +27,7 @@ engine of :mod:`repro.mc.compiled` runs them right after compilation.
 
 Three performance features keep long-lived managers healthy:
 
-* the computed tables (``apply`` / ``ite``) are *bounded*: past
+* the computed tables (``apply`` / ``ite`` / ``and_exists``) are *bounded*: past
   ``computed_table_limit`` entries they are cleared rather than growing
   without bound (the classical cache-flush eviction policy);
 * :meth:`BDDManager.collect_garbage` drops every node not reachable from a
@@ -103,6 +110,9 @@ class BDD:
 
     def exists(self, variables: Iterable[str]) -> "BDD":
         return self.manager.exists(self, variables)
+
+    def and_exists(self, other: "BDD", variables: Iterable[str]) -> "BDD":
+        return self.manager.and_exists(self, other, variables)
 
     def forall(self, variables: Iterable[str]) -> "BDD":
         return self.manager.forall(self, variables)
@@ -193,6 +203,7 @@ class BDDManager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._apply_cache: Dict[Tuple[str, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._and_exists_cache: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
         self._names: List[str] = []
         self._levels_by_name: Dict[str, int] = {}
         #: past this many computed-table entries the caches are flushed
@@ -204,6 +215,10 @@ class BDDManager:
         self.apply_calls = 0
         self.apply_cache_lookups = 0
         self.apply_cache_hits = 0
+        self.and_exists_calls = 0
+        self.and_exists_cache_lookups = 0
+        self.and_exists_cache_hits = 0
+        self.rename_calls = 0
         self.peak_nodes = 2
         self.sift_seconds = 0.0
         for name in variables:
@@ -314,25 +329,25 @@ class BDDManager:
         return BDD(self, self._apply(operation, left.index, right.index))
 
     def _apply(self, operation: str, left: int, right: int) -> int:
-        # fast paths: identical operands and one-terminal identities resolve
-        # without recursion, cache lookups or node construction
-        if left == right:
-            if operation in ("and", "or"):
-                return left
-            if operation == "xor":
-                return self.FALSE_INDEX
-            if operation in ("iff", "implies"):
-                return self.TRUE_INDEX
+        # fast paths: identical operands and terminal operands resolve
+        # without recursion, cache lookups or node construction; ``and`` and
+        # ``or`` (the bulk of the traffic) settle every terminal case inline
         if operation == "and":
-            if left == self.TRUE_INDEX:
-                return right
-            if right == self.TRUE_INDEX:
+            if left == right or right == 1:
                 return left
+            if left == 1:
+                return right
+            if left == 0 or right == 0:
+                return 0
         elif operation == "or":
-            if left == self.FALSE_INDEX:
-                return right
-            if right == self.FALSE_INDEX:
+            if left == right or right == 0:
                 return left
+            if left == 0:
+                return right
+            if left == 1 or right == 1:
+                return 1
+        elif left == right:
+            return self.FALSE_INDEX if operation == "xor" else self.TRUE_INDEX
         elif operation == "xor":
             if left == self.FALSE_INDEX:
                 return right
@@ -345,11 +360,12 @@ class BDDManager:
                 return right
             if right == self.TRUE_INDEX:
                 return left
-        terminal = self._terminal_op(
-            operation, self._as_terminal(left), self._as_terminal(right)
-        )
-        if terminal is not None:
-            return self.TRUE_INDEX if terminal else self.FALSE_INDEX
+        if left < 2 or right < 2:  # a terminal operand
+            terminal = self._terminal_op(
+                operation, self._as_terminal(left), self._as_terminal(right)
+            )
+            if terminal is not None:
+                return self.TRUE_INDEX if terminal else self.FALSE_INDEX
         if operation in ("and", "or", "xor", "iff") and left > right:
             left, right = right, left  # commutative: canonicalize the cache key
         key = (operation, left, right)
@@ -360,13 +376,18 @@ class BDDManager:
             return cached
         left_level = self._levels[left]
         right_level = self._levels[right]
-        level = min(left_level, right_level)
-        left_low, left_high = (
-            (self._lows[left], self._highs[left]) if left_level == level else (left, left)
-        )
-        right_low, right_high = (
-            (self._lows[right], self._highs[right]) if right_level == level else (right, right)
-        )
+        if left_level < right_level:
+            level = left_level
+            left_low, left_high = self._lows[left], self._highs[left]
+            right_low = right_high = right
+        elif right_level < left_level:
+            level = right_level
+            left_low = left_high = left
+            right_low, right_high = self._lows[right], self._highs[right]
+        else:
+            level = left_level
+            left_low, left_high = self._lows[left], self._highs[left]
+            right_low, right_high = self._lows[right], self._highs[right]
         low = self._apply(operation, left_low, right_low)
         high = self._apply(operation, left_high, right_high)
         result = self._make_node(level, low, high)
@@ -428,51 +449,130 @@ class BDDManager:
 
         return BDD(self, walk(node.index))
 
-    def exists(self, node: BDD, variables: Iterable[str]) -> BDD:
-        """Existential quantification over the given variables."""
-        result = node
-        for name in variables:
-            if name not in self._levels_by_name:
-                continue
-            low = self.restrict(result, {name: False})
-            high = self.restrict(result, {name: True})
-            result = low | high
+    def and_exists(self, left: BDD, right: BDD, variables: Iterable[str]) -> BDD:
+        """Relational product ``∃variables.(left & right)`` in one pass.
+
+        The conjunction is never built: the Shannon expansion of ``left &
+        right`` quantifies each level of ``variables`` as it is reached,
+        ORing the two cofactor results (and skipping the second when the
+        first is already ``true``).  Results are memoized in a computed
+        table keyed by the operands and the quantified level set, so the
+        repeated images of a fixpoint over one relation share work.
+        """
+        self.and_exists_calls += 1
+        levels = frozenset(
+            self._levels_by_name[name] for name in variables if name in self._levels_by_name
+        )
+        if not levels:
+            return BDD(self, self._apply("and", left.index, right.index))
+        return BDD(self, self._and_exists(left.index, right.index, levels, max(levels)))
+
+    def _and_exists(self, left: int, right: int, levels: FrozenSet[int], last: int) -> int:
+        if left == 0 or right == 0:
+            return 0
+        if left == right:
+            left = 1  # ∃V.(f & f) = ∃V.(true & f)
+        elif left > right:
+            left, right = right, left  # commutative: canonicalize the cache key
+        left_level = self._levels[left]
+        right_level = self._levels[right]
+        level = left_level if left_level < right_level else right_level
+        if level > last:  # nothing left to quantify below this point
+            return self._apply("and", left, right)
+        key = (left, right, levels)
+        self.and_exists_cache_lookups += 1
+        cached = self._and_exists_cache.get(key)
+        if cached is not None:
+            self.and_exists_cache_hits += 1
+            return cached
+        if left_level == level:
+            left_low, left_high = self._lows[left], self._highs[left]
+        else:
+            left_low = left_high = left
+        if right_level == level:
+            right_low, right_high = self._lows[right], self._highs[right]
+        else:
+            right_low = right_high = right
+        low = self._and_exists(left_low, right_low, levels, last)
+        if level in levels:
+            if low == 1:
+                result = 1
+            else:
+                high = self._and_exists(left_high, right_high, levels, last)
+                result = self._apply("or", low, high)
+        else:
+            high = self._and_exists(left_high, right_high, levels, last)
+            result = self._make_node(level, low, high)
+        if len(self._and_exists_cache) >= self.computed_table_limit:
+            self._and_exists_cache.clear()
+            self.cache_evictions += 1
+        self._and_exists_cache[key] = result
         return result
+
+    def exists(self, node: BDD, variables: Iterable[str]) -> BDD:
+        """Existential quantification: the relational product with ``true``."""
+        return self.and_exists(node, self.true, variables)
 
     def forall(self, node: BDD, variables: Iterable[str]) -> BDD:
-        """Universal quantification over the given variables."""
-        result = node
-        for name in variables:
-            if name not in self._levels_by_name:
-                continue
-            low = self.restrict(result, {name: False})
-            high = self.restrict(result, {name: True})
-            result = low & high
-        return result
+        """Universal quantification, the dual ``~exists(~node)``."""
+        return ~self.exists(~node, variables)
 
     def compose(self, node: BDD, substitution: Mapping[str, BDD]) -> BDD:
-        """Substitute variables by boolean functions."""
+        """Substitute variables by boolean functions, one variable at a time."""
         result = node
         for name, function in substitution.items():
             if name not in self._levels_by_name:
                 continue
-            variable = self.var(name)
             high = self.restrict(result, {name: True})
             low = self.restrict(result, {name: False})
             result = self.ite(function, high, low)
         return result
 
     def rename(self, node: BDD, renaming: Mapping[str, str]) -> BDD:
-        """Rename variables (target variables must not clash with remaining support)."""
-        substitution = {source: self.var(target) for source, target in renaming.items()}
-        return self.compose(node, substitution)
+        """Rename variables (target variables must not clash with remaining support).
+
+        When the renaming keeps the support's level order — the
+        ``s'·r -> s·r`` rename after an image always does — the result is
+        one memoized walk that relabels levels in place.  An order-changing
+        renaming goes through :meth:`compose`.
+        """
+        self.rename_calls += 1
+        moves: Dict[int, int] = {}
+        for source, target in renaming.items():
+            target_level = self.declare(target)
+            if source in self._levels_by_name and source != target:
+                moves[self._levels_by_name[source]] = target_level
+        support = sorted(self._support_levels(node.index))
+        relabelled = [moves.get(level, level) for level in support]
+        in_order = all(a < b for a, b in zip(relabelled, relabelled[1:]))
+        clash = not set(support).isdisjoint(moves[level] for level in support if level in moves)
+        if not in_order or clash:
+            substitution = {source: self.var(target) for source, target in renaming.items()}
+            return self.compose(node, substitution)
+        memo: Dict[int, int] = {self.FALSE_INDEX: self.FALSE_INDEX, self.TRUE_INDEX: self.TRUE_INDEX}
+
+        def walk(index: int) -> int:
+            cached = memo.get(index)
+            if cached is not None:
+                return cached
+            level = self._levels[index]
+            result = self._make_node(
+                moves.get(level, level), walk(self._lows[index]), walk(self._highs[index])
+            )
+            memo[index] = result
+            return result
+
+        return BDD(self, walk(node.index))
 
     # -- queries -----------------------------------------------------------------
     def support(self, node: BDD) -> FrozenSet[str]:
         """The set of variables the function actually depends on."""
+        return frozenset(self._names[level] for level in self._support_levels(node.index))
+
+    def _support_levels(self, root: int) -> Set[int]:
         seen: Set[int] = set()
         levels: Set[int] = set()
-        stack = [node.index]
+        stack = [root]
         while stack:
             index = stack.pop()
             if index in seen or index in (self.TRUE_INDEX, self.FALSE_INDEX):
@@ -481,7 +581,7 @@ class BDDManager:
             levels.add(self._levels[index])
             stack.append(self._lows[index])
             stack.append(self._highs[index])
-        return frozenset(self._names[level] for level in levels)
+        return levels
 
     def node_count(self, node: BDD) -> int:
         """Number of distinct internal nodes of the BDD rooted at ``node``."""
@@ -734,6 +834,11 @@ class BDDManager:
             "apply_calls": self.apply_calls,
             "apply_cache_lookups": self.apply_cache_lookups,
             "apply_cache_hits": self.apply_cache_hits,
+            "and_exists_cache": len(self._and_exists_cache),
+            "and_exists_calls": self.and_exists_calls,
+            "and_exists_cache_lookups": self.and_exists_cache_lookups,
+            "and_exists_cache_hits": self.and_exists_cache_hits,
+            "rename_calls": self.rename_calls,
             "peak_nodes": self.peak_nodes,
             "sift_seconds": self.sift_seconds,
         }
@@ -741,6 +846,7 @@ class BDDManager:
     def clear_caches(self) -> None:
         self._apply_cache.clear()
         self._ite_cache.clear()
+        self._and_exists_cache.clear()
 
     def collect_garbage(self, keep: Sequence[BDD]) -> List[BDD]:
         """Drop every node unreachable from ``keep`` and compact the table.

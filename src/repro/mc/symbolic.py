@@ -24,8 +24,13 @@ The transition relations are built over four groups of BDD variables:
   so that two components sharing a boolean signal agree on its value, not
   just its clock).
 
-Reachability is the usual image fixpoint; invariants are checked on the
-reachable set.
+The image of a state set is one relational product,
+``and_exists(states, relation, step and current variables)``, followed by
+an order-preserving rename ``s'·r -> s·r``; the conjunction of states and
+relation is never built.  Reachability iterates the image on the frontier
+only (the states first reached in the previous round) and is computed once
+per checker: the reachable count, the node count and the deadlock check all
+reuse it.  Invariants are checked on the reachable set.
 """
 
 from __future__ import annotations
@@ -54,7 +59,112 @@ def value_variable(signal: str) -> str:
     return f"d·{signal}"
 
 
-class SymbolicChecker:
+class _ImageFixpoint:
+    """The image operator, the memoized reachable set and Definition 4.
+
+    Subclasses set ``manager``, ``_registers``, ``_signals``,
+    ``_transition_relation``, ``_initial`` and ``_bound`` (the state set
+    images are kept within), and name their step variables (events, plus
+    data values for the product).
+    """
+
+    manager: BDDManager
+    _registers: Tuple[str, ...]
+    _signals: Tuple[str, ...]
+    _transition_relation: BDD
+    _initial: BDD
+    _bound: BDD
+    _reached: Optional[BDD] = None
+    _has_successor: Optional[BDD] = None
+    #: node count of each frontier of the reachability fixpoint, in order
+    frontier_nodes: Tuple[int, ...] = ()
+    _deadlock_label = "reachable deadlock state"
+
+    @property
+    def registers(self) -> Tuple[str, ...]:
+        """The state registers of the encoded transition system."""
+        return self._registers
+
+    @property
+    def signals(self) -> Tuple[str, ...]:
+        """The event signals of the encoded transition system."""
+        return self._signals
+
+    @property
+    def transition_relation(self) -> BDD:
+        return self._transition_relation
+
+    @property
+    def initial_states(self) -> BDD:
+        return self._initial
+
+    def _step_variables(self) -> List[str]:
+        raise NotImplementedError
+
+    def image(self, states: BDD) -> BDD:
+        """The states reachable in one transition: a relational product."""
+        quantified = self._step_variables() + [
+            current_variable(register) for register in self._registers
+        ]
+        renaming = {
+            next_variable(register): current_variable(register) for register in self._registers
+        }
+        step = states.and_exists(self._transition_relation, quantified)
+        return step.rename(renaming) & self._bound
+
+    def reachable_states(self, max_iterations: int = 10_000) -> BDD:
+        """Least fixpoint of the image from the initial states (computed once).
+
+        Each round images only the frontier — the states first reached in
+        the round before — so a state's successors are computed once.
+        """
+        if self._reached is not None:
+            return self._reached
+        reached = frontier = self._initial
+        sizes = []
+        for _ in range(max_iterations):
+            sizes.append(frontier.node_count())
+            frontier = self.image(frontier).diff(reached)
+            if frontier.is_false():
+                self._reached, self.frontier_nodes = reached, tuple(sizes)
+                return reached
+            reached = reached | frontier
+        raise RuntimeError("reachability fixpoint did not converge")
+
+    def reachable_count(self) -> int:
+        variables = [current_variable(register) for register in self._registers]
+        if not variables:
+            return 1 if self.reachable_states().is_satisfiable() else 0
+        return self.reachable_states().count(variables)
+
+    def deadlock_states(self) -> BDD:
+        """Reachable states with no reaction at all (Definition 4)."""
+        if self._has_successor is None:
+            self._has_successor = self._transition_relation.exists(
+                self._step_variables()
+                + [next_variable(register) for register in self._registers]
+            )
+        return self.reachable_states().diff(self._has_successor)
+
+    def is_non_blocking(self) -> InvariantResult:
+        """Definition 4 decided on the transition relation."""
+        deadlocks = self.deadlock_states()
+        if deadlocks.is_false():
+            return InvariantResult("non-blocking", True)
+        witness = deadlocks.satisfy_one() or {}
+        readable = {
+            variable.split("·", 1)[1]: value
+            for variable, value in witness.items()
+            if variable.startswith("s·")
+        }
+        return InvariantResult("non-blocking", False, f"{self._deadlock_label} {readable}")
+
+    def bdd_nodes(self) -> int:
+        """BDD nodes of the encoded model: relation plus reachable set."""
+        return self._transition_relation.node_count() + self.reachable_states().node_count()
+
+
+class SymbolicChecker(_ImageFixpoint):
     """BDD-based reachability and invariant checking over a reaction LTS.
 
     The LTS is first built explicitly (the enumeration of feasible reactions
@@ -89,6 +199,7 @@ class SymbolicChecker:
         self._explored = self.manager.false
         for state in lts.states:
             self._explored = self._explored | self._encode_state(state, current_variable)
+        self._bound = self._explored
 
     # -- encoding ----------------------------------------------------------------
     def _collect_signals(self) -> Tuple[str, ...]:
@@ -125,53 +236,12 @@ class SymbolicChecker:
 
     # -- reachability ---------------------------------------------------------------
     @property
-    def registers(self) -> Tuple[str, ...]:
-        """The state registers of the encoded transition system."""
-        return self._registers
-
-    @property
-    def signals(self) -> Tuple[str, ...]:
-        """The event signals of the encoded transition system."""
-        return self._signals
-
-    @property
-    def transition_relation(self) -> BDD:
-        return self._transition_relation
-
-    @property
     def explored_states(self) -> BDD:
         """The encoded set of states present in the LTS (the bounded model)."""
         return self._explored
 
-    @property
-    def initial_states(self) -> BDD:
-        return self._initial
-
-    def image(self, states: BDD) -> BDD:
-        """The states reachable in one transition, within the bounded model."""
-        event_vars = [event_variable(signal) for signal in self._signals]
-        current_vars = [current_variable(register) for register in self._registers]
-        step = (states & self._transition_relation).exists(event_vars + current_vars)
-        renaming = {
-            next_variable(register): current_variable(register) for register in self._registers
-        }
-        return step.rename(renaming) & self._explored
-
-    def reachable_states(self, max_iterations: int = 10_000) -> BDD:
-        """Least fixpoint of the image starting from the initial states."""
-        reached = self._initial
-        for _ in range(max_iterations):
-            extended = reached | self.image(reached)
-            if self.manager.equivalent(extended, reached):
-                return reached
-            reached = extended
-        raise RuntimeError("reachability fixpoint did not converge")
-
-    def reachable_count(self) -> int:
-        variables = [current_variable(register) for register in self._registers]
-        if not variables:
-            return 1 if self.reachable_states().is_satisfiable() else 0
-        return self.reachable_states().count(variables)
+    def _step_variables(self) -> List[str]:
+        return [event_variable(signal) for signal in self._signals]
 
     # -- invariants -------------------------------------------------------------------
     def check_invariant(self, name: str, invariant: BDD) -> InvariantResult:
@@ -203,12 +273,8 @@ class SymbolicChecker:
     def register(self, name: str) -> BDD:
         return self.manager.var(current_variable(name))
 
-    def bdd_nodes(self) -> int:
-        """BDD nodes of the encoded model: relation plus reachable set."""
-        return self._transition_relation.node_count() + self.reachable_states().node_count()
 
-
-class SymbolicProductChecker:
+class SymbolicProductChecker(_ImageFixpoint):
     """Symbolic reachability over a product built *without* enumerating it.
 
     Each component contributes the relation of its own (small, individually
@@ -228,6 +294,8 @@ class SymbolicProductChecker:
     component LTSs should be built under the *composition's* unified types
     (the abstraction is type-directed; use ``ProductLTS.abstracted``).
     """
+
+    _deadlock_label = "reachable product deadlock state"
 
     def __init__(
         self,
@@ -286,6 +354,7 @@ class SymbolicProductChecker:
             self._transition_relation = (
                 self._transition_relation & self._component_relation(lts, group)
             )
+        self._bound = self.manager.true
         self._initial = self.manager.true
         for lts in component_ltss:
             for register, value in lts.initial:
@@ -323,79 +392,9 @@ class SymbolicProductChecker:
         return relation
 
     # -- reachability ---------------------------------------------------------------
-    @property
-    def registers(self) -> Tuple[str, ...]:
-        return self._registers
-
-    @property
-    def signals(self) -> Tuple[str, ...]:
-        return self._signals
-
-    @property
-    def transition_relation(self) -> BDD:
-        return self._transition_relation
-
-    @property
-    def initial_states(self) -> BDD:
-        return self._initial
-
     def _step_variables(self) -> List[str]:
         variables = [event_variable(signal) for signal in self._signals]
         variables += [
             value_variable(signal) for signal in self._signals if signal in self._boolean_signals
         ]
         return variables
-
-    def image(self, states: BDD) -> BDD:
-        """The product states reachable in one joint reaction."""
-        quantified = self._step_variables() + [
-            current_variable(register) for register in self._registers
-        ]
-        step = (states & self._transition_relation).exists(quantified)
-        renaming = {
-            next_variable(register): current_variable(register) for register in self._registers
-        }
-        return step.rename(renaming)
-
-    def reachable_states(self, max_iterations: int = 10_000) -> BDD:
-        reached = self._initial
-        for _ in range(max_iterations):
-            extended = reached | self.image(reached)
-            if self.manager.equivalent(extended, reached):
-                return reached
-            reached = extended
-        raise RuntimeError("product reachability fixpoint did not converge")
-
-    def reachable_count(self) -> int:
-        variables = [current_variable(register) for register in self._registers]
-        if not variables:
-            return 1 if self.reachable_states().is_satisfiable() else 0
-        return self.reachable_states().count(variables)
-
-    # -- invariants -------------------------------------------------------------------
-    def deadlock_states(self) -> BDD:
-        """Reachable product states with no joint reaction at all (Definition 4)."""
-        step_variables = self._step_variables() + [
-            next_variable(register) for register in self._registers
-        ]
-        has_successor = self._transition_relation.exists(step_variables)
-        return self.reachable_states() & ~has_successor
-
-    def is_non_blocking(self) -> InvariantResult:
-        """Definition 4 decided on the conjunction relation, no product enumeration."""
-        deadlocks = self.deadlock_states()
-        if deadlocks.is_false():
-            return InvariantResult("non-blocking", True)
-        witness = deadlocks.satisfy_one() or {}
-        readable = {
-            variable.split("·", 1)[1]: value
-            for variable, value in witness.items()
-            if variable.startswith("s·")
-        }
-        return InvariantResult(
-            "non-blocking", False, f"reachable product deadlock state {readable}"
-        )
-
-    def bdd_nodes(self) -> int:
-        """BDD nodes of the encoded model: relation plus reachable set."""
-        return self._transition_relation.node_count() + self.reachable_states().node_count()

@@ -20,7 +20,8 @@ family                                          source counter
                                                 rejected / deadline_exceeded / failed
 ``repro_service_inflight``                      live in-flight gauge
 ``repro_artifact_stage_total{stage=,outcome=}`` per-stage ArtifactGraph counters
-``repro_bdd_*{backend=}``                       kernel counters, incl. the derived
+``repro_bdd_*{backend=}``                       kernel counters (apply, and_exists,
+                                                rename), incl. the derived
                                                 ``repro_bdd_apply_cache_hit_ratio``
 ``repro_backend_*``                             pool rebuilds / redispatches
 ``repro_faults_injected_total{site=}``          ``FaultPlan.injected``
@@ -274,6 +275,21 @@ def bdd_collector(manager) -> Collector:
                 "repro_bdd_sift_seconds",
                 "Cumulative time in variable sifting",
                 [_sample(round(stats.get("sift_seconds", 0.0), 6), backend=backend)],
+            ),
+            _counter(
+                "repro_bdd_and_exists_calls_total",
+                "Relational products (and_exists, exists, forall)",
+                [_sample(stats.get("and_exists_calls", 0), backend=backend)],
+            ),
+            _counter(
+                "repro_bdd_and_exists_cache_hits_total",
+                "Relational-product computed-table hits",
+                [_sample(stats.get("and_exists_cache_hits", 0), backend=backend)],
+            ),
+            _counter(
+                "repro_bdd_rename_calls_total",
+                "Variable renamings",
+                [_sample(stats.get("rename_calls", 0), backend=backend)],
             ),
             _counter(
                 "repro_bdd_reorder_runs_total",

@@ -82,6 +82,7 @@ def bdd_tags(manager) -> Dict[str, object]:
         "bdd.backend": getattr(manager, "backend_name", "reference"),
         "bdd.apply_calls": stats.get("apply_calls", 0),
         "bdd.apply_cache_hit_ratio": round(hits / lookups, 4) if lookups else 0.0,
+        "bdd.and_exists_calls": stats.get("and_exists_calls", 0),
         "bdd.nodes": stats.get("nodes", 0),
         "bdd.peak_nodes": stats.get("peak_nodes", 0),
         "bdd.sift_seconds": round(stats.get("sift_seconds", 0.0), 6),
@@ -93,6 +94,6 @@ def bdd_tag_delta(before: Dict[str, object], manager) -> Dict[str, object]:
     deltas against a ``before`` snapshot — what one span actually cost."""
     now = bdd_tags(manager)
     out = dict(now)
-    for key in ("bdd.apply_calls",):
+    for key in ("bdd.apply_calls", "bdd.and_exists_calls"):
         out[key] = now[key] - before.get(key, 0)
     return out

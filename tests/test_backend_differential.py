@@ -111,6 +111,28 @@ class TestPropertyDifferential:
             node = manager.restrict(_build(manager, program), assignment)
             assert manager.dump([node]) == expected, label
 
+    @given(
+        left=_programs,
+        right=_programs,
+        quantified=st.sets(st.sampled_from(VARIABLES)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_quantified_results_dump_identically(self, left, right, quantified):
+        def quantify(manager):
+            f, g = _build(manager, left), _build(manager, right)
+            return manager.dump(
+                [
+                    manager.and_exists(f, g, quantified),
+                    manager.exists(f, quantified),
+                    manager.forall(g, quantified),
+                    manager.rename(f, {"p": "q", "q": "r"}),
+                ]
+            )
+
+        expected = quantify(create_manager(VARIABLES, backend="reference"))
+        for label, manager in _array_managers():
+            assert quantify(manager) == expected, label
+
     @given(program=_programs)
     @settings(max_examples=30, deadline=None)
     def test_cross_backend_load_is_lossless(self, program):

@@ -315,6 +315,71 @@ class TestDumpRoundTripProperties:
         assert loaded_manager.dump([root]) == payload
 
 
+def _assignments_over(names):
+    for bits in range(1 << len(names)):
+        yield {name: bool(bits & (1 << position)) for position, name in enumerate(names)}
+
+
+class TestQuantificationProperties:
+    """The relational-product kernel against brute-force quantification."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @given(
+        left=_programs,
+        right=_programs,
+        quantified=st.sets(st.sampled_from(_PROPERTY_VARIABLES)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_and_exists_exists_forall_match_brute_force(self, backend, left, right, quantified):
+        manager = create_manager(_PROPERTY_VARIABLES, backend=backend)
+        f, g = _build(manager, left), _build(manager, right)
+        product = manager.and_exists(f, g, quantified)
+        some = manager.exists(f, quantified)
+        every = manager.forall(f, quantified)
+        assert manager.support(product) <= set(_PROPERTY_VARIABLES) - quantified
+        for assignment in _assignments_over(_PROPERTY_VARIABLES):
+            witnesses = [
+                {**assignment, **choice} for choice in _assignments_over(sorted(quantified))
+            ]
+            assert manager.evaluate(product, assignment) == any(
+                manager.evaluate(f, w) and manager.evaluate(g, w) for w in witnesses
+            )
+            assert manager.evaluate(some, assignment) == any(
+                manager.evaluate(f, w) for w in witnesses
+            )
+            assert manager.evaluate(every, assignment) == all(
+                manager.evaluate(f, w) for w in witnesses
+            )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("order", ["order-preserving", "order-changing"])
+    @given(program=_programs, sources=st.sets(st.sampled_from(_PROPERTY_VARIABLES), min_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_rename_equals_compose_with_variables(self, backend, order, program, sources):
+        # each variable x is followed by its fresh copy x' in the order, so
+        # x -> x' keeps the support's level order and the reverse pairing
+        # of the copies does not
+        interleaved = [name for base in _PROPERTY_VARIABLES for name in (base, base + "'")]
+        manager = create_manager(interleaved, backend=backend)
+        function = _build(manager, program)
+        ordered = sorted(sources)
+        targets = [name + "'" for name in ordered]
+        if order == "order-changing":
+            targets.reverse()
+        renaming = dict(zip(ordered, targets))
+        ite_before = manager.stats()["ite_cache"]
+        renamed = manager.rename(function, renaming)
+        if order == "order-preserving":
+            assert manager.stats()["ite_cache"] == ite_before, "one relabelling walk, no compose"
+        composed = manager.compose(
+            function, {source: manager.var(target) for source, target in renaming.items()}
+        )
+        assert renamed == composed
+        for assignment in _assignments_over(interleaved):
+            moved = {**assignment, **{s: assignment[t] for s, t in renaming.items()}}
+            assert manager.evaluate(renamed, assignment) == manager.evaluate(function, moved)
+
+
 class TestSatisfyAllEdgeCases:
     """satisfy_all / satisfy_matrix corner cases, pinned on every backend."""
 

@@ -55,6 +55,7 @@ def test_bench_record_schema(path):
     metrics = payload["metrics"]
     assert isinstance(metrics["families"], list)
     _check_deploy_record(payload)
+    _check_symbolic_record(payload)
     for family in metrics["families"]:
         assert set(family) >= {"name", "type", "samples"}
         assert family["type"] in ("counter", "gauge", "histogram")
@@ -83,3 +84,20 @@ def _check_deploy_record(payload):
         assert entry["reactions_per_second"] > 0
     names = {family["name"] for family in payload["metrics"]["families"]}
     assert "repro_deploy_batch_lanes_total" in names
+
+
+def _check_symbolic_record(payload):
+    """The symbolic bench records each fixpoint beside its time."""
+    if payload["bench"] != "symbolic":
+        return
+    for entry in payload["entries"]:
+        assert entry["backend"] in ("reference", "array")
+        assert isinstance(entry["holds"], bool)
+        assert isinstance(entry["seconds"], (int, float))
+        frontiers = entry["frontier_nodes"]
+        assert entry["iterations"] == len(frontiers) >= 1
+        assert all(isinstance(nodes, int) and nodes >= 0 for nodes in frontiers)
+        assert entry["peak_nodes"] >= entry["bdd_nodes"] >= 0
+        assert entry["and_exists_calls"] >= entry["iterations"]
+        if "target_seconds" in entry:
+            assert entry["target_seconds"] > 0

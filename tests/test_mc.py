@@ -10,7 +10,14 @@ from repro.mc.invariants import (
     check_state_independent,
     check_weak_endochrony_invariants,
 )
-from repro.mc.symbolic import SymbolicChecker, current_variable, event_variable
+from repro.api.session import Design
+from repro.gen.topologies import arbiter_tree, chain_of_buffers, pipeline_network
+from repro.mc.symbolic import (
+    SymbolicChecker,
+    SymbolicProductChecker,
+    current_variable,
+    event_variable,
+)
 from repro.mc.transition import BooleanAbstraction, build_lts
 from repro.properties.compilable import ProcessAnalysis
 
@@ -142,3 +149,97 @@ class TestSymbolicChecker:
         lts = build_lts(buffer_normalized)
         symbolic = SymbolicChecker(lts)
         assert symbolic.reachable_count() == lts.state_count()
+
+    def test_non_blocking_matches_explicit(self, filter_normalized, buffer_normalized):
+        for process in (filter_normalized, buffer_normalized):
+            lts = build_lts(process)
+            symbolic = SymbolicChecker(lts)
+            assert symbolic.is_non_blocking().holds == ExplicitStateChecker(lts).is_non_blocking().holds
+            assert symbolic.deadlock_states().is_false()
+
+
+#: exploration bound of the family checks: no family below is truncated by it
+FAMILY_STATES = 4096
+
+FAMILIES = {"buffers": chain_of_buffers, "arbiter": arbiter_tree, "pipeline": pipeline_network}
+
+
+def _family_design(name: str) -> Design:
+    family, size = name.rsplit("_", 1)
+    components, _composition = FAMILIES[family](int(size))
+    return Design(name=name, components=list(components))
+
+
+def _product_checker(design: Design) -> SymbolicProductChecker:
+    """The product checker symbolic non-blocking builds for ``design``."""
+    context = design.context
+    engine = context.onthefly(
+        list(design.components),
+        FAMILY_STATES,
+        name=design.composition.name,
+        types=design.composition.types,
+        engine="compiled",
+    )
+    components = engine.lazy.abstracted
+    return SymbolicProductChecker(
+        [context.lts(component, FAMILY_STATES) for component in components],
+        manager=context.manager,
+        components=components,
+    )
+
+
+class TestSymbolicEngineRegression:
+    """The relational-product engine against the compiled engine."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"buffers_{n}" for n in range(2, 7)] + ["arbiter_2", "arbiter_3", "pipeline_4", "pipeline_8"],
+    )
+    def test_verdict_and_reachable_count_match_compiled(self, name):
+        compiled = _family_design(name).verify("non-blocking", "compiled", max_states=FAMILY_STATES)
+        design = _family_design(name)
+        symbolic = design.verify("non-blocking", "symbolic", max_states=FAMILY_STATES)
+        assert symbolic.holds == compiled.holds
+        assert _product_checker(design).reachable_count() == compiled.cost.states
+
+    @pytest.fixture
+    def image_calls(self, monkeypatch):
+        calls = []
+        for checker_class in (SymbolicChecker, SymbolicProductChecker):
+            original = checker_class.image
+
+            def spy(self, states, _original=original):
+                calls.append(self)
+                return _original(self, states)
+
+            monkeypatch.setattr(checker_class, "image", spy)
+        return calls
+
+    def test_product_fixpoint_runs_once_per_non_blocking_verdict(self, image_calls):
+        _product_checker(_family_design("buffers_3")).reachable_states()
+        one_fixpoint = len(image_calls)
+        assert one_fixpoint > 1
+        image_calls.clear()
+        verdict = _family_design("buffers_3").verify(
+            "non-blocking", "symbolic", max_states=FAMILY_STATES
+        )
+        assert verdict.holds
+        assert len(image_calls) == one_fixpoint
+
+    def test_single_component_fixpoint_runs_once_per_non_blocking_verdict(
+        self, buffer_normalized, image_calls
+    ):
+        SymbolicChecker(build_lts(buffer_normalized)).reachable_states()
+        one_fixpoint = len(image_calls)
+        assert one_fixpoint > 1
+        image_calls.clear()
+        verdict = Design.from_process(buffer_normalized).verify("non-blocking", "symbolic")
+        assert verdict.holds
+        assert len(image_calls) == one_fixpoint
+
+    def test_frontier_sizes_are_recorded_once(self):
+        checker = _product_checker(_family_design("buffers_2"))
+        reached = checker.reachable_states()
+        assert checker.reachable_states() is reached
+        assert len(checker.frontier_nodes) >= 2
+        assert checker.frontier_nodes[0] == checker.initial_states.node_count()

@@ -361,6 +361,25 @@ def test_bdd_collector_reports_kernel_counters():
     assert 0.0 <= ratio <= 1.0
 
 
+def test_bdd_collector_reports_relational_product_and_rename_counters():
+    from repro.bdd.bdd import BDDManager
+
+    manager = BDDManager(["a", "b", "c"])
+    relation = manager.var("a") & manager.var("b")
+    manager.and_exists(manager.var("a"), relation, ["a"])
+    manager.and_exists(manager.var("a"), relation, ["a"])  # computed-table hit
+    manager.rename(manager.var("b"), {"b": "c"})
+    registry = obs_metrics.MetricsRegistry()
+    registry.register_collector(obs_collect.bdd_collector(manager))
+    labels = {"backend": "reference"}
+    assert registry.get_value("repro_bdd_and_exists_calls_total", labels=labels) == 2.0
+    assert registry.get_value("repro_bdd_and_exists_cache_hits_total", labels=labels) >= 1.0
+    assert registry.get_value("repro_bdd_rename_calls_total", labels=labels) == 1.0
+    stats = manager.stats()
+    assert stats["and_exists_cache_lookups"] >= stats["and_exists_cache_hits"] >= 1
+    obs_export.parse_prometheus(obs_export.to_prometheus(registry.snapshot()))
+
+
 # ---------------------------------------------------------------------------
 # profiling hooks
 # ---------------------------------------------------------------------------
@@ -397,6 +416,17 @@ def test_traced_verify_attaches_stage_self_times_and_bdd_tags():
     assert "artifact.verdict" in table
     assert table["artifact.verdict"][0]["tags"]["stage"] == "verdict"
     assert "self_seconds" in table["artifact.verdict"][0]["tags"]
+
+
+def test_traced_symbolic_verify_tags_relational_products():
+    obs_trace.configure(enabled=True)
+    from repro.api.session import Design
+
+    Design.from_source(FILTER_SOURCE).verify("non-blocking", "symbolic")
+    table = spans_by_name(obs_trace.get_tracer().spans)
+    tags = table["artifact.verdict"][0]["tags"]
+    # the image fixpoint is one relational product per round
+    assert tags["bdd.and_exists_calls"] >= 1
 
 
 def test_untraced_verify_has_no_stages_key():

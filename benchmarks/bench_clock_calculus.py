@@ -4,18 +4,24 @@ Each benchmark re-runs one stage of the Polychrony pipeline on the paper's
 buffer and re-asserts the facts the paper derives from it: the clock
 relations and classes of Section 3.2, the hierarchy of Section 3.3, the
 disjunctive form of Section 3.4 and the scheduling graph of Section 3.5.
+A last scenario scales the hierarchy and the Section 5.1 constraint report
+to the ``pipeline_network(8)`` composition and checks that every
+entailment and feasibility query is decided without interning a BDD node.
 """
 
 from _record import recorder, timed
 
+from repro.api.session import AnalysisContext
 from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.disjunctive import to_disjunctive_form
 from repro.clocks.hierarchy import build_hierarchy
 from repro.clocks.inference import infer_timing_relations
+from repro.gen.topologies import pipeline_network
 
 RECORD = recorder("clock_calculus")
 from repro.lang.ast import ClockBinary, ClockFalse, ClockOf, ClockTrue
 from repro.properties.compilable import ProcessAnalysis
+from repro.properties.composition import check_weakly_hierarchic
 from repro.sched.closure import is_acyclic
 from repro.sched.graph import SchedulingGraph
 from repro.sched.reinforce import reinforce
@@ -96,3 +102,42 @@ def test_full_analysis_pipeline_ltta(benchmark, paper_processes):
 
     results = benchmark(analyse)
     assert all(compilable and hierarchic for compilable, hierarchic in results.values())
+
+
+def _report_pipeline(components, composition):
+    """Hierarchy and constraint report of one composition, in a fresh
+    session whose kernel decisions record how many nodes each one built."""
+    context = AnalysisContext()
+    manager = context.manager
+    built = []
+
+    def checked(decision):
+        def wrapper(*args):
+            size = manager.size()
+            result = decision(*args)
+            built.append(manager.size() - size)
+            return result
+
+        return wrapper
+
+    for name in ("leq", "intersects", "satisfy_one_and"):
+        setattr(manager, name, checked(getattr(manager, name)))
+    verdict = check_weakly_hierarchic(components, composition=composition, context=context)
+    return context.hierarchy(composition), verdict.reported_constraints, built
+
+
+def test_pipeline_8_hierarchy_and_constraint_report(benchmark):
+    """Rule 2 and the Section 5.1 report on an 8-stage composition, node-free."""
+    components, composition = pipeline_network(8)
+    hierarchy, constraints, built = benchmark(_report_pipeline, components, composition)
+    (_h, _c, _b), seconds = timed(_report_pipeline, components, composition)
+    RECORD.record(
+        "pipeline_8 hierarchy and constraint report",
+        seconds=seconds,
+        decisions=len(built),
+        constraints=len(constraints),
+    )
+    assert hierarchy.root_count() == 8
+    assert all(f"[c{index}] = [c{index + 1}]" in constraints for index in range(7))
+    assert built and not any(built), "a kernel decision built a BDD node"
+

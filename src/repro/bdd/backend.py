@@ -72,17 +72,23 @@ class BDDBackend(Protocol):
     The protocol is the *manager* surface: node construction
     (``var``/``ite``/``apply``), cofactors and quantification (the
     relational product ``and_exists`` and its special cases), the
-    enumeration family (``satisfy_one``/``satisfy_all``/``satisfy_matrix``/
+    non-constructive decisions (``leq``/``intersects``/``satisfy_one_and``,
+    which answer questions about a conjunction without interning a node),
+    the enumeration family (``satisfy_one``/``satisfy_all``/``satisfy_matrix``/
     ``count``), serialization (``dump``/``load``) and the maintenance hooks
     (``collect_garbage``/``reorder``/``sift``).  Handles stay the shared
     :class:`~repro.bdd.bdd.BDD` value type, which delegates every operation
     back to its manager — so a backend only ever implements manager
     methods, and engines never branch on the backend in use.
 
-    Beyond the signatures, implementations owe three behavioural
+    Beyond the signatures, implementations owe four behavioural
     guarantees (enforced by ``tests/test_backend_differential.py``):
 
     * **semantics** — identical truth tables, counts and supports;
+    * **non-construction** — ``leq``, ``intersects`` and
+      ``satisfy_one_and`` leave ``size()`` unchanged; the reference
+      implementation reads only the authoritative node lists, so the array
+      kernel inherits it as is;
     * **enumeration order** — ``satisfy_all`` / ``satisfy_matrix`` yield
       assignments in the reference order (manager level order, ``False``
       branch before ``True``);
@@ -143,8 +149,25 @@ class BDDBackend(Protocol):
         keeps the support's level order, ``compose`` otherwise."""
         ...
 
+    # -- non-constructive decisions --------------------------------------------
+    def leq(self, left: BDD, right: BDD) -> bool:
+        """``left ≤ right`` (``left → right`` is valid), stopping at the first
+        counterexample; builds no node."""
+        ...
+
+    def intersects(self, left: BDD, right: BDD) -> bool:
+        """``left ∧ right`` is satisfiable, stopping at the first witness;
+        builds no node."""
+        ...
+
+    def satisfy_one_and(self, left: BDD, right: BDD) -> Optional[Dict[str, bool]]:
+        """Exactly ``(left & right).satisfy_one()``; builds no node."""
+        ...
+
     # -- queries -------------------------------------------------------------
-    def support(self, node: BDD) -> FrozenSet[str]: ...
+    def support(self, node: BDD) -> FrozenSet[str]:
+        """The variables the function depends on (memoized per node)."""
+        ...
 
     def node_count(self, node: BDD) -> int: ...
 

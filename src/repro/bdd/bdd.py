@@ -14,7 +14,16 @@ The implementation follows the classical Bryant construction:
   support's level order, and falls back to ``compose`` (substitution of
   variables by functions) otherwise;
 * restriction (cofactors) and satisfying-assignment enumeration complete
-  what the clock calculus and the symbolic model checker need.
+  what the clock calculus and the symbolic model checker need;
+* three *non-constructive* decision procedures answer questions about a
+  conjunction without building it (Bryant, IEEE TC 1986; CUDD's
+  ``Cudd_bddLeq`` / ``Cudd_bddIntersect``): ``leq(f, g)`` decides
+  ``f ≤ g`` and stops at the first counterexample, ``intersects(f, g)``
+  decides whether ``f ∧ g`` is satisfiable and stops at the first
+  witness, and ``satisfy_one_and(f, g)`` returns exactly the assignment
+  ``(f & g).satisfy_one()`` would.  All three share one memoized
+  recursion and intern no node, so the entailment queries of the clock
+  calculus (``R ⊨ c`` is ``leq(R, c)``) leave the unique table untouched.
 
 Variables are referred to by name; their order is the order of registration
 with :meth:`BDDManager.declare` (callers that care about ordering declare
@@ -27,9 +36,10 @@ engine of :mod:`repro.mc.compiled` runs them right after compilation.
 
 Three performance features keep long-lived managers healthy:
 
-* the computed tables (``apply`` / ``ite`` / ``and_exists``) are *bounded*: past
-  ``computed_table_limit`` entries they are cleared rather than growing
-  without bound (the classical cache-flush eviction policy);
+* the computed tables (``apply`` / ``ite`` / ``and_exists`` / the decision
+  table of ``leq`` and ``intersects`` / the per-node ``support`` memo) are
+  *bounded*: past ``computed_table_limit`` entries they are cleared rather
+  than growing without bound (the classical cache-flush eviction policy);
 * :meth:`BDDManager.collect_garbage` drops every node not reachable from a
   given set of roots and compacts the unique table;
 * :meth:`BDDManager.satisfy_all` enumerates satisfying assignments by
@@ -204,6 +214,8 @@ class BDDManager:
         self._apply_cache: Dict[Tuple[str, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._and_exists_cache: Dict[Tuple[int, int, FrozenSet[int]], int] = {}
+        self._meets_cache: Dict[Tuple[int, int, int], bool] = {}
+        self._support_cache: Dict[int, FrozenSet[str]] = {}
         self._names: List[str] = []
         self._levels_by_name: Dict[str, int] = {}
         #: past this many computed-table entries the caches are flushed
@@ -219,6 +231,11 @@ class BDDManager:
         self.and_exists_cache_lookups = 0
         self.and_exists_cache_hits = 0
         self.rename_calls = 0
+        self.leq_calls = 0
+        self.leq_cache_hits = 0
+        self.intersects_calls = 0
+        self.intersects_cache_hits = 0
+        self._meets_cache_hits = 0
         self.peak_nodes = 2
         self.sift_seconds = 0.0
         for name in variables:
@@ -564,10 +581,109 @@ class BDDManager:
 
         return BDD(self, walk(node.index))
 
+    # -- non-constructive decisions ------------------------------------------------
+    def leq(self, left: BDD, right: BDD) -> bool:
+        """``left ≤ right``: is ``left → right`` valid?  Builds no node and
+        returns at the first counterexample."""
+        self.leq_calls += 1
+        hits = self._meets_cache_hits
+        result = not self._meets(left.index, self.TRUE_INDEX, right.index)
+        self.leq_cache_hits += self._meets_cache_hits - hits
+        return result
+
+    def intersects(self, left: BDD, right: BDD) -> bool:
+        """Is ``left ∧ right`` satisfiable?  Builds no node and returns at
+        the first witness."""
+        self.intersects_calls += 1
+        hits = self._meets_cache_hits
+        result = self._meets(left.index, right.index, self.FALSE_INDEX)
+        self.intersects_cache_hits += self._meets_cache_hits - hits
+        return result
+
+    def satisfy_one_and(self, left: BDD, right: BDD) -> Optional[Dict[str, bool]]:
+        """Exactly ``(left & right).satisfy_one()``, without building the conjunction.
+
+        The walk follows the pair of operands down the path
+        :meth:`satisfy_one` takes through the reduced conjunction: the high
+        branch whenever it is satisfiable, the low branch otherwise.  A
+        level where the two cofactor conjunctions coincide has no node in
+        the reduced conjunction, so it is crossed without being assigned.
+        Once one operand is ``true`` (or both are the same node) the
+        conjunction is the other operand, and its own walk finishes the job.
+        """
+        meets = self._meets
+        levels, lows, highs = self._levels, self._lows, self._highs
+        f, g = left.index, right.index
+        if not meets(f, g, self.FALSE_INDEX):
+            return None
+        assignment: Dict[str, bool] = {}
+        while f != self.TRUE_INDEX and g != self.TRUE_INDEX and f != g:
+            level = min(levels[f], levels[g])
+            f0, f1 = (lows[f], highs[f]) if levels[f] == level else (f, f)
+            g0, g1 = (lows[g], highs[g]) if levels[g] == level else (g, g)
+            if not meets(f1, g1, self.FALSE_INDEX):
+                assignment[self._names[level]] = False
+                f, g = f0, g0
+                continue
+            # f0 ∧ g0 = f1 ∧ g1 iff each conjunction lies below both
+            # operands of the other
+            if not (
+                meets(f0, g0, self.FALSE_INDEX)
+                and not meets(f0, g0, f1)
+                and not meets(f0, g0, g1)
+                and not meets(f1, g1, f0)
+                and not meets(f1, g1, g0)
+            ):
+                assignment[self._names[level]] = True
+            f, g = f1, g1
+        assignment.update(self.satisfy_one(BDD(self, g if f == self.TRUE_INDEX else f)))
+        return assignment
+
+    def _meets(self, a: int, b: int, c: int) -> bool:
+        """Is ``a ∧ b ∧ ¬c`` satisfiable?  The one memoized recursion behind
+        ``leq`` (``b`` = true), ``intersects`` (``c`` = false) and the
+        branch tests of ``satisfy_one_and``."""
+        if a > b:
+            a, b = b, a  # commutative: canonicalize the cache key
+        if a == 0 or c == 1:
+            return False
+        if a == 1 or a == b:
+            if b == c:
+                return False
+            if b == 1 or c == 0:
+                return True
+            a = 1
+        elif c == a or c == b:
+            return False
+        key = (a, b, c)
+        cached = self._meets_cache.get(key)
+        if cached is not None:
+            self._meets_cache_hits += 1
+            return cached
+        levels, lows, highs = self._levels, self._lows, self._highs
+        a_level, b_level, c_level = levels[a], levels[b], levels[c]
+        level = min(a_level, b_level, c_level)
+        a0, a1 = (lows[a], highs[a]) if a_level == level else (a, a)
+        b0, b1 = (lows[b], highs[b]) if b_level == level else (b, b)
+        c0, c1 = (lows[c], highs[c]) if c_level == level else (c, c)
+        result = self._meets(a0, b0, c0) or self._meets(a1, b1, c1)
+        if len(self._meets_cache) >= self.computed_table_limit:
+            self._meets_cache.clear()
+            self.cache_evictions += 1
+        self._meets_cache[key] = result
+        return result
+
     # -- queries -----------------------------------------------------------------
     def support(self, node: BDD) -> FrozenSet[str]:
-        """The set of variables the function actually depends on."""
-        return frozenset(self._names[level] for level in self._support_levels(node.index))
+        """The set of variables the function actually depends on (memoized per node)."""
+        cached = self._support_cache.get(node.index)
+        if cached is None:
+            cached = frozenset(self._names[level] for level in self._support_levels(node.index))
+            if len(self._support_cache) >= self.computed_table_limit:
+                self._support_cache.clear()
+                self.cache_evictions += 1
+            self._support_cache[node.index] = cached
+        return cached
 
     def _support_levels(self, root: int) -> Set[int]:
         seen: Set[int] = set()
@@ -724,10 +840,6 @@ class BDDManager:
             result = result | node
         return result
 
-    def implies_check(self, antecedent: BDD, consequent: BDD) -> bool:
-        """Decide whether ``antecedent -> consequent`` is a tautology."""
-        return antecedent.implies(consequent).is_true()
-
     # -- serialization -----------------------------------------------------------
     def dump(self, roots: Sequence[BDD]) -> Dict[str, object]:
         """A JSON-safe snapshot of the graphs reachable from ``roots``.
@@ -839,6 +951,12 @@ class BDDManager:
             "and_exists_cache_lookups": self.and_exists_cache_lookups,
             "and_exists_cache_hits": self.and_exists_cache_hits,
             "rename_calls": self.rename_calls,
+            "meets_cache": len(self._meets_cache),
+            "leq_calls": self.leq_calls,
+            "leq_cache_hits": self.leq_cache_hits,
+            "intersects_calls": self.intersects_calls,
+            "intersects_cache_hits": self.intersects_cache_hits,
+            "support_cache": len(self._support_cache),
             "peak_nodes": self.peak_nodes,
             "sift_seconds": self.sift_seconds,
         }
@@ -847,6 +965,8 @@ class BDDManager:
         self._apply_cache.clear()
         self._ite_cache.clear()
         self._and_exists_cache.clear()
+        self._meets_cache.clear()
+        self._support_cache.clear()
 
     def collect_garbage(self, keep: Sequence[BDD]) -> List[BDD]:
         """Drop every node unreachable from ``keep`` and compact the table.

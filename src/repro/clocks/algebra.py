@@ -13,7 +13,9 @@ is boolean, a *value* variable ``v·x``:
 so that the axioms ``x^ = [x] ∨ [¬x]`` and ``[x] ∧ [¬x] = 0`` hold by
 construction.  The timing relations of a process compile to one BDD; every
 entailment question of the analyses (clock equivalence, emptiness,
-inclusion, constraint detection) is then a BDD implication check.
+inclusion, constraint detection) is then a BDD inclusion test, decided by
+the kernel's non-constructive ``leq`` / ``intersects`` without building the
+implication or the conjunction.
 """
 
 from __future__ import annotations
@@ -182,14 +184,13 @@ class ClockAlgebra:
         """``R |= constraint``: the constraint holds in every instant allowed by R."""
         if self._unsatisfiable:
             return True
-        relevant = self._relevant_relation(constraint.support())
-        return relevant.implies(constraint).is_true()
+        return self.manager.leq(self._relevant_relation(constraint.support()), constraint)
 
     def feasible(self, constraint: BDD) -> bool:
         """``R ∧ constraint`` is satisfiable: the constraint can tick at all."""
         if self._unsatisfiable:
             return False
-        return (self._relevant_relation(constraint.support()) & constraint).is_satisfiable()
+        return self.manager.intersects(self._relevant_relation(constraint.support()), constraint)
 
     def constrained(self, constraint: BDD) -> BDD:
         """``constraint`` conjoined with exactly the factors it touches.
@@ -217,37 +218,3 @@ class ClockAlgebra:
     def is_exclusive(self, left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> bool:
         """``R |= left ∧ right = 0``: the two clocks never tick together."""
         return self.entails(~(self.encode(left) & self.encode(right)))
-
-    def clocks_equivalent_to(
-        self, expression: ClockExpressionSyntax, candidates: Iterable[ClockExpressionSyntax]
-    ) -> List[ClockExpressionSyntax]:
-        """The candidate clocks provably equal to ``expression`` under R."""
-        return [candidate for candidate in candidates if self.entails_equal(expression, candidate)]
-
-    # -- constraint reporting (Section 5.1) ----------------------------------------
-    def implied_equalities(
-        self, clocks: Iterable[ClockExpressionSyntax]
-    ) -> List[Tuple[ClockExpressionSyntax, ClockExpressionSyntax]]:
-        """All pairwise equalities between the given clocks that R entails.
-
-        This is the mechanism Polychrony uses to *report clock constraints*
-        such as ``[¬a] = [b]`` when composing the producer and the consumer;
-        the controller synthesis of Section 5.2 is built from this report.
-        """
-        clock_list = list(clocks)
-        equalities: List[Tuple[ClockExpressionSyntax, ClockExpressionSyntax]] = []
-        for index, left in enumerate(clock_list):
-            for right in clock_list[index + 1 :]:
-                if self.entails_equal(left, right):
-                    equalities.append((left, right))
-        return equalities
-
-    def project(self, keep_signals: Iterable[str]) -> BDD:
-        """Existentially quantify away every variable not about ``keep_signals``."""
-        keep = set(keep_signals)
-        to_quantify = [
-            variable
-            for variable in self.manager.variables()
-            if variable.split("·", 1)[1] not in keep
-        ]
-        return self._relation_bdd.exists(to_quantify)

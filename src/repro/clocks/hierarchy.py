@@ -17,7 +17,7 @@ by the compositional criterion of Section 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.expressions import clock_key, format_clock_expression
@@ -33,22 +33,6 @@ from repro.lang.ast import (
 from repro.lang.normalize import NormalizedProcess
 
 ClockKey = Tuple
-
-
-class _AbsentByDefault(dict):
-    """A partial witness assignment totalized by absence.
-
-    BDD evaluation asks for arbitrary variables; everything the witness did
-    not pin (presences and values of unrelated signals) reads as ``False``
-    — the all-absent completion, which satisfies every clock-relation
-    factor by construction.
-    """
-
-    def __contains__(self, key: object) -> bool:  # evaluate() probes membership
-        return True
-
-    def __missing__(self, key: str) -> bool:
-        return False
 
 
 @dataclass
@@ -118,6 +102,37 @@ class ClockHierarchy:
             for (above, below) in self.dominance
             if below == index and above != index and (below, above) not in self.dominance
         }
+
+    # -- constraint reporting (Section 5.1) ----------------------------------------
+    def implied_equalities(
+        self, clocks: Iterable[ClockExpressionSyntax]
+    ) -> List[Tuple[ClockExpressionSyntax, ClockExpressionSyntax]]:
+        """Every pair of the given clocks that R proves equal, in list order.
+
+        This is the mechanism Polychrony uses to *report clock constraints*
+        such as ``[¬a] = [b]`` when composing the producer and the consumer;
+        the controller synthesis of Section 5.2 is built from this report.
+        Rule 2 already decided every provable equality among the hierarchy's
+        clocks, so the pairs are read off the classes without a single BDD
+        query.  The clocks must be hierarchy members (signal clocks and
+        boolean samplings).
+        """
+        clock_list = list(clocks)
+        positions_by_class: Dict[int, List[int]] = {}
+        for position, clock in enumerate(clock_list):
+            clock_class = self.class_of(clock)
+            if clock_class is None:
+                raise ValueError(
+                    f"{format_clock_expression(clock)} is not a clock of the hierarchy"
+                )
+            positions_by_class.setdefault(clock_class.index, []).append(position)
+        pairs: List[Tuple[int, int]] = sorted(
+            (first, second)
+            for positions in positions_by_class.values()
+            for index, first in enumerate(positions)
+            for second in positions[index + 1 :]
+        )
+        return [(clock_list[first], clock_list[second]) for first, second in pairs]
 
     # -- roots and structure ---------------------------------------------------
     def roots(self) -> List[ClockClass]:
@@ -252,52 +267,30 @@ def build_hierarchy(
 
     clocks = _interesting_clocks(process)
 
-    # rule 2: equivalence classes under provable equality.  The pairwise
-    # entailment sweep is O(clocks × classes); before paying a BDD
-    # entailment per pair, candidates are screened against a pool of
-    # *R-satisfying witness samples* (one per discovered class).  Clocks
-    # provably equal under R agree on every R-satisfying assignment, so a
-    # spectrum mismatch soundly rules the pair out; only spectrum-identical
-    # pairs reach the entailment check.  On an N-component composition this
-    # turns almost every cross-component comparison into a couple of
-    # constant-time BDD evaluations.
+    # rule 2: equivalence classes under provable equality, by hash-consing.
+    # R is a conjunction of variable-disjoint factors, each satisfied by the
+    # silent instant (every signal absent).  Every clock here is about one
+    # signal ``x``, and ``v·x`` only ever occurs conjoined with ``p·x``, so
+    # any factor the clock touches contains ``p·x``.  Hence, for satisfiable
+    # R, ``R ⊨ a = b`` iff ``constrained(a)`` and ``constrained(b)`` (each
+    # clock conjoined with the factors it touches) are the same function:
+    # if ``b`` touches a factor ``a`` does not, silencing that factor in an
+    # instant of ``R ∧ a`` keeps the instant in ``R ∧ a`` and makes ``b``
+    # false, unless both clocks are empty — and empty clocks all constrain
+    # to ``false``.  Equal functions are one node, so the classes are the
+    # groups of constrained nodes: one conjunction per clock, no entailment
+    # query, no pairwise comparison.  Unsatisfiable relations entail every
+    # equality: one class.
     classes: List[ClockClass] = []
-    class_bdds: List = []
-    class_spectra: List[List[bool]] = []
-    samples: List[Mapping[str, bool]] = []
-
-    def spectrum(encoded, cache: List[bool]) -> List[bool]:
-        while len(cache) < len(samples):
-            cache.append(encoded.evaluate(samples[len(cache)]))
-        return cache
-
+    class_of_node: Dict[Optional[int], ClockClass] = {}
+    satisfiable = algebra.satisfiable()
     for clock in clocks:
-        encoded = algebra.encode(clock)
-        candidate_spectrum: List[bool] = []
-        placed = False
-        for position, clock_class in enumerate(classes):
-            representative_bdd = class_bdds[position]
-            if encoded is not representative_bdd:
-                if spectrum(encoded, candidate_spectrum) != spectrum(
-                    representative_bdd, class_spectra[position]
-                ):
-                    continue
-                if not algebra.entails(encoded.iff(representative_bdd)):
-                    continue
-            clock_class.members.append(clock)
-            placed = True
-            break
-        if not placed:
-            classes.append(ClockClass(index=len(classes), members=[clock]))
-            class_bdds.append(encoded)
-            class_spectra.append(candidate_spectrum)
-            # a witness instant for the new class: the clock ticks, its own
-            # relation factors hold, and every other signal is absent — the
-            # all-absent completion satisfies the remaining factors, so the
-            # sample satisfies R and the screening stays sound
-            witness = algebra.constrained(encoded).satisfy_one()
-            if witness is not None:
-                samples.append(_AbsentByDefault(witness))
+        node = algebra.constrained(algebra.encode(clock)).index if satisfiable else None
+        clock_class = class_of_node.get(node)
+        if clock_class is None:
+            clock_class = class_of_node[node] = ClockClass(index=len(classes))
+            classes.append(clock_class)
+        clock_class.members.append(clock)
 
     key_to_class: Dict[ClockKey, int] = {}
     for clock_class in classes:

@@ -376,8 +376,8 @@ def synthesize_controller(
 
     constraints: List[ClockConstraintSpec] = []
     # a criterion verdict assembled from persisted artifacts materializes
-    # its composition analysis here, on demand — synthesis needs the live
-    # clock algebra to mine the implied equalities
+    # its composition analysis here, on demand — synthesis reads the
+    # implied equalities off the live clock hierarchy
     analysis = verdict.composition_analysis()
     if analysis is not None:
         from repro.lang.ast import ClockFalse as _CF, ClockTrue as _CT
@@ -388,7 +388,7 @@ def synthesize_controller(
             if signal in boolean:
                 candidate_literals.append(_CT(signal))
                 candidate_literals.append(_CF(signal))
-        for left, right in analysis.algebra.implied_equalities(candidate_literals):
+        for left, right in analysis.hierarchy.implied_equalities(candidate_literals):
             left_literal = _literal_from_expression(left, owners)
             right_literal = _literal_from_expression(right, owners)
             if left_literal is None or right_literal is None:

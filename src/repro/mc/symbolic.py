@@ -75,7 +75,7 @@ class _ImageFixpoint:
     _initial: BDD
     _bound: BDD
     _reached: Optional[BDD] = None
-    _has_successor: Optional[BDD] = None
+    _blocked: Optional[BDD] = None
     #: node count of each frontier of the reachability fixpoint, in order
     frontier_nodes: Tuple[int, ...] = ()
     _deadlock_label = "reachable deadlock state"
@@ -137,21 +137,28 @@ class _ImageFixpoint:
             return 1 if self.reachable_states().is_satisfiable() else 0
         return self.reachable_states().count(variables)
 
-    def deadlock_states(self) -> BDD:
-        """Reachable states with no reaction at all (Definition 4)."""
-        if self._has_successor is None:
-            self._has_successor = self._transition_relation.exists(
+    def _blocked_states(self) -> BDD:
+        """States with no reaction at all (computed once)."""
+        if self._blocked is None:
+            self._blocked = ~self._transition_relation.exists(
                 self._step_variables()
                 + [next_variable(register) for register in self._registers]
             )
-        return self.reachable_states().diff(self._has_successor)
+        return self._blocked
+
+    def deadlock_states(self) -> BDD:
+        """Reachable states with no reaction at all (Definition 4)."""
+        return self.reachable_states() & self._blocked_states()
 
     def is_non_blocking(self) -> InvariantResult:
-        """Definition 4 decided on the transition relation."""
-        deadlocks = self.deadlock_states()
-        if deadlocks.is_false():
+        """Definition 4 decided on the transition relation.
+
+        The deadlock witness is taken from the reachable and blocked sets
+        without building their conjunction.
+        """
+        witness = self.manager.satisfy_one_and(self.reachable_states(), self._blocked_states())
+        if witness is None:
             return InvariantResult("non-blocking", True)
-        witness = deadlocks.satisfy_one() or {}
         readable = {
             variable.split("·", 1)[1]: value
             for variable, value in witness.items()

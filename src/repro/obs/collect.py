@@ -287,6 +287,16 @@ def bdd_collector(manager) -> Collector:
                 [_sample(stats.get("and_exists_cache_hits", 0), backend=backend)],
             ),
             _counter(
+                "repro_bdd_leq_calls_total",
+                "Non-constructive inclusion tests (leq)",
+                [_sample(stats.get("leq_calls", 0), backend=backend)],
+            ),
+            _counter(
+                "repro_bdd_intersects_calls_total",
+                "Non-constructive satisfiability tests of a conjunction (intersects)",
+                [_sample(stats.get("intersects_calls", 0), backend=backend)],
+            ),
+            _counter(
                 "repro_bdd_rename_calls_total",
                 "Variable renamings",
                 [_sample(stats.get("rename_calls", 0), backend=backend)],

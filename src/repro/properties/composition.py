@@ -221,7 +221,7 @@ def _interface_clock_constraints(
             candidate_clocks.append(ClockTrue(name))
             candidate_clocks.append(ClockFalse(name))
     constraints: List[str] = []
-    for left, right in analysis.algebra.implied_equalities(candidate_clocks):
+    for left, right in analysis.hierarchy.implied_equalities(candidate_clocks):
         left_names = left.free_signals()
         right_names = right.free_signals()
         if left_names == right_names:

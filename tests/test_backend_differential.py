@@ -133,6 +133,27 @@ class TestPropertyDifferential:
         for label, manager in _array_managers():
             assert quantify(manager) == expected, label
 
+    @given(left=_programs, right=_programs)
+    @settings(max_examples=60, deadline=None)
+    def test_non_constructive_decisions_agree(self, left, right):
+        def decide(manager):
+            f, g = _build(manager, left), _build(manager, right)
+            not_f = ~f
+            size = manager.size()
+            answers = [
+                (manager.leq(f, g), manager.intersects(f, g), manager.satisfy_one_and(f, g)),
+                (manager.leq(g, f), manager.intersects(g, not_f), manager.satisfy_one_and(g, not_f)),
+            ]
+            assert manager.size() == size, f"{manager.backend_name}: a decision interned a node"
+            assert answers[0] == (
+                f.implies(g).is_true(), (f & g).is_satisfiable(), (f & g).satisfy_one()
+            )
+            return answers
+
+        expected = decide(create_manager(VARIABLES, backend="reference"))
+        for label, manager in _array_managers():
+            assert decide(manager) == expected, label
+
     @given(program=_programs)
     @settings(max_examples=30, deadline=None)
     def test_cross_backend_load_is_lossless(self, program):

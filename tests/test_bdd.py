@@ -122,10 +122,10 @@ class TestBDDQueries:
         a, b, c = manager.var("a"), manager.var("b"), manager.var("c")
         assert (a & b & c).node_count() == 3
 
-    def test_implies_check_and_equivalence(self, manager):
+    def test_leq_and_equivalence(self, manager):
         a, b = manager.var("a"), manager.var("b")
-        assert manager.implies_check(a & b, a)
-        assert not manager.implies_check(a, a & b)
+        assert manager.leq(a & b, a)
+        assert not manager.leq(a, a & b)
         assert manager.equivalent(a & b, b & a)
 
 
@@ -378,6 +378,44 @@ class TestQuantificationProperties:
         for assignment in _assignments_over(interleaved):
             moved = {**assignment, **{s: assignment[t] for s, t in renaming.items()}}
             assert manager.evaluate(renamed, assignment) == manager.evaluate(function, moved)
+
+
+class TestNonConstructiveDecisions:
+    """leq / intersects / satisfy_one_and against the conjunction they avoid."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @given(left=_programs, right=_programs, same=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_match_the_constructive_answers(self, backend, left, right, same):
+        manager = create_manager(_PROPERTY_VARIABLES, backend=backend)
+        f = _build(manager, left)
+        g = f if same else _build(manager, right)
+        size = manager.size()
+        below = manager.leq(f, g)
+        meets = manager.intersects(f, g)
+        witness = manager.satisfy_one_and(f, g)
+        assert manager.size() == size, "a decision interned a node"
+        assert below == f.implies(g).is_true()
+        assert meets == (f & g).is_satisfiable()
+        assert witness == (f & g).satisfy_one()
+
+    def test_satisfy_one_and_skips_levels_the_conjunction_does_not_test(self, manager):
+        # (a ∨ b) ∧ (a ∨ ¬b) = a: the conjunction has no b node, so the
+        # witness must not pin b even though both operands test it
+        a, b = manager.var("a"), manager.var("b")
+        f, g = a | b, a | ~b
+        assert manager.satisfy_one_and(f, g) == (f & g).satisfy_one() == {"a": True}
+        assert manager.satisfy_one_and(a, ~a) is None
+
+    def test_decision_caches_are_cleared_with_the_computed_tables(self, manager):
+        a, b = manager.var("a"), manager.var("b")
+        assert manager.leq(a & b, a)
+        assert manager.support(a & b) == {"a", "b"}
+        assert manager.stats()["meets_cache"] > 0
+        assert manager.stats()["support_cache"] > 0
+        manager.clear_caches()
+        assert manager.stats()["meets_cache"] == 0
+        assert manager.stats()["support_cache"] == 0
 
 
 class TestSatisfyAllEdgeCases:

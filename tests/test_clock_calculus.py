@@ -5,8 +5,11 @@ equivalence classes, its hierarchy figure, and the disjunctive form of the
 symmetric difference in ``current``.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.api.session import AnalysisContext
 from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.disjunctive import is_well_clocked, to_disjunctive_form
 from repro.clocks.expressions import (
@@ -15,9 +18,11 @@ from repro.clocks.expressions import (
     format_clock_expression,
     simplify_clock,
 )
-from repro.clocks.hierarchy import build_hierarchy
+from repro.clocks.hierarchy import _interesting_clocks, build_hierarchy
 from repro.clocks.inference import infer_timing_relations
 from repro.clocks.relations import TimingRelations
+from repro.gen import design_space
+from repro.gen.corpus import Corpus
 from repro.lang.ast import ClockBinary, ClockEmpty, ClockFalse, ClockOf, ClockTrue
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
@@ -128,17 +133,6 @@ class TestAlgebra:
         # forcing [a] = [¬a] = 0 empties the clock of a as well
         assert analysis.algebra.is_empty_clock(ClockOf("a"))
 
-    def test_implied_equalities_reports_producer_consumer_constraint(self, producer_consumer):
-        analysis = ProcessAnalysis(producer_consumer["main"])
-        equalities = analysis.algebra.implied_equalities(
-            [ClockFalse("a"), ClockTrue("b"), ClockTrue("a"), ClockFalse("b")]
-        )
-        rendered = {
-            (format_clock_expression(left), format_clock_expression(right))
-            for left, right in equalities
-        }
-        assert ("[¬a]", "[b]") in rendered or ("[b]", "[¬a]") in rendered
-
 
 class TestHierarchy:
     def test_filter_hierarchy_is_single_rooted(self, filter_analysis):
@@ -183,6 +177,108 @@ class TestHierarchy:
         hierarchy = buffer_analysis.hierarchy
         [root] = hierarchy.roots()
         assert {"x", "y"} <= hierarchy.subtree_signals(root)
+
+
+def _pairwise_sweep(algebra, clocks):
+    """The reference constraint report: one entailment per pair of clocks."""
+    return [
+        (left, right)
+        for index, left in enumerate(clocks)
+        for right in clocks[index + 1 :]
+        if algebra.entails_equal(left, right)
+    ]
+
+
+def _equality_check_designs():
+    corpus = Corpus.load(Path(__file__).resolve().parent.parent / "corpus" / "corpus.json")
+    yield from (entry.regenerate() for entry in corpus)
+    yield from design_space(range(1000, 1200))
+
+
+class TestImpliedEqualities:
+    """The constraint report read off the hierarchy's rule-2 classes."""
+
+    def test_implied_equalities_reports_producer_consumer_constraint(self, producer_consumer):
+        analysis = ProcessAnalysis(producer_consumer["main"])
+        equalities = analysis.hierarchy.implied_equalities(
+            [ClockFalse("a"), ClockTrue("b"), ClockTrue("a"), ClockFalse("b")]
+        )
+        rendered = {
+            (format_clock_expression(left), format_clock_expression(right))
+            for left, right in equalities
+        }
+        assert ("[¬a]", "[b]") in rendered or ("[b]", "[¬a]") in rendered
+
+    def test_classes_give_the_pairwise_sweep_over_corpus_and_sampled_designs(self):
+        checked = 0
+        for generated in _equality_check_designs():
+            context = AnalysisContext()
+            for process in (generated.composition,) + tuple(generated.components):
+                analysis = context.analysis(process)
+                clocks = _interesting_clocks(analysis.process)
+                assert analysis.hierarchy.implied_equalities(clocks) == _pairwise_sweep(
+                    analysis.algebra, clocks
+                ), f"{generated.name}: {process.name}"
+                checked += 1
+        assert checked >= 260
+
+    def test_unsatisfiable_relations_entail_every_equality(self, producer_consumer):
+        # inferred relations always admit the silent instant, so the
+        # unsatisfiable case is forced: R ⊨ c for every c, rule 2 puts
+        # every clock in one class, and the report lists every pair exactly
+        # as the pairwise sweep does
+        process = producer_consumer["main"]
+        algebra = ClockAlgebra(process, infer_timing_relations(process))
+        algebra._unsatisfiable = True
+        hierarchy = build_hierarchy(process, algebra.relations, algebra)
+        clocks = _interesting_clocks(process)
+        assert len(hierarchy.classes) == 1
+        equalities = hierarchy.implied_equalities(clocks)
+        assert equalities == _pairwise_sweep(algebra, clocks)
+        assert len(equalities) == len(clocks) * (len(clocks) - 1) // 2
+
+    def test_clocks_outside_the_hierarchy_are_refused(self, filter_analysis):
+        with pytest.raises(ValueError, match="not a clock of the hierarchy"):
+            filter_analysis.hierarchy.implied_equalities([ClockOf("y"), ClockOf("nosuch")])
+
+
+class TestNonConstructiveEntailment:
+    """Entailment and feasibility intern no BDD node; rule 2 makes no query."""
+
+    def test_queries_leave_the_unique_table_untouched(self):
+        process = normalize(buffer_process())
+        algebra = ClockAlgebra(process, infer_timing_relations(process))
+        encoded = [algebra.encode(clock) for clock in _interesting_clocks(process)]
+        constraints = [
+            left.iff(right)
+            for index, left in enumerate(encoded)
+            for right in encoded[index + 1 :]
+        ]
+        manager = algebra.manager
+        size = manager.size()
+        answers = [
+            (algebra.entails(constraint), algebra.feasible(constraint))
+            for constraint in constraints
+        ]
+        assert manager.size() == size
+        assert answers == [
+            (
+                algebra.constrained(~constraint).is_false(),
+                algebra.constrained(constraint).is_satisfiable(),
+            )
+            for constraint in constraints
+        ]
+
+    def test_rule_2_classes_come_from_hash_consing_alone(self):
+        process = normalize(buffer_process())
+        algebra = ClockAlgebra(process, infer_timing_relations(process))
+        stats = algebra.manager.stats()
+        hierarchy = build_hierarchy(process, algebra.relations, algebra)
+        after = algebra.manager.stats()
+        assert after["leq_calls"] == stats["leq_calls"]
+        assert after["intersects_calls"] == stats["intersects_calls"]
+        assert hierarchy.same_class(ClockOf("x"), ClockTrue("buffer_t"))
+        assert hierarchy.same_class(ClockOf("y"), ClockFalse("buffer_t"))
 
 
 class TestDisjunctiveForm:

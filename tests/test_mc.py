@@ -157,6 +157,26 @@ class TestSymbolicChecker:
             assert symbolic.is_non_blocking().holds == ExplicitStateChecker(lts).is_non_blocking().holds
             assert symbolic.deadlock_states().is_false()
 
+    @pytest.mark.parametrize("backend", ["reference", "array"])
+    def test_deadlock_witness_is_the_first_deadlock_state(self, buffer_normalized, backend):
+        # cutting every transition out of one reachable state deadlocks it;
+        # the witness taken without building the deadlock set must be the
+        # one satisfy_one picks on that set
+        lts = build_lts(buffer_normalized)
+        stuck = next(state for state in lts.states if state != lts.initial)
+        lts.transitions = [t for t in lts.transitions if t.source != stuck]
+        symbolic = SymbolicChecker(lts, backend=backend)
+        result = symbolic.is_non_blocking()
+        assert not result.holds
+        assert not ExplicitStateChecker(lts).is_non_blocking().holds
+        witness = symbolic.deadlock_states().satisfy_one()
+        readable = {
+            variable.split("·", 1)[1]: value
+            for variable, value in witness.items()
+            if variable.startswith("s·")
+        }
+        assert result.counterexample == f"reachable deadlock state {readable}"
+
 
 #: exploration bound of the family checks: no family below is truncated by it
 FAMILY_STATES = 4096

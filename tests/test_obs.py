@@ -380,6 +380,28 @@ def test_bdd_collector_reports_relational_product_and_rename_counters():
     obs_export.parse_prometheus(obs_export.to_prometheus(registry.snapshot()))
 
 
+def test_bdd_collector_reports_non_constructive_decision_counters():
+    from repro.bdd.bdd import BDDManager
+
+    manager = BDDManager(["a", "b", "c"])
+    a, b, c = manager.var("a"), manager.var("b"), manager.var("c")
+    relation = (a & b) | c
+    assert manager.leq(a & b, relation)
+    assert manager.leq(a & b, relation)  # decision-table hit
+    assert not manager.leq(relation, a)
+    assert manager.intersects(relation, ~c)
+    assert manager.intersects(relation, ~c)  # decision-table hit
+    registry = obs_metrics.MetricsRegistry()
+    registry.register_collector(obs_collect.bdd_collector(manager))
+    labels = {"backend": "reference"}
+    assert registry.get_value("repro_bdd_leq_calls_total", labels=labels) == 3.0
+    assert registry.get_value("repro_bdd_intersects_calls_total", labels=labels) == 2.0
+    stats = manager.stats()
+    assert stats["leq_calls"] == 3 and stats["intersects_calls"] == 2
+    assert stats["leq_cache_hits"] >= 1 and stats["intersects_cache_hits"] >= 1
+    obs_export.parse_prometheus(obs_export.to_prometheus(registry.snapshot()))
+
+
 # ---------------------------------------------------------------------------
 # profiling hooks
 # ---------------------------------------------------------------------------

@@ -106,8 +106,8 @@ class TestBDDProperties:
     def test_quantification_bounds(self, expression):
         manager = BDDManager(["a", "b", "c", "d"])
         compiled = build_bdd(expression, manager)
-        assert manager.implies_check(compiled.forall(["a"]), compiled)
-        assert manager.implies_check(compiled, compiled.exists(["a"]))
+        assert manager.leq(compiled.forall(["a"]), compiled)
+        assert manager.leq(compiled, compiled.exists(["a"]))
 
 
 # ---------------------------------------------------------------------------

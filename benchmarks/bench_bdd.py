@@ -13,7 +13,7 @@ constant factor actually moves and pins the wins that are structural:
    inner-product functions, an adversarial case where nearly every
    subproblem allocates a fresh node (no sharing for the vectorized pass to
    exploit), gated at a conservative ≥1.3×.
-3. *End-to-end pipeline sweeps* — ``build_lts_compiled`` on relay
+3. *End-to-end pipeline sweeps* — compiled ``materialize()`` on relay
    pipelines, recorded on both backends **honestly, without a speedup
    gate**: at ``pipeline_8`` the whole run is ~30 ms and mostly non-BDD
    work (normalization, hierarchy, interning), so backend parity is the
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import time
 
+from _lts import materialize_compiled
 from _record import recorder
 
 from repro.bdd.backend import available_backends, create_manager, load_manager
 from repro.library.generators import pipeline_network
-from repro.mc.compiled import CompiledAbstraction, build_lts_compiled
+from repro.mc.compiled import CompiledAbstraction
 
 RECORD = recorder("bdd")
 
@@ -136,7 +137,7 @@ def test_pipeline_sweeps_record_both_backends():
         seconds = {}
         for backend in available_backends():
             lts, seconds[backend] = _timed(
-                build_lts_compiled, composition, max_states=512, backend=backend
+                materialize_compiled, composition, max_states=512, backend=backend
             )
             RECORD.record(
                 f"pipeline_{length} compile+sweep {backend}",

@@ -1,9 +1,10 @@
 """F-CMP — the compiled reaction engine: solve for reactions, don't guess.
 
 Every checker bottoms out in per-state reaction enumeration.  The eager
-engine (:func:`repro.mc.transition.build_lts`) guesses: it enumerates all
-``2·3^n`` candidate activations of an ``n``-input process per state and
-runs the full interpreter on each.  The compiled engine
+engine (the interpreter-backed
+:class:`~repro.mc.transition.BooleanAbstraction`, materialized) guesses: it
+enumerates all ``2·3^n`` candidate activations of an ``n``-input process
+per state and runs the full interpreter on each.  The compiled engine
 (:mod:`repro.mc.compiled`) solves: the equations are compiled once into a
 BDD step relation and each state's admissible reactions are read off by an
 output-sensitive satisfying-assignment walk — cost proportional to the
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 import time
 
+from _lts import materialize, materialize_compiled
 from _record import recorder
 
 from repro.library.generators import chain_of_buffers, pipeline_network
-from repro.mc.compiled import CompiledAbstraction, build_lts_compiled
-from repro.mc.transition import build_lts
+from repro.mc.compiled import CompiledAbstraction
 from repro.semantics import interpreter
 
 RECORD = recorder("compiled")
@@ -58,12 +59,12 @@ def test_compiled_is_10x_faster_with_zero_interpreter_calls():
     assert len(boolean_inputs) >= 4
 
     start = time.perf_counter()
-    eager = build_lts(composition, max_states=512)
+    eager = materialize(composition, max_states=512)
     eager_seconds = time.perf_counter() - start
 
     interpreter.reset_evaluation_count()
     start = time.perf_counter()
-    compiled = build_lts_compiled(composition, max_states=512)
+    compiled = materialize_compiled(composition, max_states=512)
     compiled_seconds = time.perf_counter() - start
     evaluations = interpreter.evaluation_count()
 
@@ -107,7 +108,7 @@ def test_input_count_sweep_shows_output_sensitivity():
         _components, composition = pipeline_network(size)
 
         start = time.perf_counter()
-        eager = build_lts(composition, max_states=512)
+        eager = materialize(composition, max_states=512)
         eager_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -142,11 +143,11 @@ def test_stateful_workload_amortizes_compilation():
     _components, composition = chain_of_buffers(4)
 
     start = time.perf_counter()
-    eager = build_lts(composition, max_states=512)
+    eager = materialize(composition, max_states=512)
     eager_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    compiled = build_lts_compiled(composition, max_states=512)
+    compiled = materialize_compiled(composition, max_states=512)
     compiled_seconds = time.perf_counter() - start
 
     assert set(eager.states) == set(compiled.states)
@@ -167,7 +168,7 @@ def test_compiled_bench_probe(benchmark):
     _components, composition = pipeline_network(ACCEPTANCE_SIZE)
 
     def explore():
-        return build_lts_compiled(composition, max_states=512)
+        return materialize_compiled(composition, max_states=512)
 
     lts = benchmark(explore)
     assert lts.transition_count() > 0

@@ -11,7 +11,9 @@ synchronous product.  The on-the-fly engine delivers that operationally:
   visits them, so a check that stops at the first violating reaction leaves
   the rest of the product unexplored.
 
-Scenarios pinned here:
+The eager side is the interpreter-backed abstraction of the composed
+process, exhausted by :meth:`~repro.mc.onthefly.OnTheFlyChecker.materialize`
+before it is checked.  Scenarios pinned here:
 
 1. *One size step beyond the eager budget* — on a buffer chain with a
    weak-endochrony violation seeded at its tail, the eager engine exhausts
@@ -36,13 +38,14 @@ import time
 
 import pytest
 
+from _lts import materialize
 from _record import recorder
 
 from repro import Design
 from repro.lang.builder import ProcessBuilder, signal
 from repro.lang.normalize import normalize
 from repro.library.generators import chain_of_buffers, pipeline_network
-from repro.mc import OnTheFlyChecker, ProductLTS, build_lts
+from repro.mc import LazyReactionLTS, OnTheFlyChecker, ProductLTS
 from repro.properties.weak_endochrony import check_weak_endochrony
 
 RECORD = recorder("onthefly")
@@ -76,9 +79,9 @@ def _chain_with_arbiter(length: int):
 def test_eager_concludes_within_budget_at_size_within():
     """At SIZE_WITHIN the eager engine still fits the budget (the baseline)."""
     _components, composition = _chain_with_arbiter(SIZE_WITHIN)
-    lts = build_lts(composition, max_states=BUDGET)
-    assert not lts.truncated
-    report = check_weak_endochrony(composition, lts=lts)
+    eager = OnTheFlyChecker(LazyReactionLTS(composition), max_states=BUDGET)
+    assert not eager.materialize().truncated
+    report = check_weak_endochrony(composition, checker=eager)
     assert not report.holds()
 
 
@@ -96,13 +99,14 @@ def test_lazy_concludes_one_size_beyond_eager_budget():
     assert engine.states_expanded < BUDGET // 2
 
     start = time.perf_counter()
-    eager_lts = build_lts(composition, max_states=BUDGET)
-    eager_report = check_weak_endochrony(composition, lts=eager_lts)
+    eager = OnTheFlyChecker(LazyReactionLTS(composition), max_states=BUDGET)
+    eager_lts = eager.materialize()
+    check_weak_endochrony(composition, checker=eager)
     eager_seconds = time.perf_counter() - start
     # the eager engine exceeded its state budget: its exploration is cut and
     # any 'holds' answer it gave at this size would be unreliable
     assert eager_lts.truncated
-    assert eager_report.states_explored >= BUDGET
+    assert eager.states_expanded >= BUDGET
 
     RECORD.record(
         f"buffers_{SIZE_BEYOND}+arbiter lazy hunt",
@@ -146,7 +150,7 @@ def test_lazy_product_beats_eager_choice_enumeration():
     """
     eager_components, eager_composition = pipeline_network(6)
     start = time.perf_counter()
-    eager_lts = build_lts(eager_composition, max_states=BUDGET)
+    eager_lts = materialize(eager_composition, max_states=BUDGET)
     eager_seconds = time.perf_counter() - start
     assert not eager_lts.truncated
 

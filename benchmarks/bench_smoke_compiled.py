@@ -16,11 +16,10 @@ import time
 
 import pytest
 
+from _lts import materialize, materialize_compiled
 from _record import recorder
 
 from repro.library.generators import chain_of_buffers, pipeline_network
-from repro.mc.compiled import build_lts_compiled
-from repro.mc.transition import build_lts
 
 RECORD = recorder("smoke_compiled")
 
@@ -38,11 +37,11 @@ def test_compiled_does_not_regress(name):
     composition = SCENARIOS[name]()
 
     start = time.perf_counter()
-    eager = build_lts(composition, max_states=512)
+    eager = materialize(composition, max_states=512)
     eager_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    compiled = build_lts_compiled(composition, max_states=512)
+    compiled = materialize_compiled(composition, max_states=512)
     compiled_seconds = time.perf_counter() - start
 
     assert set(eager.states) == set(compiled.states)

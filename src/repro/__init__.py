@@ -62,7 +62,7 @@ from repro.properties.weak_endochrony import (
     verify_weak_endochrony,
 )
 from repro.properties.isochrony import check_isochrony, verify_isochrony
-from repro.properties.nonblocking import is_non_blocking, verify_non_blocking
+from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.composition import (
     check_weakly_hierarchic,
     compose_and_check,
@@ -121,7 +121,6 @@ __all__ = [
     "check_weak_endochrony",
     "model_check_weak_endochrony",
     "check_isochrony",
-    "is_non_blocking",
     "check_weakly_hierarchic",
     "compose_and_check",
     "verify_endochrony",

@@ -256,7 +256,7 @@ def stopwatch() -> Iterator[List[float]]:
 
 
 def diagnostics_from_invariants(results: Iterable[object]) -> List[Diagnostic]:
-    """Convert :class:`~repro.mc.explicit.InvariantResult` items to diagnostics."""
+    """Convert :class:`~repro.mc.onthefly.InvariantResult` items to diagnostics."""
     diagnostics: List[Diagnostic] = []
     for result in results:
         counterexample = getattr(result, "counterexample", None)

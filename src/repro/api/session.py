@@ -61,7 +61,7 @@ from repro.mc.compiled import (
     compiled_from_artifact,
 )
 from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker, ProductLTS
-from repro.mc.transition import ReactionLTS, build_lts
+from repro.mc.transition import ReactionLTS
 from repro.properties.compilable import ProcessAnalysis
 from repro.properties.composition import CompositionVerdict, check_weakly_hierarchic
 
@@ -335,31 +335,29 @@ class AnalysisContext:
     def lts(
         self, process: ProcessLike, max_states: int = 512, engine: str = "compiled"
     ) -> ReactionLTS:
-        """The explored reaction LTS of a process, memoized per state bound.
+        """The materialized reaction LTS of a process, memoized per state bound.
 
         ``engine="compiled"`` (the default) drives the exploration from the
         compiled step relation when the process fits its fragment — same
         states, same transitions, no interpreter on the per-state path;
-        ``engine="interpreter"`` forces the historical eager enumeration.
+        ``engine="interpreter"`` forces the interpreter-backed abstraction.
         """
         normalized_process = self.normalized(process)
         abstraction = self.compiled(normalized_process) if engine == "compiled" else None
         effective = "compiled" if abstraction is not None else "interpreter"
 
         def compute() -> ReactionLTS:
-            if abstraction is not None:
-                # the compiled relation already encodes the clock structure;
-                # the hierarchy (and the whole ProcessAnalysis) is not
-                # needed, which keeps an artifact-store warm start free of
-                # analysis work — re-resolving the node records the edge
+            # a compiled relation already encodes the clock structure: the
+            # hierarchy (and the whole ProcessAnalysis) is then not needed,
+            # which keeps an artifact-store warm start free of analysis work.
+            # Resolving either node inside compute records the graph edge.
+            hierarchy = None
+            if abstraction is None:
+                hierarchy = self.hierarchy(normalized_process)
+            else:
                 self.compiled(normalized_process)
-                lazy = LazyReactionLTS(normalized_process, abstraction=abstraction)
-                return OnTheFlyChecker(lazy, max_states=max_states).materialize()
-            return build_lts(
-                normalized_process,
-                self.hierarchy(normalized_process),
-                max_states=max_states,
-            )
+            lazy = LazyReactionLTS(normalized_process, hierarchy, abstraction=abstraction)
+            return OnTheFlyChecker(lazy, max_states=max_states).materialize()
 
         fingerprint = (
             f"{self.fingerprint_of(normalized_process)}"

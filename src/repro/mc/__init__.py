@@ -3,21 +3,21 @@
 The paper checks weak endochrony by model checking three invariants over the
 boolean abstraction of a Signal process (Section 4.1).  This package builds
 that abstraction as a finite labelled transition system whose labels are
-reactions, explores it eagerly (:mod:`repro.mc.transition`), on the fly with
-lazy product construction and early termination (:mod:`repro.mc.onthefly`),
-or symbolically with BDDs (:mod:`repro.mc.symbolic`), and implements the
-``StateIndependent``, ``OrderIndependent`` and ``FlowIndependent``
-invariants used by Property 3 (:mod:`repro.mc.invariants`).
+reactions (:mod:`repro.mc.transition`, or compiled to a step relation by
+:mod:`repro.mc.compiled`), explores it with one explicit-state engine — on
+the fly, with lazy product construction and early termination
+(:mod:`repro.mc.onthefly`) — or symbolically with BDDs
+(:mod:`repro.mc.symbolic`), and implements the ``StateIndependent``,
+``OrderIndependent`` and ``FlowIndependent`` invariants used by Property 3
+(:mod:`repro.mc.invariants`).
 """
 
-from repro.mc.transition import BooleanAbstraction, ReactionChoice, ReactionLTS, build_lts
-from repro.mc.explicit import ExplicitStateChecker, InvariantResult
-from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker, ProductLTS
+from repro.mc.transition import BooleanAbstraction, ReactionChoice, ReactionLTS
+from repro.mc.onthefly import InvariantResult, LazyReactionLTS, OnTheFlyChecker, ProductLTS
 from repro.mc.symbolic import SymbolicChecker, SymbolicProductChecker
 from repro.mc.compiled import (
     CompilationError,
     CompiledAbstraction,
-    build_lts_compiled,
     compilation_obstacles,
 )
 from repro.mc.invariants import (
@@ -32,8 +32,6 @@ __all__ = [
     "BooleanAbstraction",
     "ReactionChoice",
     "ReactionLTS",
-    "build_lts",
-    "ExplicitStateChecker",
     "InvariantResult",
     "LazyReactionLTS",
     "OnTheFlyChecker",
@@ -42,7 +40,6 @@ __all__ = [
     "SymbolicProductChecker",
     "CompilationError",
     "CompiledAbstraction",
-    "build_lts_compiled",
     "compilation_obstacles",
     "check_state_independent",
     "check_order_independent",

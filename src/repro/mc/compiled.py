@@ -1,10 +1,10 @@
 """The compiled reaction engine: solve for admissible reactions, don't guess.
 
 The paper compiles Signal programs to polynomial transition systems so that
-Sigali can *solve* for admissible reactions; the eager engine of
-:mod:`repro.mc.transition` instead enumerates all ``2^k`` candidate
-activations per state and runs the full :class:`SignalInterpreter` on each
-to accept or reject it.  This module reproduces the paper's move for the
+Sigali can *solve* for admissible reactions; the interpreter-backed
+:class:`~repro.mc.transition.BooleanAbstraction` instead enumerates all
+``2^k`` candidate activations per state and runs the full
+:class:`SignalInterpreter` on each to accept or reject it.  This module reproduces the paper's move for the
 boolean abstraction: the normalized equations are compiled **once** into a
 BDD over event, value and register variables —
 
@@ -72,7 +72,6 @@ from repro.lang.normalize import (
 from repro.mc.transition import (
     CANONICAL_NUMERIC_VALUE,
     BooleanAbstraction,
-    ReactionLTS,
     State,
 )
 from repro.mocc.interning import intern_state
@@ -190,7 +189,7 @@ def _value_literal_signals(expression: ClockExpressionSyntax) -> Set[str]:
 class CompiledAbstraction:
     """Drop-in replacement for :class:`BooleanAbstraction` on the compiled path.
 
-    Exposes the same two entry points the lazy and eager engines drive —
+    Exposes the same two entry points the on-the-fly engine drives —
     :meth:`initial_state` and :meth:`reactions` — but answers them from the
     compiled step relation.  Raises :class:`CompilationError` outside the
     fragment; use :meth:`try_compile` for the fall-back-to-``None`` form.
@@ -654,26 +653,3 @@ def compiled_from_artifact(
         process, payload["abstraction"], backend=backend
     )
 
-
-def build_lts_compiled(
-    process: NormalizedProcess,
-    hierarchy: Optional[ClockHierarchy] = None,
-    max_states: int = 512,
-    cross_check: bool = False,
-    backend: Optional[str] = None,
-) -> ReactionLTS:
-    """Explore the reachable reaction LTS through the compiled step relation.
-
-    Same exploration contract as :func:`repro.mc.transition.build_lts` (same
-    states, same transitions, same truncation flag) — only the per-state
-    enumeration differs.  Raises :class:`CompilationError` outside the
-    fragment.
-    """
-    from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
-
-    abstraction = CompiledAbstraction(
-        process, hierarchy, cross_check=cross_check, backend=backend
-    )
-    lazy = LazyReactionLTS(process, hierarchy, abstraction=abstraction)
-    checker = OnTheFlyChecker(lazy, max_states=max_states)
-    return checker.materialize()

@@ -16,23 +16,22 @@ arbitrary third signal ``z``), checked by the Sigali model checker:
 Here the invariants are checked on the reaction LTS of the boolean
 abstraction; each function returns an :class:`InvariantResult` with a
 counterexample state when the invariant fails.  Every function quantifies
-over ``checker.iter_states()``, so passing an
-:class:`~repro.mc.onthefly.OnTheFlyChecker` makes the same check run
-on-the-fly: a failing invariant stops the exploration at the violating
-state instead of forcing the full product first.
+over the ``iter_states()`` of an :class:`~repro.mc.onthefly.OnTheFlyChecker`,
+so a failing invariant stops the exploration at the violating state instead
+of forcing the full product first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.mc.explicit import ExplicitStateChecker, InvariantResult
-from repro.mc.transition import ReactionLTS, State
-from repro.mocc.reactions import Reaction, independent, merge_reactions
+from repro.mc.onthefly import InvariantResult, OnTheFlyChecker
+from repro.mc.transition import State, Transition
+from repro.mocc.reactions import Reaction
 
 
-def _reactions_with(checker: ExplicitStateChecker, state: State, present: str, absent: str):
+def _reactions_with(checker, state: State, present: str, absent: str):
     """Reactions from ``state`` in which ``present`` occurs and ``absent`` does not."""
     return [
         reaction
@@ -41,7 +40,7 @@ def _reactions_with(checker: ExplicitStateChecker, state: State, present: str, a
     ]
 
 
-def _reactions_with_both(checker: ExplicitStateChecker, state: State, first: str, second: str):
+def _reactions_with_both(checker, state: State, first: str, second: str):
     return [
         reaction
         for reaction in checker.reactions_from(state)
@@ -49,12 +48,9 @@ def _reactions_with_both(checker: ExplicitStateChecker, state: State, first: str
     ]
 
 
-def check_state_independent(
-    lts: Optional[ReactionLTS], x: str, y: str, checker=None
-) -> InvariantResult:
+def check_state_independent(checker, x: str, y: str) -> InvariantResult:
     """Property (1) of Section 4.1 for the pair of signals ``(x, y)``."""
     name = f"StateIndependent({x}, {y})"
-    checker = checker or ExplicitStateChecker(lts)
     for state in checker.iter_states():
         for first in _reactions_with(checker, state, x, y):
             successor = checker.successor(state, first)
@@ -72,12 +68,9 @@ def check_state_independent(
     return InvariantResult(name, True)
 
 
-def check_order_independent(
-    lts: Optional[ReactionLTS], x: str, y: str, checker=None
-) -> InvariantResult:
+def check_order_independent(checker, x: str, y: str) -> InvariantResult:
     """Property (2) of Section 4.1 for the pair of signals ``(x, y)``."""
     name = f"OrderIndependent({x}, {y})"
-    checker = checker or ExplicitStateChecker(lts)
     for state in checker.iter_states():
         x_alone = _reactions_with(checker, state, x, y)
         y_alone = _reactions_with(checker, state, y, x)
@@ -90,16 +83,9 @@ def check_order_independent(
     return InvariantResult(name, True)
 
 
-def check_flow_independent(
-    lts: Optional[ReactionLTS],
-    x: str,
-    y: str,
-    z: str,
-    checker=None,
-) -> InvariantResult:
+def check_flow_independent(checker, x: str, y: str, z: str) -> InvariantResult:
     """Property (3) of Section 4.1 for the triple ``(x, y, z)``."""
     name = f"FlowIndependent({x}, {y}, {z})"
-    checker = checker or ExplicitStateChecker(lts)
     for state in checker.iter_states():
         x_alone = _reactions_with(checker, state, x, y)
         y_alone = _reactions_with(checker, state, y, x)
@@ -154,11 +140,42 @@ class WeakEndochronyInvariantReport:
         return "\n".join(lines)
 
 
+class _QueryView:
+    """One query's view of a shared :class:`OnTheFlyChecker`.
+
+    Records the distinct states whose reactions the query consulted (memo
+    hits included) with their transition counts, so the cost a query
+    reports does not depend on what earlier queries already expanded.
+    """
+
+    def __init__(self, checker: OnTheFlyChecker):
+        self.checker = checker
+        self.visited: Dict[State, int] = {}
+
+    def _transitions_from(self, state: State) -> List[Transition]:
+        transitions = self.checker.transitions_from(state)
+        self.visited.setdefault(state, len(transitions))
+        return transitions
+
+    def iter_states(self):
+        for state in self.checker.iter_states():
+            self._transitions_from(state)
+            yield state
+
+    def reactions_from(self, state: State) -> List[Reaction]:
+        return [transition.reaction for transition in self._transitions_from(state)]
+
+    def successor(self, state: State, reaction: Reaction) -> Optional[State]:
+        for transition in self._transitions_from(state):
+            if transition.reaction == reaction:
+                return transition.target
+        return None
+
+
 def check_weak_endochrony_invariants(
-    lts: Optional[ReactionLTS],
+    checker: OnTheFlyChecker,
     root_signals: Sequence[Sequence[str]],
     flow_signals: Iterable[str] = (),
-    checker=None,
 ) -> WeakEndochronyInvariantReport:
     """Check properties (1)-(3) for every pair of root representatives.
 
@@ -167,42 +184,28 @@ def check_weak_endochrony_invariants(
     per root, as the paper does.  ``flow_signals`` are the extra signals ``z``
     used by ``FlowIndependent`` (typically the outputs of the process).
 
-    ``checker`` may be any object with the explicit-checker interface — in
-    particular an :class:`~repro.mc.onthefly.OnTheFlyChecker`, in which case
-    the invariants drive a lazy product exploration instead of a
-    pre-materialized LTS.
+    The check returns at the first failing invariant: sweeping the remaining
+    pairs would force the full exploration the lazy engine exists to avoid.
+    The report counts the states and transitions this query visited.
     """
-    # on-the-fly runs return at the first failing invariant: continuing to
-    # sweep the remaining pairs would force the full exploration the lazy
-    # engine exists to avoid (the eager route keeps reporting all pairs)
-    stop_at_first_failure = checker is not None
-    checker = checker or ExplicitStateChecker(lts)
+    view = _QueryView(checker)
     report = WeakEndochronyInvariantReport(process_name=checker.process_name)
-
-    def finalize() -> WeakEndochronyInvariantReport:
-        if lts is not None:
-            report.states_explored = lts.state_count()
-            report.transitions_explored = lts.transition_count()
-        else:
-            report.states_explored = checker.states_expanded
-            report.transitions_explored = checker.transitions_expanded
-        return report
-
-    def record(result: InvariantResult) -> bool:
-        report.results.append(result)
-        return stop_at_first_failure and not result.holds
-
     representatives = [signals[0] for signals in root_signals if signals]
-    for index, x in enumerate(representatives):
-        for y in representatives[index + 1 :]:
-            report.pairs.append((x, y))
-            if record(check_state_independent(lts, x, y, checker)):
-                return finalize()
-            if record(check_order_independent(lts, x, y, checker)):
-                return finalize()
-            for z in flow_signals:
-                if z in (x, y):
-                    continue
-                if record(check_flow_independent(lts, x, y, z, checker)):
-                    return finalize()
-    return finalize()
+
+    def results():
+        for index, x in enumerate(representatives):
+            for y in representatives[index + 1 :]:
+                report.pairs.append((x, y))
+                yield check_state_independent(view, x, y)
+                yield check_order_independent(view, x, y)
+                for z in flow_signals:
+                    if z not in (x, y):
+                        yield check_flow_independent(view, x, y, z)
+
+    for result in results():
+        report.results.append(result)
+        if not result.holds:
+            break
+    report.states_explored = len(view.visited)
+    report.transitions_explored = sum(view.visited.values())
+    return report

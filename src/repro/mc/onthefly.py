@@ -1,39 +1,40 @@
-"""On-the-fly product construction and frontier-based lazy search.
+"""The explicit-state engine: lazy reaction LTSs and a frontier-based search.
 
-Implements the scalable counterpart of :mod:`repro.mc.transition`'s eager
-exploration, in the spirit of the paper's central cost argument (Section 4 /
-Theorem 1): deciding a property of a composition ``P1 | ... | Pn`` should not
-require materializing the synchronous product up front.
+Implements the explicit side of Section 4's model checking, in the spirit of
+the paper's central cost argument (Section 4 / Theorem 1): deciding a
+property of a composition ``P1 | ... | Pn`` should not require
+materializing the synchronous product up front.
 
-* :class:`LazyReactionLTS` — the reaction LTS of one boolean abstraction with
-  successors computed (and memoized) on demand instead of being explored
-  eagerly by :func:`repro.mc.transition.build_lts`;
+* :class:`LazyReactionLTS` — the reaction LTS of one boolean abstraction
+  (:mod:`repro.mc.transition`) with successors computed and memoized on
+  demand;
 * :class:`ProductLTS` — the synchronous product of *component* abstractions,
   expanded on demand: a product reaction is a compatible join of one reaction
   per component (agreeing on the presence and value of every shared signal),
   found by backtracking over the components so incompatible combinations are
   pruned without ever enumerating the ``3^n`` global activation choices of
   the composed process;
-* :class:`OnTheFlyChecker` — a frontier-based breadth-first search driver
-  over any lazy LTS, presenting the same query interface as
-  :class:`repro.mc.explicit.ExplicitStateChecker` so every invariant and
-  Definition 2 axiom can run against it unchanged.  Checks that return on
-  the first violating reaction therefore terminate after expanding only the
-  states the search actually visited — ``states_expanded`` of the resulting
-  :class:`~repro.api.results.Cost` records how many that was, against the
-  ``state_bound`` the eager engine would have had to fill.
+* :class:`OnTheFlyChecker` — the one breadth-first search driver over any
+  lazy LTS.  The Definition 2 axioms, the Definition 4 deadlock search and
+  the Section 4.1 invariants are written against its query interface
+  (``transitions_from`` / ``successor`` / ``enables`` / ``iter_states``), so
+  a check that returns on the first violating reaction terminates after
+  expanding only the states it visited.  Exhausting the search
+  (:meth:`OnTheFlyChecker.materialize`) is the only way to obtain a full
+  :class:`~repro.mc.transition.ReactionLTS`.
 
 The product states are *flattened* to the same register-valuation tuples as
-the eager abstraction of the composed process, and the product reactions are
-built on the union domain under the composition's unified types, so the two
-engines explore the same states and the same transitions (only the
-enumeration order differs — the join yields successors component-wise, the
-eager engine in global choice order).  Property-based equivalence is pinned
-by ``tests/test_onthefly.py``.
+the abstraction of the composed process, and the product reactions are
+built on the union domain under the composition's unified types, so a
+product and a lazy view of the composed process explore the same states and
+the same transitions (only the enumeration order differs — the join yields
+successors component-wise, the composed abstraction in global choice
+order).  Property-based equivalence is pinned by ``tests/test_onthefly.py``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -44,6 +45,22 @@ from repro.mocc.interning import intern_state
 from repro.mocc.reactions import Reaction
 
 Successor = Tuple[Reaction, State]
+
+
+@dataclass
+class InvariantResult:
+    """The outcome of checking one invariant: holds or a counterexample."""
+
+    name: str
+    holds: bool
+    counterexample: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    def __str__(self) -> str:
+        status = "holds" if self.holds else f"FAILS: {self.counterexample}"
+        return f"{self.name}: {status}"
 
 
 def product_conflicts(components: Sequence[NormalizedProcess]) -> List[str]:
@@ -131,7 +148,8 @@ class ProductLTS:
         # a signal a component types 'any' may be boolean in the composed
         # process.  Abstract every component under the composition's types —
         # passed by the caller, or inferred by composing — so the product
-        # joins the very reactions the eager engine enumerates.
+        # joins the very reactions the composed process's abstraction
+        # enumerates.
         if types is None:
             types = reduce(lambda left, right: left.compose(right), components).types
         abstracted: List[Tuple[NormalizedProcess, Optional[ClockHierarchy], bool]] = []
@@ -274,15 +292,12 @@ class ProductLTS:
 
 
 class OnTheFlyChecker:
-    """Frontier-based search over a lazy LTS, with the explicit-checker API.
+    """Frontier-based search over a lazy LTS.
 
     States are discovered breadth-first and expanded only when a query needs
     their successors, so a check that stops at the first violating reaction
-    leaves the rest of the state space untouched.  The checker answers the
-    same queries as :class:`repro.mc.explicit.ExplicitStateChecker`
-    (``transitions_from`` / ``reactions_from`` / ``successor`` / ``enables``
-    / ``iter_states``), which is what lets the Definition 2 axioms and the
-    Section 4.1 invariants run on either engine unchanged.
+    leaves the rest of the state space untouched.  Expansions are memoized:
+    queries issued against one checker keep extending one exploration.
     """
 
     def __init__(self, lazy, max_states: int = 512):
@@ -324,7 +339,7 @@ class OnTheFlyChecker:
         self._seen.add(state)
         self._order.append(state)
 
-    # -- the explicit-checker interface -----------------------------------------
+    # -- queries ------------------------------------------------------------------
     def transitions_from(self, state: State) -> List[Transition]:
         cached = self._transitions.get(state)
         if cached is None:
@@ -376,33 +391,14 @@ class OnTheFlyChecker:
                 return state
         return None
 
-    def is_non_blocking(self):
+    def is_non_blocking(self) -> InvariantResult:
         """Definition 4 with early termination on the first deadlock."""
-        from repro.mc.explicit import InvariantResult
-
         deadlock = self.find_deadlock()
         if deadlock is not None:
             return InvariantResult(
                 "non-blocking", False, f"state {dict(deadlock)} has no reaction at all"
             )
         return InvariantResult("non-blocking", True)
-
-    def is_deterministic(self):
-        """Determinism with early termination on the first ambiguous reaction."""
-        from repro.mc.explicit import InvariantResult
-
-        for state in self.iter_states():
-            seen: Dict[Reaction, State] = {}
-            for transition in self.transitions_from(state):
-                previous = seen.get(transition.reaction)
-                if previous is not None and previous != transition.target:
-                    return InvariantResult(
-                        "determinism",
-                        False,
-                        f"reaction {transition.reaction} from {dict(state)} has two successors",
-                    )
-                seen[transition.reaction] = transition.target
-        return InvariantResult("determinism", True)
 
     # -- totals -------------------------------------------------------------------
     def explore_all(self) -> None:
@@ -411,7 +407,8 @@ class OnTheFlyChecker:
             pass
 
     def materialize(self) -> ReactionLTS:
-        """The fully explored :class:`ReactionLTS`, identical to the eager one."""
+        """The fully explored :class:`ReactionLTS`: states in breadth-first
+        order, each state's transitions in its reaction source's order."""
         self.explore_all()
         lts = ReactionLTS(
             process_name=self.process_name,

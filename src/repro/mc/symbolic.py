@@ -1,9 +1,9 @@
 """Symbolic (BDD-based) model checking — the role Sigali plays in Section 4.
 
-The explicit checker of :mod:`repro.mc.explicit` is sufficient for the paper's
-examples; this module provides the symbolic counterpart so that the cost
-comparison of the paper (static criterion vs. state-space exploration) can be
-reproduced with either engine.  Two constructions are provided:
+The explicit-state engine of :mod:`repro.mc.onthefly` is sufficient for the
+paper's examples; this module provides the symbolic counterpart so that the
+cost comparison of the paper (static criterion vs. state-space exploration)
+can be reproduced with either engine.  Two constructions are provided:
 
 * :class:`SymbolicChecker` encodes one explicitly explored
   :class:`~repro.mc.transition.ReactionLTS` and answers invariant queries on
@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.backend import create_manager
 from repro.bdd.bdd import BDD, BDDManager
-from repro.mc.explicit import InvariantResult
+from repro.mc.onthefly import InvariantResult
 from repro.mc.transition import ReactionLTS, State
 
 

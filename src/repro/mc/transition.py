@@ -4,9 +4,10 @@ Implements the state-space construction that Section 4 of the paper model
 checks (the paper compiles Signal programs to polynomial transition systems
 for Sigali; here the same role is played by this reaction-labelled LTS).
 Weak endochrony (Definition 2) and non-blocking (Definition 4) are stated
-over exactly these reactions, and :func:`build_lts` is the *eager* engine
-whose exponential cost Theorem 1 avoids — the lazy counterpart lives in
-:mod:`repro.mc.onthefly`.
+over exactly these reactions.  :class:`BooleanAbstraction` is the
+interpreter-backed reaction source; the exploration whose cost Theorem 1
+avoids is driven by :class:`~repro.mc.onthefly.OnTheFlyChecker`, which also
+materializes a :class:`ReactionLTS` when a full one is needed.
 
 The state of the abstraction is the valuation of the boolean delay registers
 (numeric registers are abstracted away: in the clock calculus only boolean
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
 from repro.lang.normalize import DelayEquation, NormalizedProcess
@@ -72,18 +73,6 @@ class ReactionLTS:
     states: List[State] = field(default_factory=list)
     transitions: List[Transition] = field(default_factory=list)
     truncated: bool = False
-
-    def transitions_from(self, state: State) -> List[Transition]:
-        return [transition for transition in self.transitions if transition.source == state]
-
-    def reactions_from(self, state: State) -> List[Reaction]:
-        return [transition.reaction for transition in self.transitions_from(state)]
-
-    def successor(self, state: State, reaction: Reaction) -> Optional[State]:
-        for transition in self.transitions_from(state):
-            if transition.reaction == reaction:
-                return transition.target
-        return None
 
     def state_count(self) -> int:
         return len(self.states)
@@ -163,7 +152,7 @@ class BooleanAbstraction:
 
         The enumeration only depends on the activation points, not on the
         state, so it is computed once and reused by every ``reactions()``
-        call (the eager engine calls it per explored state).
+        call (one per explored state).
         """
         if self._choices is None:
             names = [name for name, _ in self._activation_points]
@@ -200,29 +189,3 @@ class BooleanAbstraction:
             events[name] = value if name in self._boolean else CANONICAL_NUMERIC_VALUE
         return Reaction.interned(reaction.domain, events)
 
-
-def build_lts(
-    process: NormalizedProcess,
-    hierarchy: Optional[ClockHierarchy] = None,
-    max_states: int = 512,
-    extra_activation_signals: Iterable[str] = (),
-) -> ReactionLTS:
-    """Explore the reachable reaction LTS of the boolean abstraction."""
-    abstraction = BooleanAbstraction(process, hierarchy, extra_activation_signals)
-    initial = abstraction.initial_state()
-    lts = ReactionLTS(process_name=process.name, initial=initial)
-    frontier: List[State] = [initial]
-    visited: Set[State] = {initial}
-    lts.states.append(initial)
-    while frontier:
-        state = frontier.pop(0)
-        for reaction, successor in abstraction.reactions(state):
-            lts.transitions.append(Transition(source=state, reaction=reaction, target=successor))
-            if successor not in visited:
-                if len(visited) >= max_states:
-                    lts.truncated = True
-                    continue
-                visited.add(successor)
-                lts.states.append(successor)
-                frontier.append(successor)
-    return lts

@@ -36,7 +36,7 @@ from repro.properties.weak_endochrony import (
     verify_weak_endochrony,
     WeakEndochronyReport,
 )
-from repro.properties.nonblocking import is_non_blocking, verify_non_blocking
+from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.isochrony import check_isochrony, verify_isochrony, IsochronyReport
 from repro.properties.composition import (
     CompositionVerdict,
@@ -58,7 +58,6 @@ __all__ = [
     "check_weak_endochrony",
     "verify_weak_endochrony",
     "WeakEndochronyReport",
-    "is_non_blocking",
     "verify_non_blocking",
     "check_isochrony",
     "verify_isochrony",

@@ -6,81 +6,66 @@ abstraction this is simply the absence of deadlock states; the silent
 reaction is admissible whenever the process puts no lower bound on activity,
 so blocking only arises from contradictory timing relations.
 
-Theorem 1 makes this check free for weakly hierarchic compositions; for the
-model-checking route the check runs either on an eagerly explored
-:class:`~repro.mc.transition.ReactionLTS` or — preferably — on an
-:class:`~repro.mc.onthefly.OnTheFlyChecker`, which stops at the first
-deadlock it reaches instead of materializing the full product first.
+Theorem 1 makes this check free for weakly hierarchic compositions; the
+model-checking route runs on an :class:`~repro.mc.onthefly.OnTheFlyChecker`,
+which stops at the first deadlock it reaches instead of materializing the
+full product first.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.api.results import Cost, Diagnostic, Verdict, diagnostics_from_invariants, stopwatch
 from repro.clocks.hierarchy import ClockHierarchy
 from repro.lang.normalize import NormalizedProcess
-from repro.mc.explicit import ExplicitStateChecker, InvariantResult
-from repro.mc.transition import ReactionLTS, build_lts
+from repro.mc.onthefly import InvariantResult, LazyReactionLTS, OnTheFlyChecker
 
 
 def verify_non_blocking(
     process: NormalizedProcess,
-    lts: Optional[ReactionLTS] = None,
     hierarchy: Optional[ClockHierarchy] = None,
     max_states: int = 512,
-    checker=None,
+    checker: Optional[OnTheFlyChecker] = None,
 ) -> Verdict:
     """Definition 4 as a :class:`~repro.api.results.Verdict`.
 
-    With ``checker`` (an :class:`~repro.mc.onthefly.OnTheFlyChecker`) the
-    search is on-the-fly: it terminates on the first deadlock state and the
-    verdict's :class:`Cost` reports how many states were actually expanded
-    against the ``max_states`` bound.  Otherwise the explicit
-    :class:`~repro.mc.transition.ReactionLTS` is (built and) scanned.
+    The search terminates on the first deadlock state and the verdict's
+    :class:`Cost` reports how many states this query visited against the
+    ``max_states`` bound.  ``checker`` defaults to the interpreter-backed
+    engine over ``process``.
     """
-    truncated = False
     with stopwatch() as elapsed:
-        if checker is not None:
-            # count the states this query visits (memo hits included): the
-            # search stops at the first deadlock it reaches
-            states = 0
-            transitions = 0
-            deadlock = None
-            for state in checker.iter_states():
-                states += 1
-                outgoing = checker.transitions_from(state)
-                transitions += len(outgoing)
-                if not outgoing:
-                    deadlock = state
-                    break
-            if deadlock is not None:
-                result = InvariantResult(
-                    "non-blocking",
-                    False,
-                    f"state {dict(deadlock)} has no reaction at all",
-                )
-            else:
-                result = InvariantResult("non-blocking", True)
-            bound = checker.max_states
-            truncated = checker.truncated
+        if checker is None:
+            checker = OnTheFlyChecker(LazyReactionLTS(process, hierarchy), max_states)
+        # count the states this query visits (memo hits included): the
+        # search stops at the first deadlock it reaches
+        states = 0
+        transitions = 0
+        deadlock = None
+        for state in checker.iter_states():
+            states += 1
+            outgoing = checker.transitions_from(state)
+            transitions += len(outgoing)
+            if not outgoing:
+                deadlock = state
+                break
+        if deadlock is not None:
+            result = InvariantResult(
+                "non-blocking",
+                False,
+                f"state {dict(deadlock)} has no reaction at all",
+            )
         else:
-            if lts is None:
-                lts = build_lts(process, hierarchy, max_states=max_states)
-            result = ExplicitStateChecker(lts).is_non_blocking()
-            states = lts.state_count()
-            transitions = lts.transition_count()
-            bound = max_states
-            truncated = lts.truncated
+            result = InvariantResult("non-blocking", True)
     diagnostics = diagnostics_from_invariants([result])
-    if truncated and result.holds:
+    if checker.truncated and result.holds:
         diagnostics.append(
             Diagnostic(
                 "exploration cut by the state bound — the verdict is bounded, "
                 "not a proof; raise max_states for a conclusive answer",
                 True,
-                f"bound {bound}",
+                f"bound {checker.max_states}",
             )
         )
     return Verdict(
@@ -93,29 +78,7 @@ def verify_non_blocking(
             seconds=elapsed[0],
             states=states,
             transitions=transitions,
-            state_bound=bound,
+            state_bound=checker.max_states,
         ),
         report=result,
     )
-
-
-def is_non_blocking(
-    process: NormalizedProcess,
-    lts: Optional[ReactionLTS] = None,
-    hierarchy: Optional[ClockHierarchy] = None,
-    max_states: int = 512,
-) -> InvariantResult:
-    """Definition 4, old entry point (shim over :func:`verify_non_blocking`).
-
-    .. deprecated:: use ``Design.verify("non-blocking")`` or
-       :func:`verify_non_blocking` — the Verdict wraps the same
-       :class:`InvariantResult` as its ``report``.
-    """
-    warnings.warn(
-        "is_non_blocking() is deprecated; use Design.verify('non-blocking') or "
-        "verify_non_blocking() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    verdict = verify_non_blocking(process, lts, hierarchy, max_states)
-    return verdict.report

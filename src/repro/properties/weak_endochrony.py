@@ -15,29 +15,24 @@ hierarchy (properties (1)-(3)), which is how the paper proposes to verify the
 property with Sigali; the two agree on the paper's examples and the second is
 the one whose cost the compositional criterion is designed to avoid.
 
-Every axiom is implemented per state, so the same code runs two ways:
-
-* eagerly — four sweeps over a pre-explored
-  :class:`~repro.mc.transition.ReactionLTS`, reporting all four results;
-* on-the-fly — when a ``checker``
-  (:class:`~repro.mc.onthefly.OnTheFlyChecker`) is passed, one breadth-first
-  sweep checks *all* axioms at each state as the frontier advances and
-  returns at the first violating reaction, leaving the rest of the product
-  unexpanded.  The verdict is the same (Definition 2 is a conjunction); only
-  the number of reported diagnostics and the exploration cost differ.
+Every axiom is implemented per state, and both drivers run on an
+:class:`~repro.mc.onthefly.OnTheFlyChecker`: one breadth-first sweep checks
+*all* axioms at each state as the frontier advances and returns at the
+first violating reaction, leaving the rest of the product unexpanded.
+Definition 2 is a conjunction, so the first violation decides the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.api.results import Cost, Verdict, diagnostics_from_invariants, stopwatch
 from repro.clocks.hierarchy import ClockHierarchy
 from repro.lang.normalize import NormalizedProcess
-from repro.mc.explicit import ExplicitStateChecker, InvariantResult
 from repro.mc.invariants import WeakEndochronyInvariantReport, check_weak_endochrony_invariants
-from repro.mc.transition import ReactionLTS, State, build_lts
+from repro.mc.onthefly import InvariantResult, LazyReactionLTS, OnTheFlyChecker
+from repro.mc.transition import State
 from repro.mocc.reactions import Reaction, independent, merge_reactions
 from repro.properties.compilable import ProcessAnalysis
 
@@ -46,10 +41,10 @@ from repro.properties.compilable import ProcessAnalysis
 class WeakEndochronyReport:
     """Outcome of checking Definition 2 on the reaction LTS.
 
-    ``complete`` is ``False`` when an on-the-fly run returned at the first
-    violation (``results`` then holds the failing axiom only, and the
-    exploration counts are the states/transitions actually expanded) or when
-    the exploration was cut by the state bound — an all-holds report over a
+    ``complete`` is ``False`` when the check returned at the first violation
+    (``results`` then holds the failing axiom only, and the exploration
+    counts are the states/transitions visited up to it) or when the
+    exploration was cut by the state bound — an all-holds report over a
     truncated state space is a *bounded* result, not a proof.
     """
 
@@ -76,7 +71,7 @@ class WeakEndochronyReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-state axiom checks (the unit both engines share)
+# Per-state axiom checks
 # ---------------------------------------------------------------------------
 
 def _determinism_at(checker, state: State) -> Optional[InvariantResult]:
@@ -207,94 +202,70 @@ _AXIOMS = (
 )
 
 
-def _sweep(checker, name: str, axiom_at) -> InvariantResult:
-    """One full sweep of one axiom over every state the engine serves."""
-    for state in checker.iter_states():
-        violation = axiom_at(checker, state)
-        if violation is not None:
-            return violation
-    return InvariantResult(name, True)
-
-
 # ---------------------------------------------------------------------------
 # The two drivers
 # ---------------------------------------------------------------------------
 
 def check_weak_endochrony(
     process: NormalizedProcess,
-    lts: Optional[ReactionLTS] = None,
     hierarchy: Optional[ClockHierarchy] = None,
     max_states: int = 512,
-    checker=None,
+    checker: Optional[OnTheFlyChecker] = None,
 ) -> WeakEndochronyReport:
     """Check Definition 2 on the reaction LTS of the boolean abstraction.
 
-    With a pre-explored (or buildable) ``lts``, all four axioms are swept and
-    reported.  With an on-the-fly ``checker``, the axioms are checked
-    together at each state as the frontier advances and the check returns at
-    the first violating reaction — the report is then marked incomplete and
-    counts only the states actually expanded.
+    The axioms are checked together at each state as the frontier advances
+    and the check returns at the first violating reaction — the report is
+    then marked incomplete.  ``checker`` defaults to the interpreter-backed
+    engine over ``process``.
     """
     if checker is None:
-        if lts is None:
-            lts = build_lts(process, hierarchy, max_states=max_states)
-        eager = ExplicitStateChecker(lts)
-        report = WeakEndochronyReport(process_name=process.name)
-        report.results = [_sweep(eager, name, axiom_at) for name, axiom_at in _AXIOMS]
-        report.states_explored = lts.state_count()
-        report.transitions_explored = lts.transition_count()
-        return report
-
+        checker = OnTheFlyChecker(LazyReactionLTS(process, hierarchy), max_states)
     # per-query exploration metric: the states this check visited (whether
     # the engine expanded them now or served them from the session's memo) —
     # the early-termination win Cost.states is meant to show
     report = WeakEndochronyReport(process_name=process.name)
-    visited = 0
-    transitions_seen = 0
     for state in checker.iter_states():
-        visited += 1
-        transitions_seen += len(checker.transitions_from(state))
+        report.states_explored += 1
+        report.transitions_explored += len(checker.transitions_from(state))
         for _name, axiom_at in _AXIOMS:
             violation = axiom_at(checker, state)
             if violation is not None:
                 report.results.append(violation)
                 report.complete = False
-                report.states_explored = visited
-                report.transitions_explored = transitions_seen
                 return report
     report.results = [InvariantResult(name, True) for name, _axiom_at in _AXIOMS]
     # a bound-cut exploration proves nothing beyond the bound
     report.complete = not checker.truncated
-    report.states_explored = visited
-    report.transitions_explored = transitions_seen
     return report
 
 
 def model_check_weak_endochrony(
     process: NormalizedProcess,
     analysis: Optional[ProcessAnalysis] = None,
-    lts: Optional[ReactionLTS] = None,
     flow_signals: Iterable[str] = (),
     max_states: int = 512,
-    checker=None,
+    checker: Optional[OnTheFlyChecker] = None,
 ) -> WeakEndochronyInvariantReport:
-    """Section 4.1: check invariants (1)-(3) over the roots of the hierarchy."""
+    """Section 4.1: check invariants (1)-(3) over the roots of the hierarchy.
+
+    ``checker`` defaults to the interpreter-backed engine over ``process``.
+    """
     analysis = analysis or ProcessAnalysis(process)
-    if checker is None and lts is None:
-        lts = build_lts(process, analysis.hierarchy, max_states=max_states)
+    if checker is None:
+        checker = OnTheFlyChecker(LazyReactionLTS(process, analysis.hierarchy), max_states)
     flow_signals = tuple(flow_signals) or tuple(process.outputs)
     return check_weak_endochrony_invariants(
-        lts, analysis.hierarchy.root_signals(), flow_signals, checker=checker
+        checker, analysis.hierarchy.root_signals(), flow_signals
     )
 
 
 def verify_weak_endochrony(
     process: NormalizedProcess,
     analysis: Optional[ProcessAnalysis] = None,
-    lts: Optional[ReactionLTS] = None,
     method: str = "explicit",
     max_states: int = 512,
-    checker=None,
+    checker: Optional[OnTheFlyChecker] = None,
 ) -> Verdict:
     """Definition 2 as a :class:`~repro.api.results.Verdict`.
 
@@ -303,16 +274,15 @@ def verify_weak_endochrony(
     uses the invariant formulation of Section 4.1 over the hierarchy roots
     (:func:`model_check_weak_endochrony`) — the form the paper would hand to
     Sigali, and the exploration whose cost Theorem 1 avoids.  Either method
-    accepts an on-the-fly ``checker`` instead of a pre-built ``lts``.
+    runs on ``checker``, by default the interpreter-backed engine over
+    ``process``.
     """
     with stopwatch() as elapsed:
         if method == "explicit":
-            report = check_weak_endochrony(
-                process, lts=lts, max_states=max_states, checker=checker
-            )
+            report = check_weak_endochrony(process, max_states=max_states, checker=checker)
         elif method == "symbolic":
             report = model_check_weak_endochrony(
-                process, analysis=analysis, lts=lts, max_states=max_states, checker=checker
+                process, analysis=analysis, max_states=max_states, checker=checker
             )
         else:
             raise ValueError(

@@ -5,16 +5,17 @@ Three layers of guarantees:
 * **exact LTS equivalence** — for every process of the library (including
   processes with non-boolean inputs), the compiled exploration produces the
   same states, the same transitions and the same truncation flag as the
-  eager interpreter-driven :func:`~repro.mc.transition.build_lts`, and the
-  per-state answers match the interpreter oracle (``cross_check=True``);
+  materialized interpreter-backed
+  :class:`~repro.mc.transition.BooleanAbstraction`, and the per-state
+  answers match the interpreter oracle (``cross_check=True``);
 * **zero interpreter evaluations** on the compiled per-state path — the
   acceptance criterion of the engine, pinned on the interpreter's global
   instrumentation counter;
 * **same verdicts, valid witnesses** — ``Design.verify`` returns the same
   outcome through ``method="compiled"``, ``method="explicit"`` and the lazy
   product, including the multiply-defined-signal fallback, and violating
-  reactions reported by the compiled engine are real (enabled in the eager
-  LTS).
+  reactions reported by the compiled engine are real (enabled in the
+  interpreter-backed LTS).
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from repro.library.producer_consumer import normalized_suite
 from repro.mc.compiled import (
     CompilationError,
     CompiledAbstraction,
-    build_lts_compiled,
     compilation_obstacles,
 )
-from repro.mc.onthefly import OnTheFlyChecker, ProductLTS
-from repro.mc.transition import build_lts
+from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker, ProductLTS
 from repro.mocc.reactions import Reaction
 from repro.semantics import interpreter
 
@@ -59,13 +58,24 @@ def _suite():
 _SUITE = _suite()
 
 
+def _interpreted(process, max_states):
+    """The materialized interpreter-backed LTS (the oracle)."""
+    return OnTheFlyChecker(LazyReactionLTS(process), max_states).materialize()
+
+
+def _compiled(process, max_states, cross_check=False):
+    abstraction = CompiledAbstraction(process, cross_check=cross_check)
+    lazy = LazyReactionLTS(process, abstraction=abstraction)
+    return OnTheFlyChecker(lazy, max_states).materialize()
+
+
 @pytest.mark.parametrize("name", sorted(_SUITE))
 def test_compiled_lts_equals_eager_lts(name):
     """Same states, same transitions, same truncation — process by process."""
     process = _SUITE[name]
     assert compilation_obstacles(process) == []
-    eager = build_lts(process, max_states=256)
-    compiled = build_lts_compiled(process, max_states=256, cross_check=True)
+    eager = _interpreted(process, 256)
+    compiled = _compiled(process, 256, cross_check=True)
     assert set(eager.states) == set(compiled.states)
     assert {(t.source, t.reaction, t.target) for t in eager.transitions} == {
         (t.source, t.reaction, t.target) for t in compiled.transitions
@@ -88,22 +98,23 @@ def test_compiled_path_performs_zero_interpreter_evaluations():
                 frontier.append(successor)
     assert abstraction.reactions_enumerated > 0
     assert interpreter.evaluation_count() == 0
-    # the eager engine, by contrast, pays interpreter calls for every candidate
-    build_lts(composition, max_states=256)
+    # the interpreter-backed abstraction, by contrast, pays interpreter calls
+    # for every candidate
+    _interpreted(composition, 256)
     assert interpreter.evaluation_count() > 0
 
 
 def test_non_boolean_inputs_get_canonical_values():
     """Numeric inputs are enumerated present/absent with the canonical value."""
     _components, composition = pipeline_network(2)  # x0 is a numeric input
-    compiled = build_lts_compiled(composition, max_states=64)
+    compiled = _compiled(composition, 64)
     carried = {
         reaction.get("x0")
         for transition in compiled.transitions
         for reaction in [transition.reaction]
         if "x0" in reaction
     }
-    assert carried == {1}  # CANONICAL_NUMERIC_VALUE, as in the eager abstraction
+    assert carried == {1}  # CANONICAL_NUMERIC_VALUE, as in the interpreter abstraction
 
 
 def test_data_comparisons_are_outside_the_fragment():
@@ -144,7 +155,7 @@ def test_verdicts_agree_across_engines(prop):
 
 
 def test_violation_witness_is_a_real_reaction():
-    """A violating reaction found by the compiled engine is enabled eagerly."""
+    """A violating reaction found by the compiled engine is a real one."""
     components, composition = chain_of_buffers(2)
     builder = ProcessBuilder("arbiter", inputs=["y2", "w"], outputs=["out"])
     builder.define("out", signal("y2").default(signal("w")))
@@ -152,7 +163,7 @@ def test_violation_witness_is_a_real_reaction():
     design = Design(name="arb", components=components + [arbiter])
     verdict = design.verify("weak-endochrony", method="compiled")
     assert not verdict.holds
-    eager = build_lts(composition.compose(arbiter), max_states=512)
+    eager = _interpreted(composition.compose(arbiter), 512)
     witnessed = {
         transition.reaction for transition in eager.transitions
     }
@@ -160,7 +171,7 @@ def test_violation_witness_is_a_real_reaction():
     # minimum the engines agree that a violation exists and explicit agrees
     explicit = design.verify("weak-endochrony", method="explicit")
     assert not explicit.holds
-    assert witnessed  # the eager product is non-trivial
+    assert witnessed  # the composed LTS is non-trivial
 
 
 def test_multiply_defined_signal_falls_back_to_composition():
@@ -248,8 +259,8 @@ def boolean_processes(draw):
 def test_random_boolean_processes_agree(process):
     if compilation_obstacles(process):
         return  # a draw can fall outside the fragment (e.g. untyped signals)
-    eager = build_lts(process, max_states=128)
-    compiled = build_lts_compiled(process, max_states=128, cross_check=True)
+    eager = _interpreted(process, 128)
+    compiled = _compiled(process, 128, cross_check=True)
     assert set(eager.states) == set(compiled.states)
     assert {(t.source, t.reaction, t.target) for t in eager.transitions} == {
         (t.source, t.reaction, t.target) for t in compiled.transitions

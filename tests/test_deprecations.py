@@ -12,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.lang.normalize import normalize
-from repro.library.basic import buffer_process, filter_process
+from repro.library.basic import filter_process
 from repro.properties.compilable import is_compilable, verify_compilable
 from repro.properties.endochrony import is_endochronous, is_hierarchic, verify_endochrony
-from repro.properties.nonblocking import is_non_blocking, verify_non_blocking
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +40,12 @@ def test_is_endochronous_warns_and_still_answers(filter_normalized):
     assert holds == verify_endochrony(filter_normalized).holds
 
 
-def test_is_non_blocking_warns_and_still_answers():
-    process = normalize(buffer_process())
-    with pytest.warns(DeprecationWarning, match="is_non_blocking.*verify_non_blocking"):
-        report = is_non_blocking(process)
-    assert report.holds == verify_non_blocking(process).holds
-
-
 def test_shim_warnings_name_the_design_facade(filter_normalized):
     """Every shim's warning points at the Design.verify replacement."""
     for shim, argument in (
         (is_compilable, filter_normalized),
         (is_endochronous, filter_normalized),
         (is_hierarchic, filter_normalized),
-        (is_non_blocking, filter_normalized),
     ):
         with pytest.warns(DeprecationWarning, match="Design.verify"):
             shim(argument)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bdd.bdd import BDDManager
-from repro.mc.explicit import ExplicitStateChecker
 from repro.mc.invariants import (
     check_flow_independent,
     check_order_independent,
@@ -18,8 +17,20 @@ from repro.mc.symbolic import (
     current_variable,
     event_variable,
 )
-from repro.mc.transition import BooleanAbstraction, build_lts
+from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
+from repro.mc.transition import BooleanAbstraction
 from repro.properties.compilable import ProcessAnalysis
+from repro.properties.nonblocking import verify_non_blocking
+from repro.properties.weak_endochrony import check_weak_endochrony
+
+
+def _checker(process, hierarchy=None, max_states=512):
+    """The interpreter-backed engine over ``process``."""
+    return OnTheFlyChecker(LazyReactionLTS(process, hierarchy), max_states)
+
+
+def _materialize(process, hierarchy=None, max_states=512):
+    return _checker(process, hierarchy, max_states).materialize()
 
 
 class TestBooleanAbstraction:
@@ -40,7 +51,7 @@ class TestBooleanAbstraction:
         assert any(reaction.is_silent() for reaction, _ in reactions)
 
     def test_numeric_values_are_canonicalized(self, producer_consumer):
-        lts = build_lts(producer_consumer["producer"])
+        lts = _materialize(producer_consumer["producer"])
         values = {
             value
             for transition in lts.transitions
@@ -52,43 +63,28 @@ class TestBooleanAbstraction:
 
 class TestExplicitChecker:
     def test_filter_lts_statistics(self, filter_normalized):
-        lts = build_lts(filter_normalized)
-        checker = ExplicitStateChecker(lts)
-        stats = checker.statistics()
-        assert stats["states"] == 2  # x_prev is either true or false
-        assert stats["transitions"] >= 4
+        lts = _materialize(filter_normalized)
+        assert lts.state_count() == 2  # x_prev is either true or false
+        assert lts.transition_count() >= 4
 
     def test_determinism_and_non_blocking(self, filter_normalized):
-        checker = ExplicitStateChecker(build_lts(filter_normalized))
-        assert checker.is_deterministic().holds
-        assert checker.is_non_blocking().holds
-
-    def test_state_invariant_counterexample(self, filter_normalized):
-        checker = ExplicitStateChecker(build_lts(filter_normalized))
-        result = checker.check_state_invariant("never-true", lambda state: dict(state)["x_prev"] is False)
-        assert not result.holds
-        assert "x_prev" in (result.counterexample or "")
-
-    def test_transition_invariant(self, filter_normalized):
-        checker = ExplicitStateChecker(build_lts(filter_normalized))
-        result = checker.check_transition_invariant(
-            "x-implies-y", lambda t: ("x" not in t.reaction) or ("y" in t.reaction)
-        )
-        assert result.holds
+        report = check_weak_endochrony(filter_normalized)
+        assert report.results[0].name == "determinism" and report.results[0].holds
+        assert _checker(filter_normalized).is_non_blocking().holds
 
 
 class TestInvariants:
     def test_invariants_hold_for_main(self, producer_consumer):
-        lts = build_lts(producer_consumer["main"])
-        assert check_state_independent(lts, "a", "b").holds
-        assert check_order_independent(lts, "a", "b").holds
-        assert check_flow_independent(lts, "a", "b", "u").holds
+        checker = _checker(producer_consumer["main"])
+        assert check_state_independent(checker, "a", "b").holds
+        assert check_order_independent(checker, "a", "b").holds
+        assert check_flow_independent(checker, "a", "b", "u").holds
 
     def test_report_aggregates_all_pairs(self, producer_consumer):
         analysis = ProcessAnalysis(producer_consumer["main"])
-        lts = build_lts(producer_consumer["main"], analysis.hierarchy)
+        checker = _checker(producer_consumer["main"], analysis.hierarchy)
         report = check_weak_endochrony_invariants(
-            lts, analysis.hierarchy.root_signals(), ["u", "v"]
+            checker, analysis.hierarchy.root_signals(), ["u", "v"]
         )
         assert report.holds()
         assert report.pairs
@@ -102,7 +98,6 @@ class TestInvariants:
         builder = ProcessBuilder("xor_inputs", inputs=["a", "b"], outputs=["x"])
         builder.define("x", signal("a").default(signal("b")))
         process = normalize(builder.build())
-        lts = build_lts(process)
         # a and b can each occur alone; occurring together is also possible for
         # this merge, so OrderIndependent holds — but FlowIndependent on x sees
         # that the value of x depends on which input came first only through
@@ -113,48 +108,46 @@ class TestInvariants:
         builder2 = PB("alone", inputs=["a", "b"], outputs=["x"])
         builder2.define("x", signal("a").when(signal("b").not_()))
         process2 = normalize(builder2.build())
-        lts2 = build_lts(process2)
-        result = check_state_independent(lts2, "a", "b")
+        result = check_state_independent(_checker(process2), "a", "b")
         # the composition of a-alone then b-alone cannot be merged: the invariant fails
         assert isinstance(result.holds, bool)
 
 
 class TestSymbolicChecker:
     def test_reachable_count_matches_explicit(self, filter_normalized):
-        lts = build_lts(filter_normalized)
+        lts = _materialize(filter_normalized)
         symbolic = SymbolicChecker(lts)
         assert symbolic.reachable_count() == lts.state_count()
 
     def test_invariant_check_holds(self, filter_normalized):
-        lts = build_lts(filter_normalized)
+        lts = _materialize(filter_normalized)
         symbolic = SymbolicChecker(lts)
         tautology = symbolic.manager.true
         assert symbolic.check_invariant("true", tautology).holds
 
     def test_invariant_counterexample(self, filter_normalized):
-        lts = build_lts(filter_normalized)
+        lts = _materialize(filter_normalized)
         symbolic = SymbolicChecker(lts)
         never_false = symbolic.register("x_prev")
         result = symbolic.check_invariant("x_prev stays true", never_false)
         assert not result.holds
 
     def test_reaction_invariant(self, filter_normalized):
-        lts = build_lts(filter_normalized)
+        lts = _materialize(filter_normalized)
         symbolic = SymbolicChecker(lts)
         # whenever x is emitted, y is read in the same reaction
         invariant = symbolic.event("x").implies(symbolic.event("y"))
         assert symbolic.check_reaction_invariant("x needs y", invariant).holds
 
     def test_buffer_symbolic_state_space(self, buffer_normalized):
-        lts = build_lts(buffer_normalized)
+        lts = _materialize(buffer_normalized)
         symbolic = SymbolicChecker(lts)
         assert symbolic.reachable_count() == lts.state_count()
 
     def test_non_blocking_matches_explicit(self, filter_normalized, buffer_normalized):
         for process in (filter_normalized, buffer_normalized):
-            lts = build_lts(process)
-            symbolic = SymbolicChecker(lts)
-            assert symbolic.is_non_blocking().holds == ExplicitStateChecker(lts).is_non_blocking().holds
+            symbolic = SymbolicChecker(_materialize(process))
+            assert symbolic.is_non_blocking().holds == verify_non_blocking(process).holds
             assert symbolic.deadlock_states().is_false()
 
     @pytest.mark.parametrize("backend", ["reference", "array"])
@@ -162,13 +155,12 @@ class TestSymbolicChecker:
         # cutting every transition out of one reachable state deadlocks it;
         # the witness taken without building the deadlock set must be the
         # one satisfy_one picks on that set
-        lts = build_lts(buffer_normalized)
+        lts = _materialize(buffer_normalized)
         stuck = next(state for state in lts.states if state != lts.initial)
         lts.transitions = [t for t in lts.transitions if t.source != stuck]
         symbolic = SymbolicChecker(lts, backend=backend)
         result = symbolic.is_non_blocking()
         assert not result.holds
-        assert not ExplicitStateChecker(lts).is_non_blocking().holds
         witness = symbolic.deadlock_states().satisfy_one()
         readable = {
             variable.split("·", 1)[1]: value
@@ -249,7 +241,7 @@ class TestSymbolicEngineRegression:
     def test_single_component_fixpoint_runs_once_per_non_blocking_verdict(
         self, buffer_normalized, image_calls
     ):
-        SymbolicChecker(build_lts(buffer_normalized)).reachable_states()
+        SymbolicChecker(_materialize(buffer_normalized)).reachable_states()
         one_fixpoint = len(image_calls)
         assert one_fixpoint > 1
         image_calls.clear()

@@ -2,14 +2,17 @@
 
 The load-bearing guarantee of :mod:`repro.mc.onthefly` is that laziness is
 *only* an evaluation strategy: the lazy product of component abstractions,
-fully materialized, is the very same reaction LTS the eager engine builds
-from the composed process, and every property verdict (with a valid witness
-on failure) agrees between the two.  The property-based tests below pin this
-on randomly drawn compositions from the generator families and the paper's
+fully materialized, is the very same reaction LTS that materializing the
+interpreter-backed abstraction of the composed process yields (eager
+exploration), and every property verdict (with a valid witness on failure)
+agrees between the two.  The property-based tests below pin this on
+randomly drawn compositions from the generator families and the paper's
 component library.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,22 +28,33 @@ from repro.library.generators import (
     pipeline_network,
     star_network,
 )
+from repro.gen.corpus import Corpus
 from repro.library.producer_consumer import normalized_suite
 from repro.mc import (
+    BooleanAbstraction,
     LazyReactionLTS,
     OnTheFlyChecker,
     ProductLTS,
     SymbolicProductChecker,
-    build_lts,
 )
 from repro.properties.nonblocking import verify_non_blocking
-from repro.properties.weak_endochrony import check_weak_endochrony
+from repro.properties.weak_endochrony import _AXIOMS, check_weak_endochrony
 
 MAX_STATES = 2048
 
 
 def _transition_set(lts):
     return {(t.source, t.reaction, t.target) for t in lts.transitions}
+
+
+def _composed(process, max_states=MAX_STATES):
+    """The interpreter-backed engine over the composed process (the oracle)."""
+    return OnTheFlyChecker(LazyReactionLTS(process), max_states)
+
+
+def _materialize(process, max_states=MAX_STATES):
+    return _composed(process, max_states).materialize()
+
 
 _GENERATORS = {
     "pipeline": pipeline_network,
@@ -94,40 +108,43 @@ class TestLazyEagerEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_materialized_product_equals_eager_lts(self, drawn):
         components, composition = drawn
-        eager = build_lts(composition, max_states=MAX_STATES)
+        composed = _materialize(composition)
         engine = OnTheFlyChecker(ProductLTS(components), max_states=MAX_STATES)
         materialized = engine.materialize()
-        assert materialized.initial == eager.initial
-        assert set(materialized.states) == set(eager.states)
-        assert _transition_set(materialized) == _transition_set(eager)
-        assert materialized.truncated == eager.truncated
+        assert materialized.initial == composed.initial
+        assert set(materialized.states) == set(composed.states)
+        assert _transition_set(materialized) == _transition_set(composed)
+        assert materialized.truncated == composed.truncated
 
     @given(random_composition())
     @settings(max_examples=25, deadline=None)
     def test_weak_endochrony_verdicts_agree(self, drawn):
         components, composition = drawn
-        eager_report = check_weak_endochrony(composition, max_states=MAX_STATES)
+        composed = _composed(composition)
+        composed_report = check_weak_endochrony(composition, checker=composed)
         engine = OnTheFlyChecker(ProductLTS(components), max_states=MAX_STATES)
         lazy_report = check_weak_endochrony(composition, checker=engine)
-        assert lazy_report.holds() == eager_report.holds()
-        # the lazy engine never expands more than the eager engine explored
-        assert lazy_report.states_explored <= eager_report.states_explored
+        assert lazy_report.holds() == composed_report.holds()
+        # the product never visits more states than the composed process has
+        assert lazy_report.states_explored <= composed.materialize().state_count()
         if not lazy_report.holds():
-            # the witness is valid: the axiom the lazy engine refuted is an
-            # axiom the eager engine refutes as well, with a concrete reaction
+            # the witness is valid: the axiom the product engine refuted
+            # also fails at some state of the composed process
             lazy_failure = lazy_report.failures()[0]
-            eager_failed_names = {failure.name for failure in eager_report.failures()}
-            assert lazy_failure.name in eager_failed_names
+            axiom_at = dict(_AXIOMS)[lazy_failure.name]
+            assert any(
+                axiom_at(composed, state) is not None for state in composed.iter_states()
+            )
             assert lazy_failure.counterexample
 
     @given(random_composition())
     @settings(max_examples=15, deadline=None)
     def test_non_blocking_verdicts_agree(self, drawn):
         components, composition = drawn
-        eager = verify_non_blocking(composition, max_states=MAX_STATES)
+        composed = verify_non_blocking(composition, max_states=MAX_STATES)
         engine = OnTheFlyChecker(ProductLTS(components), max_states=MAX_STATES)
         lazy = verify_non_blocking(composition, checker=engine)
-        assert lazy.holds == eager.holds
+        assert lazy.holds == composed.holds
 
     @given(library_pair())
     @settings(max_examples=10, deadline=None)
@@ -138,27 +155,36 @@ class TestLazyEagerEquivalence:
             product = ProductLTS(components)
         except ValueError:
             assume(False)  # clashing register names: no product is defined
-        eager = build_lts(composition, max_states=MAX_STATES)
+        composed = _materialize(composition)
         materialized = OnTheFlyChecker(product, max_states=MAX_STATES).materialize()
-        assert set(materialized.states) == set(eager.states)
-        assert _transition_set(materialized) == _transition_set(eager)
+        assert set(materialized.states) == set(composed.states)
+        assert _transition_set(materialized) == _transition_set(composed)
 
     @pytest.mark.parametrize("family,size", [("pipeline", 3), ("buffers", 3), ("star", 2)])
     def test_symbolic_product_matches_explicit_reachability(self, family, size):
         components, composition = _GENERATORS[family](size)
-        eager = build_lts(composition, max_states=MAX_STATES)
-        checker = SymbolicProductChecker([build_lts(c) for c in components])
-        assert checker.reachable_count() == eager.state_count()
+        composed = _materialize(composition)
+        checker = SymbolicProductChecker([_materialize(c, 512) for c in components])
+        assert checker.reachable_count() == composed.state_count()
         assert checker.is_non_blocking().holds
 
 
 class TestOnTheFlyChecker:
     def test_single_component_lazy_matches_eager(self):
+        # eager exploration, spelled out: breadth-first over the abstraction
+        # in its reaction order — materialize() must reproduce it exactly
         process = normalized_suite()["producer"]
-        eager = build_lts(process)
+        abstraction = BooleanAbstraction(process)
         materialized = OnTheFlyChecker(LazyReactionLTS(process)).materialize()
-        assert materialized.states == eager.states
-        assert materialized.transitions == eager.transitions  # single component: even the order agrees
+        assert materialized.initial == abstraction.initial_state()
+        order, expected = [materialized.initial], []
+        for state in order:
+            for reaction, target in abstraction.reactions(state):
+                expected.append((state, reaction, target))
+                if target not in order:
+                    order.append(target)
+        assert materialized.states == order
+        assert [(t.source, t.reaction, t.target) for t in materialized.transitions] == expected
 
     def test_truncation_respects_state_bound(self):
         components, _composition = chain_of_buffers(4)  # 108 reachable states
@@ -175,7 +201,7 @@ class TestOnTheFlyChecker:
         report = check_weak_endochrony(composition.compose(arbiter), checker=engine)
         assert not report.holds()
         assert not report.complete
-        full = build_lts(composition.compose(arbiter), max_states=MAX_STATES)
+        full = _materialize(composition.compose(arbiter))
         assert engine.states_expanded < full.state_count()
 
     def test_truncated_all_holds_report_is_marked_incomplete(self):
@@ -198,7 +224,7 @@ class TestOnTheFlyChecker:
         buffer = normalize(buffer_process())  # both define x
         with pytest.raises(ValueError):
             SymbolicProductChecker(
-                [build_lts(producer), build_lts(buffer)],
+                [_materialize(producer, 512), _materialize(buffer, 512)],
                 components=[producer, buffer],
             )
 
@@ -229,8 +255,23 @@ class TestOnTheFlyChecker:
         buffer = normalize(buffer_process())
         design = Design(name="pb", components=[producer, buffer])
         verdict = design.verify("non-blocking", method="explicit")
-        eager = verify_non_blocking(producer.compose(buffer))
-        assert verdict.holds == eager.holds
+        composed = verify_non_blocking(producer.compose(buffer))
+        assert verdict.holds == composed.holds
+
+    def test_query_cost_does_not_depend_on_earlier_queries(self):
+        def design():
+            components, _composition = chain_of_buffers(3)
+            builder = ProcessBuilder("arbiter", inputs=["y3", "w"], outputs=["out"])
+            builder.define("out", signal("y3").default(signal("w")))
+            return Design(name="arb", components=list(components) + [normalize(builder.build())])
+
+        fresh = design().verify("weak-endochrony", method="symbolic")
+        warmed = design()
+        warmed.verify("non-blocking", method="compiled")  # explores every state
+        again = warmed.verify("weak-endochrony", method="symbolic")
+        assert not fresh.holds and not again.holds
+        assert fresh.cost.states == again.cost.states == 19
+        assert fresh.cost.transitions == again.cost.transitions
 
     def test_context_memoizes_engines(self):
         components, composition = pipeline_network(2)
@@ -239,6 +280,49 @@ class TestOnTheFlyChecker:
         second = design.context.onthefly(list(components), 128)
         assert first is second
         assert design.context.onthefly(list(components), 256) is not first
+
+
+COMMITTED_CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "corpus.json"
+
+
+@pytest.fixture(scope="module")
+def corpus_processes():
+    """The committed corpus's compositions and their components."""
+    corpus = Corpus.load(COMMITTED_CORPUS)
+    processes = []
+    for entry in corpus:
+        generated = entry.regenerate()
+        processes.append(generated.composition)
+        processes.extend(generated.components)
+    return corpus.max_states, processes
+
+
+def _drive(prop, process, max_states):
+    """``(holds, states, transitions)`` of a driver on its default engine."""
+    if prop == "weak-endochrony":
+        report = check_weak_endochrony(process, max_states=max_states)
+        return report.holds(), report.states_explored, report.transitions_explored
+    verdict = verify_non_blocking(process, max_states=max_states)
+    return verdict.holds, verdict.cost.states, verdict.cost.transitions
+
+
+class TestDefaultEngineOverCorpus:
+    @pytest.mark.parametrize("prop", ["weak-endochrony", "non-blocking"])
+    def test_drivers_agree_with_design_verify_and_context_lts(self, prop, corpus_processes):
+        max_states, processes = corpus_processes
+        assert len(processes) == 217
+        mismatches = []
+        for process in processes:
+            holds, states, transitions = _drive(prop, process, max_states)
+            design = Design.from_process(process)
+            if holds != design.verify(prop, "explicit", max_states=max_states).holds:
+                mismatches.append((process.name, "verdict"))
+            if holds:
+                # a holding check visits every state the exploration reaches
+                lts = design.context.lts(process, max_states, engine="interpreter")
+                if (states, transitions) != (lts.state_count(), lts.transition_count()):
+                    mismatches.append((process.name, "counts"))
+        assert mismatches == []
 
 
 class TestBatchLayer:

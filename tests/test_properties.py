@@ -4,11 +4,11 @@ import pytest
 
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_false, when_true
 from repro.lang.normalize import normalize
-from repro.mc.transition import build_lts
+from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
 from repro.properties.compilable import ProcessAnalysis, is_compilable
 from repro.properties.endochrony import check_endochrony_on_traces, is_endochronous, is_hierarchic
 from repro.properties.isochrony import check_isochrony
-from repro.properties.nonblocking import is_non_blocking
+from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.weak_endochrony import (
     check_weak_endochrony,
     model_check_weak_endochrony,
@@ -101,11 +101,11 @@ class TestWeakEndochrony:
 
 class TestNonBlocking:
     def test_paper_compositions_are_non_blocking(self, filter_merge, producer_consumer):
-        assert is_non_blocking(filter_merge["composition"])
-        assert is_non_blocking(producer_consumer["main"])
+        assert verify_non_blocking(filter_merge["composition"]).holds
+        assert verify_non_blocking(producer_consumer["main"]).holds
 
     def test_buffer_is_non_blocking(self, buffer_normalized):
-        assert is_non_blocking(buffer_normalized)
+        assert verify_non_blocking(buffer_normalized).holds
 
 
 class TestIsochrony:
@@ -141,11 +141,11 @@ class TestIsochrony:
 
 class TestLTSConstruction:
     def test_buffer_lts_has_internal_activation(self, buffer_normalized):
-        lts = build_lts(buffer_normalized)
+        lts = OnTheFlyChecker(LazyReactionLTS(buffer_normalized)).materialize()
         assert lts.state_count() >= 2
         non_silent = [t for t in lts.transitions if not t.reaction.is_silent()]
         assert non_silent
 
     def test_lts_truncation_flag(self, producer_consumer):
-        lts = build_lts(producer_consumer["main"], max_states=1)
+        lts = OnTheFlyChecker(LazyReactionLTS(producer_consumer["main"]), 1).materialize()
         assert lts.state_count() <= 1 or lts.truncated

@@ -19,8 +19,8 @@ def materialize(process, hierarchy=None, max_states=512):
     return OnTheFlyChecker(LazyReactionLTS(process, hierarchy), max_states).materialize()
 
 
-def materialize_compiled(process, max_states=512, backend=None):
+def materialize_compiled(process, max_states=512):
     """The reaction LTS of the compiled step relation."""
-    abstraction = CompiledAbstraction(process, backend=backend)
+    abstraction = CompiledAbstraction(process)
     lazy = LazyReactionLTS(process, abstraction=abstraction)
     return OnTheFlyChecker(lazy, max_states).materialize()

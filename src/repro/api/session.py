@@ -42,7 +42,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.api.artifacts import ArtifactGraph, verdict_kind
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
-from repro.bdd.backend import create_manager, resolve_backend
 from repro.bdd.bdd import BDDManager
 from repro.lang.ast import Composition, Instantiation, ProcessDefinition, Restriction, Statement
 from repro.lang.builder import ProcessBuilder
@@ -95,18 +94,8 @@ class AnalysisContext:
         registry: Optional[Mapping[str, ProcessDefinition]] = None,
         manager: Optional[BDDManager] = None,
         artifact_cache: Optional[object] = None,
-        bdd_backend: Optional[str] = None,
     ):
-        #: resolved BDD kernel name (argument > ``REPRO_BDD_BACKEND`` > default)
-        #: used for the shared clock-calculus manager and every private
-        #: compiled-relation manager this context creates.  An explicitly
-        #: passed ``manager`` wins over the name for the shared manager.
-        self.bdd_backend = (
-            getattr(manager, "backend_name", None)
-            if manager is not None
-            else resolve_backend(bdd_backend)
-        )
-        self.manager = manager or create_manager(backend=self.bdd_backend)
+        self.manager = manager or BDDManager()
         #: the artifact graph every stage of this context resolves through
         self.graph = ArtifactGraph(store=artifact_cache)
         self.registry: Dict[str, ProcessDefinition] = dict(registry or {})
@@ -295,9 +284,7 @@ class AnalysisContext:
                 if hierarchy_from_analysis
                 else hierarchy
             )
-            return CompiledAbstraction.try_compile(
-                normalized_process, seed, backend=self.bdd_backend
-            )
+            return CompiledAbstraction.try_compile(normalized_process, seed)
 
         return self.graph.resolve(
             "compiled",
@@ -306,9 +293,7 @@ class AnalysisContext:
             kind="compiled",
             compute=compute,
             encode=lambda value: compiled_artifact_payload(normalized_process, value),
-            decode=lambda payload: compiled_from_artifact(
-                normalized_process, payload, backend=self.bdd_backend
-            ),
+            decode=lambda payload: compiled_from_artifact(normalized_process, payload),
             keep=(normalized_process,),
         )
 
@@ -465,7 +450,6 @@ class AnalysisContext:
                 1 for _key, value in self.graph.nodes("compiled") if value is not None
             ),
             "bdd_variables": len(self.manager.variables()),
-            "bdd_backend": self.bdd_backend,
             "stages": graph_stats["stages"],
             "nodes": graph_stats["nodes"],
         }
@@ -538,10 +522,9 @@ class Design:
         context: Optional[AnalysisContext] = None,
         registry: Optional[Mapping[str, ProcessDefinition]] = None,
         composition: Optional[ProcessLike] = None,
-        bdd_backend: Optional[str] = None,
     ):
         self.name = name
-        self.context = context or AnalysisContext(bdd_backend=bdd_backend)
+        self.context = context or AnalysisContext()
         if registry:
             self.context.register(registry)
         self._components: List[NormalizedProcess] = []
@@ -575,7 +558,6 @@ class Design:
         name: Optional[str] = None,
         components: Optional[Sequence[str]] = None,
         context: Optional[AnalysisContext] = None,
-        bdd_backend: Optional[str] = None,
     ) -> "Design":
         """Build a design from Signal source text.
 
@@ -585,7 +567,7 @@ class Design:
         not instantiated by any other process of the program.
         """
         definitions = parse_program(source)
-        context = context or AnalysisContext(bdd_backend=bdd_backend)
+        context = context or AnalysisContext()
         context.register(definitions)
         if components is not None:
             missing = [n for n in components if n not in definitions]

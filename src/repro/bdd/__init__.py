@@ -5,28 +5,12 @@ entailment between synchronization relations, ``R |= S``) and by the symbolic
 model checker — the role Sigali plays in the Polychrony toolset.
 """
 
-from repro.bdd.backend import (
-    BACKEND_ENV,
-    BDDBackend,
-    available_backends,
-    backend_class,
-    create_manager,
-    load_manager,
-    resolve_backend,
-)
 from repro.bdd.bdd import BDD, BDDManager
 from repro.bdd.expr import BoolExpr, Var, TRUE, FALSE, And, Or, Not, Implies, Iff, Xor
 
 __all__ = [
-    "BACKEND_ENV",
     "BDD",
-    "BDDBackend",
     "BDDManager",
-    "available_backends",
-    "backend_class",
-    "create_manager",
-    "load_manager",
-    "resolve_backend",
     "BoolExpr",
     "Var",
     "TRUE",

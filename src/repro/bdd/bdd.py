@@ -185,19 +185,17 @@ class BDD:
 class BDDManager:
     """Owner of the unique table, the computed-table cache and the variable order.
 
-    This class is also the *reference backend* of the pluggable-kernel
-    protocol (see :mod:`repro.bdd.backend`): every public method here is
-    part of the :class:`~repro.bdd.backend.BDDBackend` contract, and the
-    vectorized :class:`~repro.bdd.array_backend.ArrayBackend` subclasses it,
-    overriding only the hot paths.  Anything observable — satisfying
-    assignments and their order, :meth:`dump` payload bytes, reordering
-    decisions — must stay identical across backends; the
-    backend-differential suite (``tests/test_backend_differential.py``)
-    enforces that.
-    """
+    Beyond the truth tables, callers rely on three observable guarantees:
 
-    #: registry name of this implementation (subclasses override)
-    backend_name = "reference"
+    * **non-construction** — :meth:`leq`, :meth:`intersects` and
+      :meth:`satisfy_one_and` read only the node lists and leave
+      :meth:`size` unchanged;
+    * **enumeration order** — :meth:`satisfy_all` and :meth:`satisfy_matrix`
+      yield assignments in manager level order, ``False`` branch before
+      ``True``;
+    * **canonical serialization** — :meth:`dump` payloads depend on the
+      root functions and the variable order only (see :meth:`dump`).
+    """
 
     FALSE_INDEX = 0
     TRUE_INDEX = 1
@@ -776,12 +774,9 @@ class BDDManager:
         """All satisfying assignments as rows of booleans, columns = ``variables``.
 
         Row ``i`` is exactly the ``i``-th assignment :meth:`satisfy_all`
-        yields (same values, same order — the output-order contract the
-        backend-differential suite pins), decoded positionally instead of
+        yields (same values, same order), decoded positionally instead of
         into dicts; bulk consumers like the compiled reaction sweep index
-        columns once instead of hashing variable names per solution.  The
-        reference implementation *is* the satisfy_all walk; vectorized
-        backends override this with a level-synchronized array expansion.
+        columns once instead of hashing variable names per solution.
         """
         names = tuple(variables)
         return [
@@ -852,9 +847,9 @@ class BDDManager:
         *functions* alone, never of internal node-index assignment: two
         managers denoting the same functions under the same variable order
         produce byte-identical payloads regardless of how their unique
-        tables were populated.  That is what keeps artifact digests stable
-        across backends (a vectorized kernel interns nodes in a different
-        order than the recursive reference).  Unreachable nodes are not
+        tables were populated, which keeps artifact digests stable across
+        sessions that built the same relation by different operation
+        sequences.  Unreachable nodes are not
         serialized, so a dump after heavy intermediate computation is as
         small as a dump after :meth:`collect_garbage`.
         """

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.bdd.backend import create_manager
 from repro.bdd.bdd import BDD, BDDManager
 from repro.clocks.relations import ClockRelation, TimingRelations
 from repro.lang.ast import (
@@ -54,11 +53,10 @@ class ClockAlgebra:
         process: NormalizedProcess,
         relations: TimingRelations,
         manager: Optional[BDDManager] = None,
-        backend: Optional[str] = None,
     ):
         self.process = process
         self.relations = relations
-        self.manager = manager or create_manager(backend=backend)
+        self.manager = manager or BDDManager()
         self._signals: Tuple[str, ...] = process.all_signals()
         self._boolean_signals: Set[str] = set(process.boolean_signals())
         # Declare variables in a deterministic order.  The presence and value

@@ -7,9 +7,8 @@ numpy kernel whose variables are arrays with one lane per instance: a
 presence variable becomes a boolean mask, a value variable a ``bool_`` or
 ``int64`` array, an input stream a padded ``(instances, width)`` matrix with
 per-lane cursors, and one global iteration advances every live lane by one
-reaction.  This mirrors the hybrid design of ``repro.bdd.backend``'s
-``ArrayBackend``: a vectorized fast path over the boolean/numeric fragment,
-with the scalar tier as the exact fallback.
+reaction: a vectorized fast path over the boolean/numeric fragment, with the
+scalar tier as the exact fallback.
 
 Semantics are *lane-identical* to scalar stepping:
 

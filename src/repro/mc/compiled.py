@@ -31,13 +31,13 @@ fragment — :func:`compilation_obstacles` names the offending equations and
 :meth:`CompiledAbstraction.try_compile` returns ``None`` so callers fall
 back to the interpreter-backed enumeration transparently.
 
-The compiled step relation lives on a **private** manager (any registered
-:mod:`repro.bdd.backend` kernel; ``backend=`` or ``REPRO_BDD_BACKEND``
-selects it) whose variable order is seeded from the clock hierarchy (registers interleaved
-current/next first, then signals forest-ordered with each ``e·x`` adjacent
-to its ``d·x``); after compilation the manager sheds its intermediate
-conjuncts (:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`) and — for
-large relations — runs a sifting pass to shrink the order further.
+The compiled step relation lives on a **private**
+:class:`~repro.bdd.bdd.BDDManager` whose variable order is seeded from the
+clock hierarchy (registers interleaved current/next first, then signals
+forest-ordered with each ``e·x`` adjacent to its ``d·x``); after compilation
+the manager sheds its intermediate conjuncts
+(:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`) and — for large
+relations — runs a sifting pass to shrink the order further.
 
 The interpreter is kept as a *cross-check oracle*: ``cross_check=True``
 verifies every per-state answer against
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.bdd.backend import create_manager, load_manager
 from repro.bdd.bdd import BDD, BDDManager
 from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
 from repro.lang.ast import (
@@ -200,8 +199,6 @@ class CompiledAbstraction:
         process: NormalizedProcess,
         hierarchy: Optional[ClockHierarchy] = None,
         cross_check: bool = False,
-        sift_threshold: int = SIFT_THRESHOLD,
-        backend: Optional[str] = None,
     ):
         obstacles = compilation_obstacles(process)
         if obstacles:
@@ -221,10 +218,10 @@ class CompiledAbstraction:
             for equation in process.equations
             if isinstance(equation, DelayEquation)
         }
-        self.manager = create_manager(self._seed_variable_order(), backend=backend)
+        self.manager = BDDManager(self._seed_variable_order())
         self.step = self._compile()
         (self.step,) = self.manager.collect_garbage([self.step])
-        if self.step.node_count() > sift_threshold:
+        if self.step.node_count() > SIFT_THRESHOLD:
             (self.step,) = self.manager.sift([self.step], max_variables=24)
         self._precompute_columns()
         self._oracle: Optional[BooleanAbstraction] = (
@@ -240,11 +237,10 @@ class CompiledAbstraction:
         cls,
         process: NormalizedProcess,
         hierarchy: Optional[ClockHierarchy] = None,
-        **options,
     ) -> Optional["CompiledAbstraction"]:
         """The compiled abstraction, or ``None`` outside the fragment."""
         try:
-            return cls(process, hierarchy, **options)
+            return cls(process, hierarchy)
         except CompilationError:
             return None
 
@@ -544,7 +540,6 @@ class CompiledAbstraction:
         process: NormalizedProcess,
         payload: Mapping[str, object],
         hierarchy: Optional[ClockHierarchy] = None,
-        backend: Optional[str] = None,
     ) -> "CompiledAbstraction":
         """Reattach a stored step relation to ``process`` without recompiling.
 
@@ -582,7 +577,7 @@ class CompiledAbstraction:
         instance._signals = tuple(payload["signals"])
         instance._registers = tuple(payload["registers"])
         instance._initial_values = dict(payload["initial"])
-        manager, (step,) = load_manager(payload["step"], backend=backend)
+        manager, (step,) = BDDManager.load(payload["step"])
         instance.manager = manager
         instance.step = step
         instance._precompute_columns()
@@ -632,7 +627,6 @@ def compiled_artifact_payload(
 def compiled_from_artifact(
     process: NormalizedProcess,
     payload: Mapping[str, object],
-    backend: Optional[str] = None,
 ) -> Optional["CompiledAbstraction"]:
     """Decode a persisted compilation result back onto ``process``.
 
@@ -649,7 +643,5 @@ def compiled_from_artifact(
                 f"{payload.get('format')!r}; the fragment may have widened"
             )
         return None
-    return CompiledAbstraction.from_payload(
-        process, payload["abstraction"], backend=backend
-    )
+    return CompiledAbstraction.from_payload(process, payload["abstraction"])
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.bdd.backend import create_manager
 from repro.bdd.bdd import BDD, BDDManager
 from repro.mc.onthefly import InvariantResult
 from repro.mc.transition import ReactionLTS, State
@@ -186,10 +185,9 @@ class SymbolicChecker(_ImageFixpoint):
         self,
         lts: ReactionLTS,
         manager: Optional[BDDManager] = None,
-        backend: Optional[str] = None,
     ):
         self.lts = lts
-        self.manager = manager or create_manager(backend=backend)
+        self.manager = manager or BDDManager()
         self._registers: Tuple[str, ...] = tuple(name for name, _ in lts.initial)
         self._signals: Tuple[str, ...] = self._collect_signals()
         for register in self._registers:
@@ -309,7 +307,6 @@ class SymbolicProductChecker(_ImageFixpoint):
         component_ltss: Sequence[ReactionLTS],
         manager: Optional[BDDManager] = None,
         components: Optional[Sequence[object]] = None,
-        backend: Optional[str] = None,
     ):
         if not component_ltss:
             raise ValueError("a symbolic product needs at least one component LTS")
@@ -330,7 +327,7 @@ class SymbolicProductChecker(_ImageFixpoint):
                     "process instead)"
                 )
         self.component_ltss = tuple(component_ltss)
-        self.manager = manager or create_manager(backend=backend)
+        self.manager = manager or BDDManager()
         register_groups = [tuple(name for name, _ in lts.initial) for lts in component_ltss]
         flat = [name for group in register_groups for name in group]
         if len(flat) != len(set(flat)):

@@ -20,7 +20,7 @@ family                                          source counter
                                                 rejected / deadline_exceeded / failed
 ``repro_service_inflight``                      live in-flight gauge
 ``repro_artifact_stage_total{stage=,outcome=}`` per-stage ArtifactGraph counters
-``repro_bdd_*{backend=}``                       kernel counters (apply, and_exists,
+``repro_bdd_*``                                 kernel counters (apply, and_exists,
                                                 rename), incl. the derived
                                                 ``repro_bdd_apply_cache_hit_ratio``
 ``repro_backend_*``                             pool rebuilds / redispatches
@@ -231,10 +231,8 @@ def graph_collector(graph) -> Collector:
     return collect
 
 
-# -- BDD kernels -------------------------------------------------------------------
+# -- BDD kernel --------------------------------------------------------------------
 def bdd_collector(manager) -> Collector:
-    backend = getattr(manager, "backend_name", "reference")
-
     def collect() -> List[Family]:
         stats = manager.stats()
         lookups = stats.get("apply_cache_lookups", 0)
@@ -244,67 +242,67 @@ def bdd_collector(manager) -> Collector:
             _counter(
                 "repro_bdd_apply_calls_total",
                 "Public apply() invocations",
-                [_sample(stats.get("apply_calls", 0), backend=backend)],
+                [_sample(stats.get("apply_calls", 0))],
             ),
             _counter(
                 "repro_bdd_apply_cache_lookups_total",
                 "Apply-cache probes",
-                [_sample(lookups, backend=backend)],
+                [_sample(lookups)],
             ),
             _counter(
                 "repro_bdd_apply_cache_hits_total",
                 "Apply-cache probe hits",
-                [_sample(hits, backend=backend)],
+                [_sample(hits)],
             ),
             _gauge(
                 "repro_bdd_apply_cache_hit_ratio",
                 "Apply-cache hit ratio (hits / lookups)",
-                [_sample(round(ratio, 6), backend=backend)],
+                [_sample(round(ratio, 6))],
             ),
             _gauge(
                 "repro_bdd_nodes",
                 "Live nodes in the unique table",
-                [_sample(stats.get("nodes", 0), backend=backend)],
+                [_sample(stats.get("nodes", 0))],
             ),
             _gauge(
                 "repro_bdd_peak_nodes",
                 "Peak unique-table size observed",
-                [_sample(stats.get("peak_nodes", 0), backend=backend)],
+                [_sample(stats.get("peak_nodes", 0))],
             ),
             _gauge(
                 "repro_bdd_sift_seconds",
                 "Cumulative time in variable sifting",
-                [_sample(round(stats.get("sift_seconds", 0.0), 6), backend=backend)],
+                [_sample(round(stats.get("sift_seconds", 0.0), 6))],
             ),
             _counter(
                 "repro_bdd_and_exists_calls_total",
                 "Relational products (and_exists, exists, forall)",
-                [_sample(stats.get("and_exists_calls", 0), backend=backend)],
+                [_sample(stats.get("and_exists_calls", 0))],
             ),
             _counter(
                 "repro_bdd_and_exists_cache_hits_total",
                 "Relational-product computed-table hits",
-                [_sample(stats.get("and_exists_cache_hits", 0), backend=backend)],
+                [_sample(stats.get("and_exists_cache_hits", 0))],
             ),
             _counter(
                 "repro_bdd_leq_calls_total",
                 "Non-constructive inclusion tests (leq)",
-                [_sample(stats.get("leq_calls", 0), backend=backend)],
+                [_sample(stats.get("leq_calls", 0))],
             ),
             _counter(
                 "repro_bdd_intersects_calls_total",
                 "Non-constructive satisfiability tests of a conjunction (intersects)",
-                [_sample(stats.get("intersects_calls", 0), backend=backend)],
+                [_sample(stats.get("intersects_calls", 0))],
             ),
             _counter(
                 "repro_bdd_rename_calls_total",
                 "Variable renamings",
-                [_sample(stats.get("rename_calls", 0), backend=backend)],
+                [_sample(stats.get("rename_calls", 0))],
             ),
             _counter(
                 "repro_bdd_reorder_runs_total",
                 "Variable-reordering passes",
-                [_sample(stats.get("reorder_runs", 0), backend=backend)],
+                [_sample(stats.get("reorder_runs", 0))],
             ),
         ]
         return families

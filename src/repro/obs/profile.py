@@ -79,7 +79,6 @@ def bdd_tags(manager) -> Dict[str, object]:
     lookups = stats.get("apply_cache_lookups", 0)
     hits = stats.get("apply_cache_hits", 0)
     return {
-        "bdd.backend": getattr(manager, "backend_name", "reference"),
         "bdd.apply_calls": stats.get("apply_calls", 0),
         "bdd.apply_cache_hit_ratio": round(hits / lookups, 4) if lookups else 0.0,
         "bdd.and_exists_calls": stats.get("and_exists_calls", 0),

@@ -1,22 +1,16 @@
-"""Unit tests for the ROBDD engine and the boolean expression layer.
-
-The core fixtures are parametrized over every registered backend
-(:func:`repro.bdd.backend.available_backends`), so the reference manager and
-the vectorized array kernel face the same unit suite.
-"""
+"""Unit tests for the ROBDD engine and the boolean expression layer."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd.backend import available_backends, create_manager
 from repro.bdd.bdd import BDDManager
 from repro.bdd.expr import FALSE, TRUE, And, Iff, Implies, Not, Or, Var, Xor, conjunction, disjunction
 
 
-@pytest.fixture(params=available_backends())
-def manager(request):
-    return create_manager(["a", "b", "c", "d"], backend=request.param)
+@pytest.fixture
+def manager():
+    return BDDManager(["a", "b", "c", "d"])
 
 
 class TestBDDBasics:
@@ -241,7 +235,7 @@ class TestManagerMaintenance:
         assert len(manager._apply_cache) <= 64
 
 
-# -- property tests over every backend ----------------------------------------
+# -- property tests -----------------------------------------------------------
 #
 # A random boolean function is a straight-line program: start from the
 # declared variables, repeatedly combine two earlier results (or negate one).
@@ -282,13 +276,12 @@ def _truth_table(manager, node):
 
 
 class TestDumpRoundTripProperties:
-    """Serialization survives the maintenance operations, on every backend."""
+    """Serialization survives the maintenance operations."""
 
-    @pytest.mark.parametrize("backend", available_backends())
     @given(program=_programs)
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_survives_collect_garbage(self, backend, program):
-        manager = create_manager(_PROPERTY_VARIABLES, backend=backend)
+    def test_round_trip_survives_collect_garbage(self, program):
+        manager = BDDManager(_PROPERTY_VARIABLES)
         function = _build(manager, program)
         table = _truth_table(manager, function)
         payload_before = manager.dump([function])
@@ -297,20 +290,19 @@ class TestDumpRoundTripProperties:
         # the canonical dump is a function of the root *function*, so garbage
         # collection (which renumbers nodes) must not change a byte of it
         assert payload_after == payload_before
-        loaded_manager, (root,) = type(manager).load(payload_after)
+        loaded_manager, (root,) = BDDManager.load(payload_after)
         assert _truth_table(loaded_manager, root) == table
         assert loaded_manager.dump([root]) == payload_after
 
-    @pytest.mark.parametrize("backend", available_backends())
     @given(program=_programs)
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_survives_sift(self, backend, program):
-        manager = create_manager(_PROPERTY_VARIABLES, backend=backend)
+    def test_round_trip_survives_sift(self, program):
+        manager = BDDManager(_PROPERTY_VARIABLES)
         function = _build(manager, program)
         table = _truth_table(manager, function)
         (function,) = manager.sift([function])
         payload = manager.dump([function])
-        loaded_manager, (root,) = type(manager).load(payload)
+        loaded_manager, (root,) = BDDManager.load(payload)
         assert _truth_table(loaded_manager, root) == table
         assert loaded_manager.dump([root]) == payload
 
@@ -323,15 +315,14 @@ def _assignments_over(names):
 class TestQuantificationProperties:
     """The relational-product kernel against brute-force quantification."""
 
-    @pytest.mark.parametrize("backend", available_backends())
     @given(
         left=_programs,
         right=_programs,
         quantified=st.sets(st.sampled_from(_PROPERTY_VARIABLES)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_and_exists_exists_forall_match_brute_force(self, backend, left, right, quantified):
-        manager = create_manager(_PROPERTY_VARIABLES, backend=backend)
+    def test_and_exists_exists_forall_match_brute_force(self, left, right, quantified):
+        manager = BDDManager(_PROPERTY_VARIABLES)
         f, g = _build(manager, left), _build(manager, right)
         product = manager.and_exists(f, g, quantified)
         some = manager.exists(f, quantified)
@@ -351,16 +342,15 @@ class TestQuantificationProperties:
                 manager.evaluate(f, w) for w in witnesses
             )
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("order", ["order-preserving", "order-changing"])
     @given(program=_programs, sources=st.sets(st.sampled_from(_PROPERTY_VARIABLES), min_size=2))
     @settings(max_examples=30, deadline=None)
-    def test_rename_equals_compose_with_variables(self, backend, order, program, sources):
+    def test_rename_equals_compose_with_variables(self, order, program, sources):
         # each variable x is followed by its fresh copy x' in the order, so
         # x -> x' keeps the support's level order and the reverse pairing
         # of the copies does not
         interleaved = [name for base in _PROPERTY_VARIABLES for name in (base, base + "'")]
-        manager = create_manager(interleaved, backend=backend)
+        manager = BDDManager(interleaved)
         function = _build(manager, program)
         ordered = sorted(sources)
         targets = [name + "'" for name in ordered]
@@ -383,11 +373,10 @@ class TestQuantificationProperties:
 class TestNonConstructiveDecisions:
     """leq / intersects / satisfy_one_and against the conjunction they avoid."""
 
-    @pytest.mark.parametrize("backend", available_backends())
     @given(left=_programs, right=_programs, same=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_decisions_match_the_constructive_answers(self, backend, left, right, same):
-        manager = create_manager(_PROPERTY_VARIABLES, backend=backend)
+    def test_decisions_match_the_constructive_answers(self, left, right, same):
+        manager = BDDManager(_PROPERTY_VARIABLES)
         f = _build(manager, left)
         g = f if same else _build(manager, right)
         size = manager.size()
@@ -419,11 +408,11 @@ class TestNonConstructiveDecisions:
 
 
 class TestSatisfyAllEdgeCases:
-    """satisfy_all / satisfy_matrix corner cases, pinned on every backend."""
+    """satisfy_all / satisfy_matrix corner cases."""
 
-    @pytest.fixture(params=available_backends())
-    def edge_manager(self, request):
-        return create_manager(["a", "b", "c"], backend=request.param)
+    @pytest.fixture
+    def edge_manager(self):
+        return BDDManager(["a", "b", "c"])
 
     def test_constant_true_enumerates_the_full_cube(self, edge_manager):
         rows = list(edge_manager.true.satisfy_all(["a", "b"]))

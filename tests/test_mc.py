@@ -150,15 +150,14 @@ class TestSymbolicChecker:
             assert symbolic.is_non_blocking().holds == verify_non_blocking(process).holds
             assert symbolic.deadlock_states().is_false()
 
-    @pytest.mark.parametrize("backend", ["reference", "array"])
-    def test_deadlock_witness_is_the_first_deadlock_state(self, buffer_normalized, backend):
+    def test_deadlock_witness_is_the_first_deadlock_state(self, buffer_normalized):
         # cutting every transition out of one reachable state deadlocks it;
         # the witness taken without building the deadlock set must be the
         # one satisfy_one picks on that set
         lts = _materialize(buffer_normalized)
         stuck = next(state for state in lts.states if state != lts.initial)
         lts.transitions = [t for t in lts.transitions if t.source != stuck]
-        symbolic = SymbolicChecker(lts, backend=backend)
+        symbolic = SymbolicChecker(lts)
         result = symbolic.is_non_blocking()
         assert not result.holds
         witness = symbolic.deadlock_states().satisfy_one()

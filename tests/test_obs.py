@@ -349,15 +349,9 @@ def test_bdd_collector_reports_kernel_counters():
     manager.apply("and", left, right)
     registry = obs_metrics.MetricsRegistry()
     registry.register_collector(obs_collect.bdd_collector(manager))
-    assert registry.get_value(
-        "repro_bdd_apply_calls_total", labels={"backend": "reference"}
-    ) == 2.0
-    assert registry.get_value(
-        "repro_bdd_peak_nodes", labels={"backend": "reference"}
-    ) >= 3.0
-    ratio = registry.get_value(
-        "repro_bdd_apply_cache_hit_ratio", labels={"backend": "reference"}
-    )
+    assert registry.get_value("repro_bdd_apply_calls_total") == 2.0
+    assert registry.get_value("repro_bdd_peak_nodes") >= 3.0
+    ratio = registry.get_value("repro_bdd_apply_cache_hit_ratio")
     assert 0.0 <= ratio <= 1.0
 
 
@@ -371,10 +365,9 @@ def test_bdd_collector_reports_relational_product_and_rename_counters():
     manager.rename(manager.var("b"), {"b": "c"})
     registry = obs_metrics.MetricsRegistry()
     registry.register_collector(obs_collect.bdd_collector(manager))
-    labels = {"backend": "reference"}
-    assert registry.get_value("repro_bdd_and_exists_calls_total", labels=labels) == 2.0
-    assert registry.get_value("repro_bdd_and_exists_cache_hits_total", labels=labels) >= 1.0
-    assert registry.get_value("repro_bdd_rename_calls_total", labels=labels) == 1.0
+    assert registry.get_value("repro_bdd_and_exists_calls_total") == 2.0
+    assert registry.get_value("repro_bdd_and_exists_cache_hits_total") >= 1.0
+    assert registry.get_value("repro_bdd_rename_calls_total") == 1.0
     stats = manager.stats()
     assert stats["and_exists_cache_lookups"] >= stats["and_exists_cache_hits"] >= 1
     obs_export.parse_prometheus(obs_export.to_prometheus(registry.snapshot()))
@@ -393,9 +386,8 @@ def test_bdd_collector_reports_non_constructive_decision_counters():
     assert manager.intersects(relation, ~c)  # decision-table hit
     registry = obs_metrics.MetricsRegistry()
     registry.register_collector(obs_collect.bdd_collector(manager))
-    labels = {"backend": "reference"}
-    assert registry.get_value("repro_bdd_leq_calls_total", labels=labels) == 3.0
-    assert registry.get_value("repro_bdd_intersects_calls_total", labels=labels) == 2.0
+    assert registry.get_value("repro_bdd_leq_calls_total") == 3.0
+    assert registry.get_value("repro_bdd_intersects_calls_total") == 2.0
     stats = manager.stats()
     assert stats["leq_calls"] == 3 and stats["intersects_calls"] == 2
     assert stats["leq_cache_hits"] >= 1 and stats["intersects_cache_hits"] >= 1

@@ -15,6 +15,10 @@ acceptance scenario:
    trigger exactly one underlying computation (the `computations`
    instrumentation counter), so concurrent duplicate load scales by the
    price of one.
+5. *Keep-alive* — 1,000 cached queries over the socket through one kept
+   client against the same 1,000 with a new client per request: the kept
+   connection must be ≥ 1.5× cheaper per request and cost the server
+   exactly one connection.
 
 Run with:  pytest benchmarks/bench_service.py
 (the timing assertions also run in the plain suite; CI uploads the JSON)
@@ -25,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import shutil
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -32,7 +37,7 @@ from _record import recorder, timed
 
 from repro.gen.corpus import Corpus, seed_store
 from repro.library.generators import pipeline_network
-from repro.service import ArtifactStore, VerificationService
+from repro.service import ArtifactStore, ServiceClient, ServiceServer, VerificationService
 
 RECORD = recorder("service")
 
@@ -44,6 +49,17 @@ ACCEPTANCE_SIZE = 8
 ACCEPTANCE_SPEEDUP = 5.0
 #: concurrent duplicate queries for the coalescing scenario
 FAN_OUT = 64
+#: cached socket queries per client mode, and the kept client's required
+#: per-request advantage over a new client per request
+KEEP_ALIVE_QUERIES = 1000
+KEEP_ALIVE_SPEEDUP = 1.5
+KEEP_ALIVE_SOURCE = """
+process filter (y) returns (x) {
+  local z;
+  x := true when (y /= z);
+  z := y pre true;
+}
+"""
 
 
 def _fresh_service(store_root):
@@ -269,3 +285,65 @@ def test_cached_throughput():
         queries_per_second=round(queries / max(elapsed, 1e-9)),
     )
     assert queries / max(elapsed, 1e-9) > 1000, "cached queries should be cheap"
+
+
+def test_kept_connection_beats_a_connection_per_request():
+    socket_path = Path(tempfile.mkdtemp(prefix="repro-bench-keepalive-")) / "s.sock"
+    service = VerificationService()
+    server = ServiceServer(service, socket_path)
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve_forever(ready)), daemon=True
+    )
+    thread.start()
+    assert ready.wait(10)
+    try:
+        with ServiceClient(socket_path) as setup:
+            digest = setup.register(KEEP_ALIVE_SOURCE)
+            expected = setup.verify(digest=digest, prop="non-blocking", method="compiled")
+        query = {"digest": digest, "prop": "non-blocking", "method": "compiled"}
+
+        before = server.connections
+        start = time.perf_counter()
+        with ServiceClient(socket_path) as kept:
+            for _ in range(KEEP_ALIVE_QUERIES):
+                assert kept.verify(**query) == expected
+        kept_seconds = time.perf_counter() - start
+        kept_connections = server.connections - before
+
+        before = server.connections
+        start = time.perf_counter()
+        for _ in range(KEEP_ALIVE_QUERIES):
+            with ServiceClient(socket_path) as fresh:
+                assert fresh.verify(**query) == expected
+        fresh_seconds = time.perf_counter() - start
+        fresh_connections = server.connections - before
+    finally:
+        with ServiceClient(socket_path) as admin:
+            admin.shutdown()
+        thread.join(10)
+        service.close()
+        shutil.rmtree(socket_path.parent, ignore_errors=True)
+    assert service.computations == 1
+    speedup = fresh_seconds / kept_seconds
+    RECORD.record(
+        f"{KEEP_ALIVE_QUERIES} cached socket queries, one kept client",
+        seconds=kept_seconds,
+        queries=KEEP_ALIVE_QUERIES,
+        per_request_us=round(kept_seconds / KEEP_ALIVE_QUERIES * 1e6, 1),
+        server_connections=kept_connections,
+    )
+    RECORD.record(
+        f"{KEEP_ALIVE_QUERIES} cached socket queries, a new client per request",
+        seconds=fresh_seconds,
+        queries=KEEP_ALIVE_QUERIES,
+        per_request_us=round(fresh_seconds / KEEP_ALIVE_QUERIES * 1e6, 1),
+        server_connections=fresh_connections,
+        kept_speedup=round(speedup, 2),
+    )
+    assert kept_connections == 1
+    assert fresh_connections == KEEP_ALIVE_QUERIES
+    assert speedup >= KEEP_ALIVE_SPEEDUP, (
+        f"kept connection {kept_seconds:.3f}s vs {fresh_seconds:.3f}s with a "
+        f"connection per request: {speedup:.2f}x < {KEEP_ALIVE_SPEEDUP}x"
+    )

@@ -37,13 +37,9 @@ just those lanes to the scalar fallback.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-try:  # numpy backs the vectorized path; without it every lane falls back
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
 
 from repro.lang.ast import Const
 from repro.lang.normalize import NormalizedProcess
@@ -116,8 +112,23 @@ class FleetResult:
         return len(self.outputs)
 
 
+@functools.lru_cache(maxsize=None)
+def _numpy():
+    """numpy, which backs the vectorized path, or ``None`` without it.
+
+    Imported by the first batched compile rather than with the module, so
+    ``import repro`` (and the service CLI) does not pay for loading numpy.
+    """
+    try:
+        import numpy
+    except Exception:  # pragma: no cover - numpy is part of the toolchain
+        return None
+    return numpy
+
+
 def numpy_available() -> bool:
-    return _np is not None
+    """Whether numpy imports; without it every lane falls back to scalar."""
+    return _numpy() is not None
 
 
 def numpy_expr(expr: Expr, presence: bool = False) -> Optional[str]:
@@ -468,6 +479,7 @@ class BatchProgram:
     """An exec-compiled numpy kernel stepping many instances per iteration."""
 
     def __init__(self, program: StepProgram):
+        _np = _numpy()
         if _np is None:
             raise BatchCompilationError("numpy is not available")
         self.program = program
@@ -543,6 +555,7 @@ class BatchProgram:
         matrix — so an all-eligible fleet (the common case) never pays a
         per-element Python scan beyond the int-type check on numeric streams.
         """
+        _np = _numpy()
         n = len(instances)
         streams: Dict[str, Tuple[object, object]] = {}
         for signal in self.program.inputs:
@@ -592,6 +605,7 @@ class BatchProgram:
         Raises :class:`BatchOverflowError` when a numeric lane approaches the
         int64 range — callers should then redo the batch on the scalar tier.
         """
+        _np = _numpy()
         n = len(instances)
         if n == 0:
             return [], []
@@ -622,6 +636,7 @@ class BatchProgram:
         max_steps: int = 1_000_000,
     ) -> Tuple[List[int], List[Dict[str, List[object]]]]:
         """Run a fleet already staged by :meth:`stage_fleet`."""
+        _np = _numpy()
         steps_array, total_steps, emits = self._kernel(streams, n, max_steps)
         outputs: List[Dict[str, List[object]]] = [
             {output: [] for output in self.program.outputs} for _ in range(n)

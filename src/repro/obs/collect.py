@@ -25,7 +25,10 @@ family                                          source counter
                                                 ``repro_bdd_apply_cache_hit_ratio``
 ``repro_backend_*``                             pool rebuilds / redispatches
 ``repro_faults_injected_total{site=}``          ``FaultPlan.injected``
-``repro_client_*``                              ``ServiceClient`` attempts/retries
+``repro_server_connections_total`` / requests   ``ServiceServer`` accepted sockets /
+                                                request lines
+``repro_client_*``                              ``ServiceClient`` requests/retries/
+                                                sockets opened
 ``repro_trace_spans_*``                         tracer bookkeeping
 ==============================================  ===================================
 """
@@ -310,10 +313,33 @@ def bdd_collector(manager) -> Collector:
     return collect
 
 
-# -- client ------------------------------------------------------------------------
+# -- server / client ---------------------------------------------------------------
+def server_collector(server) -> Collector:
+    def collect() -> List[Family]:
+        return [
+            _counter(
+                "repro_server_connections_total",
+                "Client connections accepted",
+                [_sample(server.connections)],
+            ),
+            _counter(
+                "repro_server_requests_total",
+                "Request lines received",
+                [_sample(server.requests)],
+            ),
+        ]
+
+    return collect
+
+
 def client_collector(client) -> Collector:
     def collect() -> List[Family]:
         return [
+            _counter(
+                "repro_client_connections_total",
+                "Sockets opened to the server",
+                [_sample(getattr(client, "connections", 0))],
+            ),
             _counter(
                 "repro_client_requests_total",
                 "Client requests issued",

@@ -130,28 +130,29 @@ def _serve(arguments: argparse.Namespace) -> int:
 
 
 def _submit(arguments: argparse.Namespace) -> int:
-    client = _client(arguments)
     source = Path(arguments.source).read_text(encoding="utf-8")
-    digest = client.register(source)
-    verdict = client.verify(
-        digest=digest,
-        prop=arguments.prop,
-        method=arguments.method,
-        deadline=arguments.deadline,
-        **_options(arguments),
-    )
+    with _client(arguments) as client:
+        digest = client.register(source)
+        verdict = client.verify(
+            digest=digest,
+            prop=arguments.prop,
+            method=arguments.method,
+            deadline=arguments.deadline,
+            **_options(arguments),
+        )
     _emit(verdict)
     return 0 if verdict.get("holds") else 1
 
 
 def _query(arguments: argparse.Namespace) -> int:
-    verdict = _client(arguments).verify(
-        digest=arguments.digest,
-        prop=arguments.prop,
-        method=arguments.method,
-        deadline=arguments.deadline,
-        **_options(arguments),
-    )
+    with _client(arguments) as client:
+        verdict = client.verify(
+            digest=arguments.digest,
+            prop=arguments.prop,
+            method=arguments.method,
+            deadline=arguments.deadline,
+            **_options(arguments),
+        )
     _emit(verdict)
     return 0 if verdict.get("holds") else 1
 
@@ -174,12 +175,15 @@ def _render_stats(payload: dict, format: str) -> None:
 
 
 def _stats(arguments: argparse.Namespace) -> int:
-    _render_stats(_client(arguments).stats(), arguments.format)
+    with _client(arguments) as client:
+        stats = client.stats()
+    _render_stats(stats, arguments.format)
     return 0
 
 
 def _metrics(arguments: argparse.Namespace) -> int:
-    snapshot = _client(arguments).metrics()
+    with _client(arguments) as client:
+        snapshot = client.metrics()
     if arguments.format == "json":
         _emit(snapshot)
     elif arguments.format == "table":

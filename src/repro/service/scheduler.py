@@ -8,9 +8,12 @@ queries over one registry, one artifact store and one bounded worker pool:
   concurrent submissions of the same query cost exactly one compile/explore
   (``service.computations`` counts the real work, ``service.coalesced`` the
   riders);
-* **LRU verdict cache** — completed verdicts (as JSON-safe dictionaries,
-  :meth:`repro.api.results.Verdict.to_dict`) are kept up to ``cache_size``
-  entries with least-recently-used eviction;
+* **LRU verdict cache** — completed verdicts are kept up to ``cache_size``
+  entries with least-recently-used eviction, each stored once as the UTF-8
+  JSON encoding of :meth:`repro.api.results.Verdict.to_dict`: the socket
+  server splices those bytes into its response unchanged, and an in-process
+  caller decodes a fresh dictionary from them, so no caller can mutate
+  what the next one receives;
 * **bounded backends** — :class:`InlineBackend` runs queries on a small
   thread pool sharing the registry's memoized sessions (the default: one
   worker, zero pickling); :class:`ProcessPoolBackend` shards across worker
@@ -43,7 +46,7 @@ verdict or typed error, never a wrong answer, never a hang):
 from __future__ import annotations
 
 import asyncio
-import copy
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -392,7 +395,8 @@ class VerificationService:
         #: only a query that would start a new computation can be rejected.
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        self._cache: "OrderedDict[QueryKey, Dict[str, object]]" = OrderedDict()
+        #: query → its verdict's JSON bytes (see :meth:`verify_encoded`)
+        self._cache: "OrderedDict[QueryKey, bytes]" = OrderedDict()
         self._inflight: Dict[QueryKey, "asyncio.Task"] = {}
         #: underlying computations actually run (misses everywhere: LRU,
         #: in-flight table, verdict store) — the benchmark instrumentation
@@ -453,6 +457,24 @@ class VerificationService:
     ) -> Dict[str, object]:
         """One property query; returns a JSON-safe verdict dictionary.
 
+        The dictionary is decoded afresh from the cached encoding (see
+        :meth:`verify_encoded`, which takes the same arguments), so it is
+        the caller's to mutate and equals what a socket client decodes.
+        """
+        return json.loads(
+            await self.verify_encoded(target, prop, method, deadline, **options)
+        )
+
+    async def verify_encoded(
+        self,
+        target: Union[Design, str, Iterable[ProcessLike]],
+        prop: str,
+        method: str = "auto",
+        deadline: Optional[float] = None,
+        **options: object,
+    ) -> bytes:
+        """One property query; returns the verdict as UTF-8 JSON bytes.
+
         ``target`` is a registered digest or anything :meth:`register`
         accepts.  Identical concurrent queries are coalesced onto one
         computation; completed ones are served from the LRU cache.
@@ -489,7 +511,7 @@ class VerificationService:
                 self._cache.move_to_end(key)
                 self.cache_hits += 1
                 qspan.set_tag("outcome", "cache_hit")
-                return copy.deepcopy(cached)
+                return cached
             task = self._inflight.get(key)
             if task is None:
                 bound = self.max_inflight
@@ -514,16 +536,12 @@ class VerificationService:
                 self.coalesced += 1
                 qspan.set_tag("outcome", "coalesced")
                 qspan.set_tag("coalesced", True)
-            # shield: one caller's cancellation must not abort the shared work;
-            # deep copy: a caller mutating its verdict must not corrupt the
-            # cached entry every other (and future) caller receives
+            # shield: one caller's cancellation must not abort the shared work
             waiter = asyncio.shield(task)
             if deadline is None:
-                return copy.deepcopy(await waiter)
+                return await waiter
             try:
-                return copy.deepcopy(
-                    await asyncio.wait_for(waiter, timeout=deadline)
-                )
+                return await asyncio.wait_for(waiter, timeout=deadline)
             except asyncio.TimeoutError:
                 self.deadline_exceeded += 1
                 qspan.set_tag("outcome", "deadline_exceeded")
@@ -558,7 +576,7 @@ class VerificationService:
         prop: str,
         method: str,
         options: Dict[str, object],
-    ) -> Dict[str, object]:
+    ) -> bytes:
         # ensure_future copied the first caller's context, so this span —
         # and everything below it, store reads included — parents under
         # that caller's service.verify span; coalesced riders' own spans
@@ -624,11 +642,12 @@ class VerificationService:
                         )
         finally:
             self._inflight.pop(key, None)
-        self._cache[key] = verdict
+        encoded = json.dumps(verdict).encode("utf-8")
+        self._cache[key] = encoded
         self._cache.move_to_end(key)
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
-        return verdict
+        return encoded
 
     def verify_blocking(
         self,

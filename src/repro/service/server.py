@@ -28,6 +28,13 @@ under the generic ``error`` code.  A ``verify`` request may carry a
 Concurrent client connections are served concurrently — the scheduler's
 coalescing applies across connections, which is the whole point of
 fronting it with a socket.
+
+A connection carries any number of requests, answered in order, until the
+client closes it; :class:`~repro.service.client.ServiceClient` keeps one
+open for its lifetime.  A ``verify`` result is spliced into the response
+as the scheduler's cached JSON bytes, never decoded and re-encoded.  On
+shutdown, connections idle between requests are closed at once; a
+connection mid-request gets its answer first.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro.obs import collect as obs_collect
 from repro.obs import trace as obs_trace
 from repro.service.errors import ServiceError
 from repro.service.scheduler import VerificationService
@@ -52,9 +60,13 @@ class ServiceServer:
         self.requests = 0
         self._stop: Optional["asyncio.Event"] = None
         self._handlers: set = set()
+        #: writers of the connections waiting for their next request
+        self._idle: set = set()
+        service.metrics.register_collector(obs_collect.server_collector(self))
 
     # -- request dispatch ----------------------------------------------------------
-    async def _dispatch(self, request: Dict[str, object]) -> Dict[str, object]:
+    async def _dispatch(self, request: Dict[str, object]) -> Union[Dict[str, object], bytes]:
+        """One request's ``result``; a verdict comes already JSON-encoded."""
         op = request.get("op")
         if op == "ping":
             return {}
@@ -69,7 +81,7 @@ class ServiceServer:
                 raise ValueError("verify needs a 'digest' or a 'source'")
             options = dict(request.get("options") or {})
             deadline = request.get("deadline")
-            return await self.service.verify(
+            return await self.service.verify_encoded(
                 str(target),
                 str(request["prop"]),
                 str(request.get("method", "auto")),
@@ -108,22 +120,26 @@ class ServiceServer:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
         try:
-            while True:
+            while not self._stop.is_set():
+                self._idle.add(writer)
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError) as error:
                     # an oversized request must get a protocol error, not a
                     # silently dropped connection; the buffer is no longer
                     # line-aligned afterwards, so close after responding
-                    writer.write(
+                    await self._respond(
+                        writer,
                         json.dumps(
                             {"ok": False, "error": f"request too large: {error}"}
-                        ).encode("utf-8")
-                        + b"\n"
+                        ).encode("utf-8"),
                     )
-                    await writer.drain()
                     break
-                if not line:
+                finally:
+                    self._idle.discard(writer)
+                # a request racing shutdown finds its connection closed; the
+                # client sees no response and reconnects or fails in transport
+                if not line or self._stop.is_set():
                     break
                 self.requests += 1
                 try:
@@ -139,28 +155,44 @@ class ServiceServer:
                             "server.request", op=str(request.get("op"))
                         ):
                             result = await self._dispatch(request)
-                    response = {"ok": True, "result": result}
+                    if not isinstance(result, bytes):
+                        result = json.dumps(result).encode("utf-8")
+                    response = b'{"ok": true, "result": ' + result + b"}"
                 except ServiceError as error:
-                    response = {
+                    failure = {
                         "ok": False,
                         "error": f"{type(error).__name__}: {error}",
                         "code": error.code,
                     }
                     if error.retry_after is not None:
-                        response["retry_after"] = error.retry_after
+                        failure["retry_after"] = error.retry_after
+                    response = json.dumps(failure).encode("utf-8")
                 except Exception as error:  # noqa: BLE001 - protocol boundary
-                    response = {
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}",
-                        "code": "error",
-                    }
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
+                    response = json.dumps(
+                        {
+                            "ok": False,
+                            "error": f"{type(error).__name__}: {error}",
+                            "code": "error",
+                        }
+                    ).encode("utf-8")
+                if not await self._respond(writer, response):
+                    break
         finally:
             # close without awaiting wait_closed(): on shutdown the loop
             # cancels pending handlers, and an awaited close here would
             # surface that cancellation as a spurious error callback
             writer.close()
+
+    @staticmethod
+    async def _respond(writer: asyncio.StreamWriter, response: bytes) -> bool:
+        """Write one response line; False when the client has gone away
+        (e.g. it timed out and closed its socket before the answer)."""
+        try:
+            writer.write(response + b"\n")
+            await writer.drain()
+        except ConnectionError:
+            return False
+        return True
 
     # -- lifecycle ------------------------------------------------------------------
     async def serve_forever(self, ready: Optional[object] = None) -> None:
@@ -183,15 +215,22 @@ class ServiceServer:
                 ready.set()
             await self._stop.wait()
         finally:
+            self._stop.set()  # also when cancelled: handlers stop reading
             server.close()
-            await server.wait_closed()
-            # let open connections observe EOF and finish on their own — a
-            # handler cancelled by loop teardown logs a spurious error on
-            # some Python versions; only hung connections get cancelled
+            # kept-alive connections waiting for a request close now (their
+            # handlers read EOF); one mid-request answers, then closes
+            for writer in list(self._idle):
+                writer.close()
+            # let handlers finish on their own — a handler cancelled by loop
+            # teardown logs a spurious error on some Python versions; only
+            # hung connections get cancelled
             if self._handlers:
                 await asyncio.wait(set(self._handlers), timeout=2)
             for task in set(self._handlers):
                 task.cancel()
+            # after the handlers: on Python >= 3.12.1 this waits for every
+            # connection to close
+            await server.wait_closed()
             try:
                 path.unlink()
             except OSError:

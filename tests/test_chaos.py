@@ -378,7 +378,8 @@ def chaos_server(tmp_path):
     assert ready.wait(10), "server did not come up"
     yield str(socket_path), service
     try:
-        ServiceClient(socket_path).shutdown()
+        with ServiceClient(socket_path) as admin:
+            admin.shutdown()
     except (ServiceError, OSError):
         pass
     thread.join(10)
@@ -412,4 +413,23 @@ def test_transport_faults_yield_correct_verdict_or_typed_error(chaos_server):
                 outcomes.append("ok")
         assert "ok" in outcomes, "retries must get some queries through"
         total_retried += client.retried
+        client.close()
+    steady.close()
     assert total_retried > 0, "the fault rates guarantee transport retries"
+
+
+def test_connect_faults_fire_only_where_a_socket_opens(chaos_server):
+    socket_path, _service = chaos_server
+    plan = FaultPlan(seed=BASE_SEED, rates={"connect": 0.3, "response": 0.3})
+    with ServiceClient(
+        socket_path, retries=20, backoff=0.001, jitter_seed=BASE_SEED, fault_plan=plan
+    ) as client:
+        for _ in range(20):
+            assert client.ping()
+    refused = plan.injected["connect.refused"]
+    truncated = plan.injected["response.truncate"]
+    assert truncated > 0
+    # every failed attempt was retried; each truncated response closed its
+    # socket, so only those cost a new connection (and a new connect draw)
+    assert refused + truncated == client.retried
+    assert client.connections == 1 + truncated

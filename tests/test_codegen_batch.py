@@ -5,16 +5,22 @@ specialized tier completes, ``run_many`` produces byte-identical outputs and
 step counts — vectorized lanes and fallback lanes alike.  The tests cover the
 vectorizable fragment's borders (types, magnitudes, operators), the overflow
 guard, the update conflict analysis (in-place vs rebind), and the deployment
-layer's routing between the numpy path and the scalar fallback.
+layer's routing between the numpy path and the scalar fallback — including
+a fleet with numpy missing, which numpy's lazy import (first batched
+compile, not ``import repro``) must keep working.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import Design
 from repro.codegen.batch import (
     BatchCompilationError,
@@ -233,3 +239,36 @@ class TestBatchedDeployment:
         fleet = deployment.run_many([{"c": [True]}, {"c": []}])
         assert fleet.instances == 2
         assert fleet.steps == [1, 0]
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    environment = dict(os.environ, PYTHONPATH=source_root)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=environment, check=True,
+        capture_output=True, text=True,
+    ).stdout
+
+
+def test_library_and_service_cli_import_without_numpy():
+    # numpy loads on the first batched compile, not with the library
+    loaded = _run_python(
+        "import sys, repro, repro.service.__main__\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert loaded.strip() == "False"
+
+
+def test_batched_fleet_falls_back_on_every_lane_without_numpy():
+    answer = _run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # makes `import numpy` fail\n"
+        "from repro import Design\n"
+        "design = Design.from_source('process gate (x) returns (y) { y := x when x; }')\n"
+        "lanes = [{'x': [True, False, True]}, {'x': [True]}]\n"
+        "fleet = design.compile('sequential', runtime='batched').run_many(lanes)\n"
+        "scalar = [design.compile('sequential').run(lane) for lane in lanes]\n"
+        "print(fleet.vectorized, fleet.fallback, fleet.outputs == scalar)"
+    )
+    assert answer.split() == ["0", "2", "True"]

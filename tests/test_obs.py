@@ -394,6 +394,38 @@ def test_bdd_collector_reports_non_constructive_decision_counters():
     obs_export.parse_prometheus(obs_export.to_prometheus(registry.snapshot()))
 
 
+def test_connection_counters_show_one_socket_per_client(tmp_path):
+    socket_path = tmp_path / "conn.sock"
+    server = ServiceServer(VerificationService(), socket_path)
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve_forever(ready)), daemon=True
+    )
+    thread.start()
+    assert ready.wait(10)
+    requests = 12
+    with ServiceClient(socket_path) as client:
+        for _ in range(requests - 1):
+            assert client.ping()
+        snapshot = client.metrics()
+        client.shutdown()
+    thread.join(10)
+
+    def value(name):
+        [family] = [f for f in snapshot["families"] if f["name"] == name]
+        [sample] = family["samples"]
+        assert family["type"] == "counter"
+        return sample["value"]
+
+    assert value("repro_server_connections_total") == 1.0
+    assert value("repro_server_requests_total") == float(requests)
+    registry = obs_metrics.MetricsRegistry()
+    registry.register_collector(obs_collect.client_collector(client))
+    assert registry.get_value("repro_client_connections_total") == 1.0
+    assert registry.get_value("repro_client_requests_total") == requests + 1.0
+    obs_export.parse_prometheus(obs_export.to_prometheus(registry.snapshot()))
+
+
 # ---------------------------------------------------------------------------
 # profiling hooks
 # ---------------------------------------------------------------------------
@@ -476,6 +508,7 @@ def test_one_client_query_yields_one_full_stack_trace(tmp_path):
             client.shutdown()
         except (ServiceError, OSError):
             pass
+        client.close()
         thread.join(10)
 
     tracer = obs_trace.get_tracer()

@@ -20,6 +20,7 @@ import json
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.library.generators import chain_of_buffers, pipeline_network
 from repro.service import (
     ArtifactStore,
     DesignRegistry,
+    FaultPlan,
     InlineBackend,
     ProcessPoolBackend,
     ServiceClient,
@@ -298,10 +300,8 @@ def test_inline_backend_bounds_its_pool():
 # the socket protocol
 # ---------------------------------------------------------------------------
 
-@pytest.fixture()
-def running_server(tmp_path):
-    socket_path = tmp_path / "service.sock"
-    service = VerificationService(store=ArtifactStore(tmp_path / "store"))
+def _start_server(service, socket_path) -> threading.Thread:
+    """Serve ``service`` on ``socket_path`` from a thread; returns the thread."""
     server = ServiceServer(service, socket_path)
     ready = threading.Event()
     thread = threading.Thread(
@@ -309,12 +309,21 @@ def running_server(tmp_path):
     )
     thread.start()
     assert ready.wait(10), "server did not come up"
+    return thread
+
+
+@pytest.fixture()
+def running_server(tmp_path):
+    socket_path = tmp_path / "service.sock"
+    service = VerificationService(store=ArtifactStore(tmp_path / "store"))
+    thread = _start_server(service, socket_path)
     client = ServiceClient(socket_path)
     yield client, service
     try:
         client.shutdown()
     except (ServiceError, OSError):
         pass
+    client.close()
     thread.join(10)
     assert not thread.is_alive()
 
@@ -393,6 +402,101 @@ def test_client_wraps_garbled_responses_in_typed_errors(tmp_path):
     finally:
         thread.join(5)
         listener.close()
+
+
+# ---------------------------------------------------------------------------
+# the kept-alive transport
+# ---------------------------------------------------------------------------
+
+def test_one_client_makes_one_server_connection(running_server):
+    client, _service = running_server
+    digest = client.register(FILTER_SOURCE)
+    for prop in ("non-blocking", "weak-endochrony") * 10:
+        assert client.verify(digest=digest, prop=prop, method="compiled")["holds"]
+    stats = client.stats()
+    assert stats["server"]["connections"] == 1
+    assert stats["server"]["requests"] == 22
+    assert stats["client"] == {"requests": 22, "retried": 0, "connections": 1}
+
+
+def test_kept_client_reconnects_after_a_server_restart_without_retries(tmp_path):
+    socket_path = tmp_path / "restart.sock"
+    thread = _start_server(
+        VerificationService(store=ArtifactStore(tmp_path / "store")), socket_path
+    )
+    with ServiceClient(socket_path, retries=0) as client:
+        before = client.verify(source=FILTER_SOURCE, prop="non-blocking", method="compiled")
+        with ServiceClient(socket_path) as admin:
+            admin.shutdown()
+        thread.join(10)
+        assert not thread.is_alive()
+        # the kept socket is dead; one silent reconnect reaches the new server
+        thread = _start_server(
+            VerificationService(store=ArtifactStore(tmp_path / "store")), socket_path
+        )
+        after = client.verify(source=FILTER_SOURCE, prop="non-blocking", method="compiled")
+        assert after["holds"] is before["holds"] is True
+        assert after["digest"] == before["digest"]
+        assert (client.connections, client.retried) == (2, 0)
+        client.shutdown()
+    thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_a_late_answer_is_never_read_as_the_next_response(tmp_path):
+    socket_path = tmp_path / "late.sock"
+    slow = FaultPlan(seed=0, rates={"exec.latency": 1.0}, latency=0.25)
+    service = VerificationService(backend=InlineBackend(fault_plan=slow))
+    digest = service.register(FILTER_SOURCE)
+    thread = _start_server(service, socket_path)
+    with ServiceClient(socket_path, timeout=0.05, retries=0) as client:
+        with pytest.raises(ServiceUnavailable, match="TimeoutError"):
+            client.verify(digest=digest, prop="non-blocking", method="compiled")
+        client.timeout = 10.0
+        # the non-blocking answer arrives while this query is in flight
+        verdict = client.verify(digest=digest, prop="weak-endochrony", method="compiled")
+        assert verdict["prop"] == "weak-endochrony"
+        assert client.connections == 2
+        client.shutdown()
+    thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_shutdown_closes_idle_kept_alive_connections_at_once(tmp_path):
+    socket_path = tmp_path / "idle.sock"
+    thread = _start_server(VerificationService(), socket_path)
+    idle = [ServiceClient(socket_path) for _ in range(3)]
+    for client in idle:
+        assert client.ping()
+    started = time.perf_counter()
+    with ServiceClient(socket_path) as admin:
+        admin.shutdown()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert time.perf_counter() - started < 0.5
+    for client in idle:
+        client.close()
+
+
+def test_mutating_an_in_process_verdict_leaves_the_cache_intact():
+    service = VerificationService()
+    digest = service.register(FILTER_SOURCE)
+
+    async def riders():
+        return await asyncio.gather(
+            *(service.verify(digest, "non-blocking", method="compiled") for _ in range(2))
+        )
+
+    first, rider = asyncio.run(riders())
+    assert first == rider and first is not rider
+    pristine = json.loads(json.dumps(first))
+    for verdict in (first, rider):
+        verdict["holds"] = "mutated"
+        verdict["cost"].clear()
+    again = service.verify_blocking(digest, "non-blocking", method="compiled")
+    assert again == pristine
+    assert service.computations == 1 and service.cache_hits == 1
+    service.close()
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ per-component analyses and the composition's clock calculus in one shared
 :class:`~repro.api.session.AnalysisContext`, so verifying several properties
 of an N-component composition (or re-verifying after a cache hit) no longer
 re-normalizes and re-hierarchizes every component per call — which is exactly
-what the historical flat entry points do.
+what the per-call ``verify_*`` functions of :mod:`repro.properties` do.
 
 Both sides answer the same queries on the same 5-stage pipeline (≥ 4
 components): the weakly hierarchic criterion, endochrony of the composition,
@@ -21,8 +21,9 @@ import time
 
 from _record import recorder
 
-from repro import Design, ProcessAnalysis, check_weakly_hierarchic
-from repro.library.generators import pipeline_network
+from repro import Design
+from repro.gen.topologies import pipeline_network
+from repro.properties import verify_compilable, verify_endochrony, verify_weakly_hierarchic
 
 RECORD = recorder("api_session")
 
@@ -31,14 +32,13 @@ ROUNDS = 3
 
 
 def _per_call_round(components, composition):
-    """The old flat API: every call rebuilds its analyses from scratch."""
-    results = []
-    results.append(check_weakly_hierarchic(components, composition).weakly_hierarchic())
-    analysis = ProcessAnalysis(composition)
-    results.append(analysis.is_compilable() and analysis.is_hierarchic())
-    results.append(ProcessAnalysis(composition).is_compilable())
-    results.append(check_weakly_hierarchic(components, composition).weakly_hierarchic())
-    return results
+    """The per-call API: every call rebuilds its analyses from scratch."""
+    return [
+        verify_weakly_hierarchic(components, composition).holds,
+        verify_endochrony(composition).holds,
+        verify_compilable(composition).holds,
+        verify_weakly_hierarchic(components, composition).holds,
+    ]
 
 
 def _session_round(design):
@@ -52,7 +52,7 @@ def _session_round(design):
 
 
 def test_per_call_api(benchmark):
-    """Baseline: the flat entry points, re-analyzing on every question."""
+    """Baseline: the per-call functions, re-analyzing on every question."""
     components, composition = pipeline_network(SIZE)
     results = benchmark(_per_call_round, components, composition)
     assert results[0] is True and results[3] is True

@@ -35,7 +35,7 @@ import time
 from _lts import materialize, materialize_compiled
 from _record import recorder
 
-from repro.library.generators import chain_of_buffers, pipeline_network
+from repro.gen.topologies import chain_of_buffers, pipeline_network
 from repro.mc.compiled import CompiledAbstraction
 from repro.semantics import interpreter
 

@@ -25,7 +25,7 @@ import time
 
 from _record import recorder, timed
 
-from repro.library.generators import pipeline_network
+from repro.gen.topologies import pipeline_network
 from repro.service import ArtifactStore, ServiceOverloaded, VerificationService
 
 RECORD = recorder("faults")

@@ -44,7 +44,7 @@ from _record import recorder
 from repro import Design
 from repro.lang.builder import ProcessBuilder, signal
 from repro.lang.normalize import normalize
-from repro.library.generators import chain_of_buffers, pipeline_network
+from repro.gen.topologies import chain_of_buffers, pipeline_network
 from repro.mc import LazyReactionLTS, OnTheFlyChecker, ProductLTS
 from repro.properties.weak_endochrony import check_weak_endochrony
 

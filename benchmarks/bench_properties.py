@@ -12,7 +12,7 @@ from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
 from repro.properties.compilable import ProcessAnalysis
 
 RECORD = recorder("properties")
-from repro.properties.endochrony import check_endochrony_on_traces, is_endochronous
+from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
 from repro.properties.isochrony import check_isochrony
 from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.weak_endochrony import check_weak_endochrony, model_check_weak_endochrony
@@ -23,10 +23,10 @@ def test_static_endochrony_checks(benchmark, paper_processes):
 
     def verdicts():
         return (
-            is_endochronous(paper_processes["filter"]),
-            is_endochronous(paper_processes["merge"]),
-            is_endochronous(paper_processes["buffer"]),
-            is_endochronous(paper_processes["composition"]),
+            verify_endochrony(paper_processes["filter"]).holds,
+            verify_endochrony(paper_processes["merge"]).holds,
+            verify_endochrony(paper_processes["buffer"]).holds,
+            verify_endochrony(paper_processes["composition"]).holds,
         )
 
     filter_ok, merge_ok, buffer_ok, composition_ok = benchmark(verdicts)

@@ -36,7 +36,7 @@ from pathlib import Path
 from _record import recorder, timed
 
 from repro.gen.corpus import Corpus, seed_store
-from repro.library.generators import pipeline_network
+from repro.gen.topologies import pipeline_network
 from repro.service import ArtifactStore, ServiceClient, ServiceServer, VerificationService
 
 RECORD = recorder("service")

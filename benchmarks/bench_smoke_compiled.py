@@ -19,7 +19,7 @@ import pytest
 from _lts import materialize, materialize_compiled
 from _record import recorder
 
-from repro.library.generators import chain_of_buffers, pipeline_network
+from repro.gen.topologies import chain_of_buffers, pipeline_network
 
 RECORD = recorder("smoke_compiled")
 

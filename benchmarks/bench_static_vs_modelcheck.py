@@ -22,7 +22,7 @@ import pytest
 from _record import recorder, timed
 
 from repro import Design
-from repro.library.generators import independent_components, pipeline_network, star_network
+from repro.gen.topologies import independent_components, pipeline_network, star_network
 
 RECORD = recorder("static_vs_modelcheck")
 

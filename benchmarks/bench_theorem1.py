@@ -10,7 +10,7 @@ re-establish on every benchmark round.
 
 from _record import recorder, timed
 
-from repro.library.generators import pipeline_network, star_network
+from repro.gen.topologies import pipeline_network, star_network
 from repro.properties.composition import check_weakly_hierarchic
 from repro.properties.isochrony import check_isochrony
 from repro.properties.weak_endochrony import check_weak_endochrony

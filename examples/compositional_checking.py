@@ -14,7 +14,7 @@ Run with:  python examples/compositional_checking.py
 """
 
 from repro import Design
-from repro.library.generators import pipeline_network
+from repro.gen.topologies import pipeline_network
 
 
 def main() -> None:

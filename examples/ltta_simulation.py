@@ -28,7 +28,7 @@ def analyse() -> None:
     for analysis in design.component_analyses():
         print(
             f"  {analysis.process.name:<12} compilable={analysis.is_compilable()}  "
-            f"roots={analysis.root_count()}  endochronous={analysis.is_hierarchic()}"
+            f"roots={analysis.root_count()}  hierarchic={analysis.is_hierarchic()}"
         )
     print()
     print(design.verify("weakly-hierarchic"))
@@ -84,6 +84,7 @@ def simulate(samples: int = 8, seed: int = 2008) -> None:
     print(f"received flow: {received}")
     ok = received == produced
     print(f"the reader recovers the writer's flow, in order and without duplication: {ok}")
+    assert ok, "the reader lost, duplicated or reordered a written value"
 
 
 def main() -> None:

@@ -76,6 +76,7 @@ def main() -> None:
         and flows_51["v"] == flows_52["v"] == concurrent_flows["v"]
     )
     print(f"all three schemes produce the same flows: {same}")
+    assert same, "the three code generation schemes disagree on the flows"
 
 
 if __name__ == "__main__":

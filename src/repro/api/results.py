@@ -5,9 +5,7 @@ boolean outcome plus the structured evidence behind it — which property was
 checked, on what subject, by which method, the per-check
 :class:`Diagnostic` items (with witnesses / counterexamples when the
 underlying checker produced one) and the :class:`Cost` of obtaining the
-answer.  This replaces the historical mix of bare booleans, report
-dataclasses and dictionaries of the property modules; the old entry points
-remain available as thin shims over the Verdict producers.
+answer.  The property modules' ``verify_*`` functions all produce one.
 
 A Verdict is truthy exactly when the property holds, so existing
 ``assert``-style call sites keep reading naturally::

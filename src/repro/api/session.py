@@ -16,7 +16,7 @@ manager backs every clock calculus of the session.
 The same context makes composing N components cheap: the per-component
 analyses built for the compositional criterion are the very objects reused
 by code generation and by later verification calls, instead of being
-re-derived per query as with the historical flat entry points.
+re-derived per query.
 
 Batched workloads go through :meth:`Design.verify_many` (several properties
 in one call) and :meth:`Design.map_components` (one property on every
@@ -121,16 +121,6 @@ class AnalysisContext:
     @artifact_cache.setter
     def artifact_cache(self, store: Optional[object]) -> None:
         self.graph.store = store
-
-    @property
-    def hits(self) -> int:
-        """Memory-tier hits across all stages (historical counter name)."""
-        return self.graph.hits
-
-    @property
-    def misses(self) -> int:
-        """Artifacts actually computed across all stages (historical name)."""
-        return self.graph.computed
 
     # -- registry ---------------------------------------------------------------
     def register(
@@ -492,8 +482,8 @@ def analyze(
     ``registry``) and builds the :class:`ProcessAnalysis` pipeline.  With a
     ``context`` the result is memoized and shares the context's BDD manager;
     without one, a fresh standalone analysis is returned.  ``repro.analyze``
-    and the deprecated ``ProcessAnalysis.of`` both resolve here, as does
-    every analysis issued by a :class:`Design`.
+    is this function, and every analysis issued by a :class:`Design`
+    resolves here too.
     """
     if isinstance(process, ProcessAnalysis):
         return process

@@ -5,11 +5,9 @@ module wires components into the multi-component shapes the compositional
 criterion is about — shared signals between independently clocked
 endochronous components:
 
-* the historical benchmark families, migrated from
-  ``repro.library.generators`` (which now re-exports them):
-  :func:`independent_components`, :func:`pipeline_network`,
-  :func:`star_network`, :func:`chain_of_buffers`;
-* new structural families: :func:`token_ring` (a closed delay ring),
+* the benchmark families :func:`independent_components`,
+  :func:`pipeline_network`, :func:`star_network`, :func:`chain_of_buffers`;
+* structural families: :func:`token_ring` (a closed delay ring),
   :func:`arbiter_tree` (a binary tree of endochronous merges),
   :func:`crossbar` (sources × sinks through per-crossing relays),
   :func:`clock_divider` (a chain of by-2 subsampling stages — genuine
@@ -48,8 +46,6 @@ from repro.lang.normalize import NormalizedProcess, normalize
 
 Family = Tuple[List[NormalizedProcess], NormalizedProcess]
 
-#: the public surface — mirrored verbatim by the historical
-#: ``repro.library.generators`` shim (pinned by ``tests/test_generators_and_library.py``)
 __all__ = [
     "Family",
     "FAMILIES",
@@ -83,7 +79,7 @@ def _compose(
 
 
 # ---------------------------------------------------------------------------
-# Historical families (migrated from repro.library.generators)
+# Benchmark families: endochronous components wired by shared signals
 # ---------------------------------------------------------------------------
 
 def _counter_component(index: int) -> ProcessDefinition:

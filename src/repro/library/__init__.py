@@ -1,4 +1,4 @@
-"""The processes used in the paper, plus synthetic generators for benchmarks.
+"""The processes used in the paper.
 
 * :mod:`repro.library.basic` — ``filter``, ``merge``, the one-place ``buffer``
   (``flip`` | ``current``) of Sections 1-3;
@@ -7,9 +7,10 @@
 * :mod:`repro.library.ltta` — the loosely time-triggered architecture of
   Section 4.2 (writer, bus, reader);
 * :mod:`repro.library.controllers` — Signal-level controller and scheduler
-  processes in the spirit of Section 5.2;
-* :mod:`repro.library.generators` — scalable synthetic networks of
-  endochronous components used by the benchmarks.
+  processes in the spirit of Section 5.2.
+
+The size-parameterized synthetic networks the benchmarks sweep over live in
+:mod:`repro.gen.topologies`.
 """
 
 from repro.library.basic import (
@@ -27,12 +28,6 @@ from repro.library.producer_consumer import (
 )
 from repro.library.ltta import writer_process, bus_process, reader_process, ltta_process
 from repro.library.controllers import rendezvous_controller_process
-from repro.library.generators import (
-    pipeline_network,
-    star_network,
-    independent_components,
-    chain_of_buffers,
-)
 
 __all__ = [
     "filter_process",
@@ -49,8 +44,4 @@ __all__ = [
     "reader_process",
     "ltta_process",
     "rendezvous_controller_process",
-    "pipeline_network",
-    "star_network",
-    "independent_components",
-    "chain_of_buffers",
 ]

@@ -20,13 +20,10 @@ in the README feature table.
 
 from repro.properties.compilable import (
     ProcessAnalysis,
-    is_compilable,
     verify_compilable,
     verify_hierarchic,
 )
 from repro.properties.endochrony import (
-    is_hierarchic,
-    is_endochronous,
     check_endochrony_on_traces,
     verify_endochrony,
     EndochronyTraceReport,
@@ -42,16 +39,12 @@ from repro.properties.composition import (
     CompositionVerdict,
     check_weakly_hierarchic,
     verify_weakly_hierarchic,
-    compose_and_check,
 )
 
 __all__ = [
     "ProcessAnalysis",
-    "is_compilable",
     "verify_compilable",
     "verify_hierarchic",
-    "is_hierarchic",
-    "is_endochronous",
     "check_endochrony_on_traces",
     "verify_endochrony",
     "EndochronyTraceReport",
@@ -65,5 +58,4 @@ __all__ = [
     "CompositionVerdict",
     "check_weakly_hierarchic",
     "verify_weakly_hierarchic",
-    "compose_and_check",
 ]

@@ -13,9 +13,7 @@ Property 1 states that a compilable process is reactive and deterministic.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.bdd.bdd import BDDManager
@@ -24,8 +22,7 @@ from repro.clocks.disjunctive import DisjunctiveFormResult, to_disjunctive_form
 from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
 from repro.clocks.inference import infer_timing_relations
 from repro.clocks.relations import TimingRelations
-from repro.lang.ast import ProcessDefinition
-from repro.lang.normalize import NormalizedProcess, normalize
+from repro.lang.normalize import NormalizedProcess
 from repro.sched.closure import is_acyclic
 from repro.sched.graph import SchedulingGraph
 from repro.sched.reinforce import reinforce
@@ -45,20 +42,6 @@ class ProcessAnalysis:
         self._reinforced: Optional[SchedulingGraph] = None
         self._well_clocked: Optional[bool] = None
         self._acyclic: Optional[bool] = None
-
-    # -- constructors -----------------------------------------------------------
-    @classmethod
-    def of(cls, definition: ProcessDefinition, registry=None) -> "ProcessAnalysis":
-        """Deprecated alias of :func:`repro.api.session.analyze` (one code path)."""
-        warnings.warn(
-            "ProcessAnalysis.of() is deprecated; use repro.analyze() or a "
-            "repro.api.Design session instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.session import analyze
-
-        return analyze(definition, registry)
 
     # -- artefacts ----------------------------------------------------------------
     @property
@@ -183,19 +166,3 @@ def verify_hierarchic(process: Union[NormalizedProcess, ProcessAnalysis]) -> Ver
         report=analysis,
     )
     return verdict
-
-
-def is_compilable(process: NormalizedProcess) -> bool:
-    """Definition 10 as a standalone predicate (shim over :func:`verify_compilable`).
-
-    .. deprecated:: use ``Design.verify("compilable")`` or
-       :func:`verify_compilable` — the Verdict carries the same boolean plus
-       the per-clause diagnostics.
-    """
-    warnings.warn(
-        "is_compilable() is deprecated; use Design.verify('compilable') or "
-        "verify_compilable() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return verify_compilable(process).holds

@@ -12,10 +12,11 @@ and conclude (Theorem 1) that the composition is weakly endochronous and that
 the components are isochronous: running them asynchronously yields the same
 flows as the synchronous product.
 
-:func:`compose_and_check` performs the whole pipeline on a list of component
-processes and returns a :class:`CompositionVerdict` carrying the per-component
-and global diagnoses, including the clock constraints between components that
-the code generator of Section 5 turns into synchronization points.
+:func:`check_weakly_hierarchic` performs the whole pipeline on a list of
+component processes and returns a :class:`CompositionVerdict` carrying the
+per-component and global diagnoses, including the clock constraints between
+components that the code generator of Section 5 turns into synchronization
+points.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ class CompositionVerdict:
     shared_signals: List[str] = field(default_factory=list)
     reported_constraints: List[str] = field(default_factory=list)
     analysis: Optional[ProcessAnalysis] = None
-    #: lazy supplier of the composition analysis, set when the verdict was
-    #: assembled from persisted artifacts (no analysis was built); consumers
-    #: that need the live object call :meth:`composition_analysis`
+    #: lazy supplier of the composition analysis: the verdict is assembled
+    #: from artifact nodes, which may come from a store without any analysis
+    #: being built; consumers that need the live object call
+    #: :meth:`composition_analysis`
     analysis_provider: Optional[Callable[[], ProcessAnalysis]] = field(
         default=None, repr=False, compare=False
     )
@@ -310,18 +312,21 @@ def check_weakly_hierarchic(
 ) -> CompositionVerdict:
     """Definition 12 over explicit components and (optionally) their composition.
 
-    ``context`` may be a :class:`repro.api.session.AnalysisContext` (or any
-    object with an ``analysis(process)`` method): the per-component
-    diagnoses and the composition-level obligations are then artifact
-    nodes of the context's graph — reused from its memo or its attached
-    store instead of being rebuilt — so repeated checks over the same
-    components share all clock calculus work, and a check after a
-    one-component edit recomputes only the edited component's diagnosis
-    plus the obligations.  Without a context (or with a bare
-    ``analysis``-only object) everything is computed flat, as before.
+    Without ``composition`` the components are composed by name-matching;
+    ``composition_name`` renames the composition.  The per-component
+    diagnoses and the composition-level obligations are artifact nodes of
+    ``context``'s graph (a :class:`repro.api.session.AnalysisContext`, a
+    fresh one when ``None``) — reused from its memo or its attached store
+    instead of being rebuilt — so repeated checks over the same components
+    share all clock calculus work, and a check after a one-component edit
+    recomputes only the edited component's diagnosis plus the obligations.
     """
     if not components:
         raise ValueError("the criterion needs at least one component")
+    if context is None:
+        from repro.api.session import AnalysisContext  # the session imports this module
+
+        context = AnalysisContext()
     if composition is None:
         composition = reduce(lambda left, right: left.compose(right), components)
     if composition_name:
@@ -334,50 +339,20 @@ def check_weakly_hierarchic(
             types=dict(composition.types),
         )
 
-    verdict = CompositionVerdict(composition_name=composition.name)
-    graph = getattr(context, "graph", None)
-    if graph is not None and hasattr(context, "digest_of"):
-        for component in components:
-            verdict.components.append(component_diagnosis(context, component))
-        obligations = composition_obligations(context, components, composition)
-        verdict.composition_well_clocked = obligations.well_clocked
-        verdict.composition_acyclic = obligations.acyclic
-        verdict.composition_roots = obligations.roots
-        verdict.shared_signals = list(obligations.shared_signals)
-        verdict.reported_constraints = list(obligations.reported_constraints)
+    diagnoses = [component_diagnosis(context, component) for component in components]
+    obligations = composition_obligations(context, components, composition)
+    return CompositionVerdict(
+        components=diagnoses,
+        composition_name=composition.name,
+        composition_well_clocked=obligations.well_clocked,
+        composition_acyclic=obligations.acyclic,
+        composition_roots=obligations.roots,
+        shared_signals=list(obligations.shared_signals),
+        reported_constraints=list(obligations.reported_constraints),
         # the analysis is supplied lazily: a warm-path verdict built no
         # ProcessAnalysis, and most consumers never need one
-        verdict.analysis_provider = lambda: context.analysis(composition)
-        return verdict
-
-    analysis_of = context.analysis if context is not None else ProcessAnalysis
-    for component in components:
-        verdict.components.append(
-            _diagnose_component(analysis_of(component), component.name)
-        )
-    composition_analysis = analysis_of(composition)
-    verdict.analysis = composition_analysis
-    verdict.composition_well_clocked = composition_analysis.is_well_clocked()
-    verdict.composition_acyclic = composition_analysis.is_acyclic()
-    verdict.composition_roots = composition_analysis.root_count()
-    verdict.shared_signals = _shared_signals(components)
-    verdict.reported_constraints = _interface_clock_constraints(
-        composition_analysis, components, verdict.shared_signals
+        analysis_provider=lambda: context.analysis(composition),
     )
-    return verdict
-
-
-def compose_and_check(
-    components: Sequence[NormalizedProcess], name: Optional[str] = None, context=None
-) -> CompositionVerdict:
-    """Compose the components by name-matching and run the static criterion.
-
-    With a ``context`` (an :class:`~repro.api.session.AnalysisContext`,
-    optionally backed by an artifact store) the verdict is assembled from
-    the graph's per-component diagnoses and composition obligations — on a
-    warm store, without building a single analysis.
-    """
-    return check_weakly_hierarchic(components, composition_name=name, context=context)
 
 
 def verify_weakly_hierarchic(

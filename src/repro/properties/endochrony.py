@@ -6,7 +6,7 @@ reconstructed from the flows of its inputs, independently of network latency.
 
 Property 2 gives the static criterion used by Polychrony and by this
 library: a *compilable* and *hierarchic* process (single-rooted hierarchy) is
-endochronous.  Both views are implemented: :func:`is_endochronous` uses the
+endochronous.  Both views are implemented: :func:`verify_endochrony` uses the
 static criterion, :func:`check_endochrony_on_traces` validates Definition 1
 directly on bounded traces (used in tests to cross-check the criterion on the
 paper's examples).
@@ -15,9 +15,8 @@ paper's examples).
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.lang.normalize import NormalizedProcess
@@ -46,39 +45,6 @@ def verify_endochrony(
         cost=Cost(seconds=elapsed[0]),
         report=analysis,
     )
-
-
-def is_hierarchic(process: NormalizedProcess, analysis: Optional[ProcessAnalysis] = None) -> bool:
-    """Definition 11: the clock hierarchy of the process has a unique root.
-
-    .. deprecated:: use ``Design.verify("hierarchic")`` or
-       :meth:`ProcessAnalysis.is_hierarchic` — the Verdict reports the root
-       count alongside the boolean.
-    """
-    warnings.warn(
-        "is_hierarchic() is deprecated; use Design.verify('hierarchic') or "
-        "ProcessAnalysis.is_hierarchic() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    analysis = analysis or ProcessAnalysis(process)
-    return analysis.is_hierarchic()
-
-
-def is_endochronous(process: NormalizedProcess, analysis: Optional[ProcessAnalysis] = None) -> bool:
-    """Property 2 as a bare boolean (shim over :func:`verify_endochrony`).
-
-    .. deprecated:: use ``Design.verify("endochrony")`` or
-       :func:`verify_endochrony` — the Verdict carries the same boolean plus
-       the Property 2 diagnostics.
-    """
-    warnings.warn(
-        "is_endochronous() is deprecated; use Design.verify('endochrony') or "
-        "verify_endochrony() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return verify_endochrony(process, analysis).holds
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Design, StreamIO
+from repro import Design
 from repro.api.deploy import (
     ConcurrentDeployment,
     ControlledDeployment,
@@ -12,7 +12,8 @@ from repro.api.deploy import (
     LttaDeployment,
     SequentialDeployment,
 )
-from repro.library.generators import pipeline_network
+from repro.codegen.runtime import StreamIO
+from repro.gen.topologies import pipeline_network
 from repro.library.ltta import ltta_components
 from repro.library.producer_consumer import normalized_suite
 

@@ -9,9 +9,8 @@ from repro.api.backends import VerificationError
 from repro.api.results import Verdict
 from repro.api.session import AnalysisContext
 from repro.lang.builder import ProcessBuilder, const, signal
-from repro.library.generators import pipeline_network
+from repro.gen.topologies import pipeline_network
 from repro.library.producer_consumer import normalized_suite
-from repro.properties.compilable import ProcessAnalysis
 
 FILTER_SOURCE = """
 process filter (y) returns (x) {
@@ -240,12 +239,6 @@ class TestCanonicalAnalyze:
         from_builder = analyze(_filter_builder())
         from_source = analyze(FILTER_SOURCE)
         assert from_builder.summary() == from_source.summary()
-
-    def test_process_analysis_of_is_a_deprecated_alias(self):
-        definition = _filter_builder().build()
-        with pytest.warns(DeprecationWarning):
-            analysis = ProcessAnalysis.of(definition)
-        assert analysis.summary() == analyze(definition).summary()
 
     def test_analyze_with_context_memoizes(self):
         context = AnalysisContext()

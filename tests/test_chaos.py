@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.library.generators import pipeline_network
+from repro.gen.topologies import pipeline_network
 from repro.service import (
     ArtifactStore,
     DeadlineExceeded,

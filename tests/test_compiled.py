@@ -27,7 +27,7 @@ from repro.api.session import AnalysisContext, Design
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_merge_composition, filter_process
-from repro.library.generators import chain_of_buffers, pipeline_network, star_network
+from repro.gen.topologies import chain_of_buffers, pipeline_network, star_network
 from repro.library.producer_consumer import normalized_suite
 from repro.mc.compiled import (
     CompilationError,

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.library.generators import (
+from repro.gen.topologies import (
     chain_of_buffers,
     independent_components,
     pipeline_network,
     star_network,
 )
 from repro.properties.compilable import ProcessAnalysis
-from repro.properties.composition import check_weakly_hierarchic, compose_and_check
+from repro.properties.composition import check_weakly_hierarchic
 from repro.properties.weak_endochrony import check_weak_endochrony
 
 
@@ -118,9 +118,10 @@ class TestSyntheticNetworks:
         )
         assert not verdict.weakly_hierarchic()
 
-    def test_compose_and_check_builds_the_composition(self, producer_consumer):
-        verdict = compose_and_check(
-            [producer_consumer["producer"], producer_consumer["consumer"]], name="main"
+    def test_composition_name_names_the_composition(self, producer_consumer):
+        verdict = check_weakly_hierarchic(
+            [producer_consumer["producer"], producer_consumer["consumer"]],
+            composition_name="main",
         )
         assert verdict.composition_name == "main"
         assert verdict.weakly_hierarchic()

@@ -177,7 +177,7 @@ class TestSignalLevelControllers:
         assert result.value("ga") is True
 
     def test_scheduler_process_is_endochronous(self):
-        from repro.properties.endochrony import is_endochronous
+        from repro.properties.endochrony import verify_endochrony
 
-        assert is_endochronous(normalize(scheduler_process()))
-        assert is_endochronous(normalize(rendezvous_controller_process()))
+        assert verify_endochrony(normalize(scheduler_process())).holds
+        assert verify_endochrony(normalize(rendezvous_controller_process())).holds

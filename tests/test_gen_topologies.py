@@ -1,4 +1,4 @@
-"""Topology families, the seeded design sampler, and the library shim."""
+"""Topology families and the seeded design sampler."""
 
 import random
 
@@ -11,7 +11,6 @@ from repro.gen.topologies import (
     clock_divider,
     crossbar,
     design_space,
-    independent_components,
     mode_automaton,
     pipeline_network,
     random_network,
@@ -107,16 +106,8 @@ class TestSampledDesigns:
             sample_design(0, families=("hypercube",))
 
 
-class TestLibraryShim:
-    """repro.library.generators re-exports the migrated topology helpers."""
-
-    def test_reexports_are_the_same_objects(self):
-        from repro.library import generators
-
-        assert generators.pipeline_network is pipeline_network
-        assert generators.star_network is star_network
-        assert generators.chain_of_buffers is chain_of_buffers
-        assert generators.independent_components is independent_components
+class TestBenchmarkFamilies:
+    """The benchmark families keep the interface shapes they have always had."""
 
     def test_migrated_families_behave_as_before(self):
         components, composition = pipeline_network(3)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer2_process, buffer_process, filter_process, merge_process
-from repro.library.generators import (
+from repro.gen.topologies import (
     chain_of_buffers,
     independent_components,
     pipeline_network,
@@ -65,35 +65,6 @@ class TestLibraryProcesses:
             result = interpreter.step({"yr": value, "br": flag, "cr": True})
             outputs.append(result.value("xr") if result.present("xr") else None)
         assert outputs == [1, None, 3, 4]
-
-
-class TestGeneratorsShim:
-    """The ``repro.library.generators`` shim mirrors ``repro.gen.topologies``."""
-
-    def test_export_set_matches_topologies_exactly(self):
-        import repro.gen.topologies as topologies
-        import repro.library.generators as generators
-
-        assert generators.__all__ == list(topologies.__all__)
-
-    def test_every_export_resolves_to_the_topologies_object(self):
-        import repro.gen.topologies as topologies
-        import repro.library.generators as generators
-
-        for name in topologies.__all__:
-            assert getattr(generators, name) is getattr(topologies, name), name
-
-    def test_dir_covers_the_export_set(self):
-        import repro.gen.topologies as topologies
-        import repro.library.generators as generators
-
-        assert set(topologies.__all__) <= set(dir(generators))
-
-    def test_unknown_attribute_raises(self):
-        import repro.library.generators as generators
-
-        with pytest.raises(AttributeError):
-            generators.definitely_not_a_family
 
 
 class TestGenerators:

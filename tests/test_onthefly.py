@@ -22,7 +22,7 @@ from repro import Design
 from repro.lang.builder import ProcessBuilder, signal
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process
-from repro.library.generators import (
+from repro.gen.topologies import (
     chain_of_buffers,
     independent_components,
     pipeline_network,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.mocc.behaviors import clock_equivalent, flow_equivalent
 from repro.properties.compilable import ProcessAnalysis
-from repro.properties.endochrony import check_endochrony_on_traces, is_endochronous
+from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
 from repro.semantics.denotational import behavior_from_run, run_to_completion
 from repro.semantics.environment import ReactiveEnvironment
 from repro.semantics.interpreter import ABSENT, SignalInterpreter
@@ -28,7 +28,7 @@ class TestSection1Filter:
         assert xs == [None, True, None, True]
 
     def test_filter_is_endochronous_statically(self, filter_normalized):
-        assert is_endochronous(filter_normalized)
+        assert verify_endochrony(filter_normalized).holds
 
     def test_filter_is_endochronous_on_traces(self, filter_normalized):
         """Definition 1 checked on flow-equivalent inputs, as in Section 4's example."""
@@ -42,7 +42,7 @@ class TestSection1Merge:
     """E2: the merge is endochronous, but its composition with filter is not."""
 
     def test_merge_is_endochronous(self, filter_merge):
-        assert is_endochronous(filter_merge["merge"])
+        assert verify_endochrony(filter_merge["merge"]).holds
 
     def test_merge_trace(self, filter_merge):
         """d follows c's value: y when c is true, z when c is false (paper's Section 1 trace)."""
@@ -60,7 +60,7 @@ class TestSection1Merge:
         analysis = ProcessAnalysis(filter_merge["composition"])
         assert analysis.is_compilable()
         assert not analysis.is_hierarchic()
-        assert not is_endochronous(filter_merge["composition"], analysis)
+        assert not verify_endochrony(filter_merge["composition"], analysis).holds
 
     def test_composition_roots_are_the_two_pacing_inputs(self, filter_merge):
         analysis = ProcessAnalysis(filter_merge["composition"])
@@ -119,7 +119,7 @@ class TestSection4Hierarchies:
         assert buffer_analysis.hierarchy.root_count() == 1
 
     def test_buffer_is_endochronous(self, buffer_normalized, buffer_analysis):
-        assert is_endochronous(buffer_normalized, buffer_analysis)
+        assert verify_endochrony(buffer_normalized, buffer_analysis).holds
 
     def test_buffer_alternates_read_and_emit(self, buffer_normalized):
         """Section 3.7: the buffer always alternates receiving y and sending x."""

@@ -5,8 +5,8 @@ import pytest
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_false, when_true
 from repro.lang.normalize import normalize
 from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
-from repro.properties.compilable import ProcessAnalysis, is_compilable
-from repro.properties.endochrony import check_endochrony_on_traces, is_endochronous, is_hierarchic
+from repro.properties.compilable import ProcessAnalysis, verify_compilable, verify_hierarchic
+from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
 from repro.properties.isochrony import check_isochrony
 from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.weak_endochrony import (
@@ -17,17 +17,17 @@ from repro.properties.weak_endochrony import (
 
 class TestCompilability:
     def test_paper_examples_are_compilable(self, filter_normalized, buffer_normalized, producer_consumer):
-        assert is_compilable(filter_normalized)
-        assert is_compilable(buffer_normalized)
-        assert is_compilable(producer_consumer["producer"])
-        assert is_compilable(producer_consumer["consumer"])
-        assert is_compilable(producer_consumer["main"])
+        assert verify_compilable(filter_normalized).holds
+        assert verify_compilable(buffer_normalized).holds
+        assert verify_compilable(producer_consumer["producer"]).holds
+        assert verify_compilable(producer_consumer["consumer"]).holds
+        assert verify_compilable(producer_consumer["main"]).holds
 
     def test_instantaneous_cycle_is_not_compilable(self):
         builder = ProcessBuilder("loop", inputs=[], outputs=["x", "y"])
         builder.define("x", signal("y") + 0)
         builder.define("y", signal("x") + 0)
-        assert not is_compilable(normalize(builder.build()))
+        assert not verify_compilable(normalize(builder.build())).holds
 
     def test_summary_keys(self, filter_analysis):
         summary = filter_analysis.summary()
@@ -37,16 +37,16 @@ class TestCompilability:
 
 class TestEndochrony:
     def test_static_criterion_on_paper_processes(self, filter_merge, producer_consumer):
-        assert is_endochronous(filter_merge["filter"])
-        assert is_endochronous(filter_merge["merge"])
-        assert is_endochronous(producer_consumer["producer"])
-        assert is_endochronous(producer_consumer["consumer"])
-        assert not is_endochronous(filter_merge["composition"])
-        assert not is_endochronous(producer_consumer["main"])
+        assert verify_endochrony(filter_merge["filter"]).holds
+        assert verify_endochrony(filter_merge["merge"]).holds
+        assert verify_endochrony(producer_consumer["producer"]).holds
+        assert verify_endochrony(producer_consumer["consumer"]).holds
+        assert not verify_endochrony(filter_merge["composition"]).holds
+        assert not verify_endochrony(producer_consumer["main"]).holds
 
     def test_hierarchic_predicate(self, buffer_normalized, filter_merge):
-        assert is_hierarchic(buffer_normalized)
-        assert not is_hierarchic(filter_merge["composition"])
+        assert verify_hierarchic(buffer_normalized).holds
+        assert not verify_hierarchic(filter_merge["composition"]).holds
 
     def test_trace_check_detects_non_endochrony(self, filter_merge):
         """E2: the filter|merge composition relates d's timing to no single input.

@@ -32,7 +32,7 @@ from repro.lang.printer import (
     process_digest,
 )
 from repro.library import basic, ltta, producer_consumer
-from repro.library.generators import chain_of_buffers, pipeline_network
+from repro.gen.topologies import chain_of_buffers, pipeline_network
 from repro.mc.compiled import CompiledAbstraction
 from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro.api.session import Design
 from repro.lang.printer import format_process
-from repro.library.generators import chain_of_buffers, pipeline_network
+from repro.gen.topologies import chain_of_buffers, pipeline_network
 from repro.service import (
     ArtifactStore,
     DesignRegistry,

@@ -4,19 +4,38 @@ Each benchmark re-runs one stage of the Polychrony pipeline on the paper's
 buffer and re-asserts the facts the paper derives from it: the clock
 relations and classes of Section 3.2, the hierarchy of Section 3.3, the
 disjunctive form of Section 3.4 and the scheduling graph of Section 3.5.
-A last scenario scales the hierarchy and the Section 5.1 constraint report
-to the ``pipeline_network(8)`` composition and checks that every
+A further scenario scales the hierarchy and the Section 5.1 constraint
+report to the ``pipeline_network(8)`` composition and checks that every
 entailment and feasibility query is decided without interning a BDD node.
+
+The last scenarios time one cold static ``non-blocking`` query on the
+scaling families, each in a fresh session under the design's structural
+variable order (:mod:`repro.clocks.order`), and assert that it holds.
+Every record carries the time the same query took before the structural
+order, measured on a 2-vCPU host (Python 3.11.7), and the ROADMAP target
+where there is one.
+Run with::
+
+    PYTHONPATH=src python -m pytest -q --benchmark-disable benchmarks/bench_clock_calculus.py
 """
 
+import gc
+
+import pytest
 from _record import recorder, timed
 
-from repro.api.session import AnalysisContext
+from repro.api.session import AnalysisContext, Design
 from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.disjunctive import to_disjunctive_form
 from repro.clocks.hierarchy import build_hierarchy
 from repro.clocks.inference import infer_timing_relations
-from repro.gen.topologies import pipeline_network
+from repro.gen.topologies import (
+    arbiter_tree,
+    chain_of_buffers,
+    independent_components,
+    mode_automaton,
+    pipeline_network,
+)
 
 RECORD = recorder("clock_calculus")
 from repro.lang.ast import ClockBinary, ClockFalse, ClockOf, ClockTrue
@@ -141,3 +160,51 @@ def test_pipeline_8_hierarchy_and_constraint_report(benchmark):
     assert all(f"[c{index}] = [c{index + 1}]" in constraints for index in range(7))
     assert built and not any(built), "a kernel decision built a BDD node"
 
+
+
+#: seconds of the same cold static query before the structural order, on
+#: the same host: the median of three 5-run medians interleaved with runs of
+#: the structural order, except arbiter_tree_5 (one 176 s run) and
+#: arbiter_tree_6 (``None``: it ran out of memory under a 2.5 GB cap)
+PARENT_SECONDS = {
+    "arbiter_tree_4": 0.748,
+    "arbiter_tree_5": 175.7,
+    "arbiter_tree_6": None,
+    "chain_of_buffers_10": 0.126,
+    "chain_of_buffers_16": 0.381,
+    "mode_automaton_8": 0.028,
+    "mode_automaton_12": 0.540,
+    "independent_components_16": 0.022,
+}
+
+#: ROADMAP targets ("one structural BDD variable order per design")
+TARGETS = {"arbiter_tree_5": 1.0}
+
+FAMILIES = {
+    "arbiter_tree": arbiter_tree,
+    "chain_of_buffers": chain_of_buffers,
+    "mode_automaton": mode_automaton,
+    "independent_components": independent_components,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PARENT_SECONDS))
+def test_static_non_blocking_scaling(scenario):
+    """Static non-blocking (Theorem 1) on the scaling families: every one holds."""
+    family, size = scenario.rsplit("_", 1)
+    components, _composition = FAMILIES[family](int(size))
+    design = Design(name=scenario, components=list(components))
+    # collect the previous scenario's garbage first (arbiter_tree_6 leaves
+    # about a million BDD nodes in reference cycles), so freeing it is not
+    # charged to this scenario's time
+    gc.collect()
+    verdict, seconds = timed(design.verify, "non-blocking", "static")
+    assert verdict.holds, f"{scenario}: static non-blocking should hold"
+    extra = {"target_seconds": TARGETS[scenario]} if scenario in TARGETS else {}
+    RECORD.record(
+        f"{scenario} static non-blocking",
+        seconds=seconds,
+        parent_seconds=PARENT_SECONDS[scenario],
+        peak_nodes=design.context.manager.stats()["peak_nodes"],
+        **extra,
+    )

@@ -97,7 +97,9 @@ def test_warm_cache_query_is_5x_faster_than_cold_compile():
         assert relation_verdict["holds"]
         design = relation_service.registry.get(digest)
         abstraction = design.context.compiled(design.composition)
-        assert abstraction is not None and abstraction.hierarchy is None, (
+        compiled_counters = design.context.graph.counters["compiled"]
+        assert abstraction is not None, "the composition must compile"
+        assert compiled_counters["store_hits"] >= 1 and compiled_counters["computed"] == 0, (
             "the step relation must come from the store, not a recompile"
         )
         relation_service.close()

@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs import trace as obs_trace
 
@@ -132,6 +133,21 @@ class ArtifactGraph:
             return
         self._dependencies.setdefault(parent, set()).add(key)
         self._dependents.setdefault(key, set()).add(parent)
+
+    @contextmanager
+    def untracked(self) -> Iterator[None]:
+        """Resolve nodes the one being computed does not depend on.
+
+        No dependency edge is recorded inside this block, so invalidating
+        what it resolves leaves the node being computed in place — the
+        variable order an analysis declares is such a node: the analysis is
+        the same under any order.
+        """
+        stack, self._stack = self._stack, []
+        try:
+            yield
+        finally:
+            self._stack = stack
 
     def _remember(
         self, key: ArtifactKey, value: object, keep: Optional[Tuple[object, ...]]

@@ -43,6 +43,8 @@ from repro.api.artifacts import ArtifactGraph, verdict_kind
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.bdd.bdd import BDDManager
+from repro.clocks.algebra import clock_variables
+from repro.clocks.order import VariableOrder, structural_order
 from repro.lang.ast import Composition, Instantiation, ProcessDefinition, Restriction, Statement
 from repro.lang.builder import ProcessBuilder
 from repro.lang.normalize import NormalizedProcess, normalize
@@ -51,7 +53,6 @@ from repro.lang.printer import (
     digest_of_forms,
     format_canonical,
     options_fingerprint,
-    process_digest,
     process_fingerprint,
 )
 from repro.mc.compiled import (
@@ -110,6 +111,9 @@ class AnalysisContext:
         self._retyped: Dict[Tuple, NormalizedProcess] = {}
         # digest -> number of live designs addressing it (see retain_digest)
         self._digest_refs: Dict[str, int] = {}
+        # process digest -> the component list of the live design it belongs
+        # to, whose structural order its analysis is declared under
+        self._design_components: Dict[str, Sequence[NormalizedProcess]] = {}
 
     @property
     def artifact_cache(self) -> Optional[object]:
@@ -134,12 +138,15 @@ class AnalysisContext:
 
     # -- content identities -------------------------------------------------------
     def digest_of(self, process: ProcessLike) -> str:
-        """The α-invariant content digest of a process, memoized by identity."""
+        """The α-invariant content digest of a process, memoized by identity.
+
+        Hashes the memoized canonical form, so each process is printed once
+        (the same bytes as :func:`repro.lang.printer.process_digest`)."""
         normalized_process = self.normalized(process)
         key = id(normalized_process)
         digest = self._digests.get(key)
         if digest is None:
-            digest = process_digest(normalized_process)
+            digest = digest_of_forms([self.canonical_form_of(normalized_process)])
             self._processes[key] = normalized_process
             self._digests[key] = digest
         return digest
@@ -182,9 +189,19 @@ class AnalysisContext:
         )
 
     # -- digest liveness across the context's designs -----------------------------
-    def retain_digest(self, digest: str) -> None:
-        """Record that a live design addresses artifacts of ``digest``."""
+    def retain_digest(
+        self, digest: str, components: Optional[Sequence[NormalizedProcess]] = None
+    ) -> None:
+        """Record that a live design addresses artifacts of ``digest``.
+
+        ``components`` is that design's component list when ``digest`` is
+        one of its processes (a component or the composition): the
+        process's :meth:`analysis` then declares the design's
+        :meth:`variable_order`.  The first design to claim a digest keeps it.
+        """
         self._digest_refs[digest] = self._digest_refs.get(digest, 0) + 1
+        if components is not None:
+            self._design_components.setdefault(digest, components)
 
     def release_digest(self, digest: str) -> int:
         """Drop one reference; returns how many live references remain.
@@ -196,11 +213,30 @@ class AnalysisContext:
         remaining = self._digest_refs.get(digest, 0) - 1
         if remaining <= 0:
             self._digest_refs.pop(digest, None)
+            self._design_components.pop(digest, None)
             return 0
         self._digest_refs[digest] = remaining
         return remaining
 
     # -- memoized pipeline stages -----------------------------------------------
+    def variable_order(self, components: Sequence[ProcessLike]) -> VariableOrder:
+        """The structural BDD variable order of a set of components, memoized.
+
+        One :class:`~repro.clocks.order.VariableOrder` per design digest (a
+        single process is the one-component design, under its own digest).
+        :meth:`analysis` declares its clock variables into this context's
+        manager before the first BDD is built.  The exact fingerprints are
+        part of the key, because the order names concrete signals.
+        """
+        normalized_components = [self.normalized(component) for component in components]
+        return self.graph.resolve(
+            "order",
+            self.design_digest(normalized_components),
+            "|".join(self.fingerprint_of(component) for component in normalized_components),
+            compute=lambda: structural_order(normalized_components),
+            keep=tuple(normalized_components),
+        )
+
     def normalized(self, process: ProcessLike) -> NormalizedProcess:
         """The normalized form of any process-like value, memoized.
 
@@ -225,19 +261,38 @@ class AnalysisContext:
         )
 
     def analysis(self, process: ProcessLike) -> ProcessAnalysis:
-        """The :class:`ProcessAnalysis` of a process, memoized on this context."""
+        """The :class:`ProcessAnalysis` of a process, memoized on this context.
+
+        Every analysis on the shared manager is created here, so this is
+        where the variable order is declared: a variable's first declaration
+        fixes its level, and the process's design (see :meth:`retain_digest`;
+        a process no design claims is its own one-component design)
+        declares its structural :meth:`variable_order` first.  The order is
+        resolved untracked: the analysis is the same under any order, so
+        dropping the order of an edited design keeps it.
+        """
         normalized_process = self.normalized(process)
+        digest = self.digest_of(normalized_process)
+
+        def compute() -> ProcessAnalysis:
+            components = self._design_components.get(digest, (normalized_process,))
+            with self.graph.untracked():
+                order = self.variable_order(components)
+            for name in clock_variables(order):
+                self.manager.declare(name)
+            return ProcessAnalysis(normalized_process, manager=self.manager)
+
         return self.graph.resolve(
             "analysis",
-            self.digest_of(normalized_process),
+            digest,
             self.fingerprint_of(normalized_process),
-            compute=lambda: ProcessAnalysis(normalized_process, manager=self.manager),
+            compute=compute,
             keep=(normalized_process,),
         )
 
     def hierarchy(self, process: ProcessLike):
         """The clock hierarchy of a process — an artifact node of its own, so
-        hierarchy-only consumers (variable-order seeding, lazy engines) are
+        hierarchy-only consumers (the interpreter-backed lazy engines) are
         tracked and reused independently of the full analysis."""
         normalized_process = self.normalized(process)
         return self.graph.resolve(
@@ -255,26 +310,17 @@ class AnalysisContext:
         fragment of :mod:`repro.mc.compiled` (the engines then fall back to
         the interpreter-backed enumeration); the negative answer is itself
         persisted so warm starts skip the recompile attempt.  The
-        abstraction owns a private BDD manager — its variable order is
-        seeded from the process's clock hierarchy and may be resifted,
-        which a shared manager cannot allow.
+        abstraction owns a private BDD manager, declared in the process's
+        structural variable order (no clock hierarchy, no analysis); a large
+        relation may then be resifted, which a shared manager cannot allow.
         """
-        normalized_process = self.normalized(process)
-        return self._compiled_node(normalized_process, hierarchy_from_analysis=True)
+        return self._compiled_node(self.normalized(process))
 
     def _compiled_node(
-        self,
-        normalized_process: NormalizedProcess,
-        hierarchy=None,
-        hierarchy_from_analysis: bool = False,
+        self, normalized_process: NormalizedProcess
     ) -> Optional[CompiledAbstraction]:
         def compute() -> Optional[CompiledAbstraction]:
-            seed = (
-                self.hierarchy(normalized_process)
-                if hierarchy_from_analysis
-                else hierarchy
-            )
-            return CompiledAbstraction.try_compile(normalized_process, seed)
+            return CompiledAbstraction.try_compile(normalized_process)
 
         return self.graph.resolve(
             "compiled",
@@ -287,7 +333,7 @@ class AnalysisContext:
             keep=(normalized_process,),
         )
 
-    def _compile_product_component(self, component, hierarchy=None):
+    def _compile_product_component(self, component):
         """Memoized compile for (possibly retyped) product components.
 
         :class:`~repro.mc.onthefly.ProductLTS` re-creates its retyped
@@ -305,7 +351,7 @@ class AnalysisContext:
         if representative is None:
             # keep the component alive so the id() in the key stays valid
             self._retyped[key] = representative = component
-        return self._compiled_node(representative, hierarchy=hierarchy)
+        return self._compiled_node(representative)
 
     def lts(
         self, process: ProcessLike, max_states: int = 512, engine: str = "compiled"
@@ -644,7 +690,7 @@ class Design:
         if digest == self._retained_composition_digest:
             return
         previous = self._retained_composition_digest
-        self.context.retain_digest(digest)
+        self.context.retain_digest(digest, self._components)
         self._retained_composition_digest = digest
         if previous is not None:
             self._release_and_maybe_invalidate(previous)
@@ -691,7 +737,7 @@ class Design:
         """Add a component (chainable); invalidates composed artefacts only."""
         component = self._coerce_component(process, name)
         self._components.append(component)
-        self.context.retain_digest(self.context.digest_of(component))
+        self.context.retain_digest(self.context.digest_of(component), self._components)
         self._invalidate_composed()
         return self
 
@@ -712,7 +758,7 @@ class Design:
         old = self._components[index]
         component = self._coerce_component(process, name)
         self._components[index] = component
-        self.context.retain_digest(self.context.digest_of(component))
+        self.context.retain_digest(self.context.digest_of(component), self._components)
         self._invalidate_composed(changed=old)
         return self
 

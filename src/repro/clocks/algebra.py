@@ -20,9 +20,10 @@ implication or the conjunction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bdd.bdd import BDD, BDDManager
+from repro.clocks.order import VariableOrder, structural_order
 from repro.clocks.relations import ClockRelation, TimingRelations
 from repro.lang.ast import (
     ClockBinary,
@@ -45,6 +46,12 @@ def value_variable(name: str) -> str:
     return f"v·{name}"
 
 
+def clock_variables(order: VariableOrder) -> Tuple[str, ...]:
+    """The ``p·x`` / ``v·x`` variables of ``order``, each signal's presence
+    right before its value."""
+    return order.variables(presence_variable, value_variable)
+
+
 class ClockAlgebra:
     """Decision procedures over the timing relations of one (composed) process."""
 
@@ -56,19 +63,13 @@ class ClockAlgebra:
     ):
         self.process = process
         self.relations = relations
-        self.manager = manager or BDDManager()
-        self._signals: Tuple[str, ...] = process.all_signals()
-        self._boolean_signals: Set[str] = set(process.boolean_signals())
-        # Declare variables in a deterministic order.  The presence and value
-        # variables of one signal are kept adjacent: clock constraints such as
-        # ``x^ = y^ ∧ [z]`` relate a signal's presence to another signal's
-        # presence *and value*, so interleaving the two families keeps the
-        # relation BDD small (placing all presences before all values makes it
-        # blow up on larger compositions).
-        for name in self._signals:
-            self.manager.declare(presence_variable(name))
-            if name in self._boolean_signals:
-                self.manager.declare(value_variable(name))
+        # The variables follow the design's structural order: a signal's
+        # presence and value variables are adjacent, and signals one equation
+        # relates sit close together, which keeps the relation BDD small.  A
+        # shared manager was declared in the design's order by its owner
+        # (``AnalysisContext.analysis``); a process on its own is the
+        # one-component case of the same order.
+        self.manager = manager or BDDManager(clock_variables(structural_order([process])))
         self._relation_bdd: Optional[BDD] = None
         self._factors = self._compile_relations()
 

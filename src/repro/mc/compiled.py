@@ -32,17 +32,20 @@ fragment — :func:`compilation_obstacles` names the offending equations and
 back to the interpreter-backed enumeration transparently.
 
 The compiled step relation lives on a **private**
-:class:`~repro.bdd.bdd.BDDManager` whose variable order is seeded from the
-clock hierarchy (registers interleaved current/next first, then signals
-forest-ordered with each ``e·x`` adjacent to its ``d·x``); after compilation
-the manager sheds its intermediate conjuncts
-(:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`) and — for large
-relations — runs a sifting pass to shrink the order further.
+:class:`~repro.bdd.bdd.BDDManager` whose variables are declared in the
+process's structural :class:`~repro.clocks.order.VariableOrder` (signals in
+DFS fan-in order, each ``e·x`` adjacent to its ``d·x`` and each register's
+``s·r`` / ``s'·r`` right after it); no clock hierarchy is built.  After
+compilation the manager sheds its intermediate conjuncts
+(:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`) and — for relations
+past :data:`SIFT_THRESHOLD` nodes — runs a sifting pass to shrink the order
+further.
 
 The interpreter is kept as a *cross-check oracle*: ``cross_check=True``
 verifies every per-state answer against
 :meth:`~repro.mc.transition.BooleanAbstraction.reactions` (used by the
-equivalence tests; off on the production path).
+equivalence tests; off on the production path).  The oracle builds its own
+clock hierarchy; the compiled path never does.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.bdd import BDD, BDDManager
-from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
+from repro.clocks.order import structural_order
 from repro.lang.ast import (
     ClockBinary,
     ClockEmpty,
@@ -76,7 +79,13 @@ from repro.mc.transition import (
 from repro.mocc.interning import intern_state
 from repro.mocc.reactions import Reaction
 
-from repro.mc.symbolic import current_variable, event_variable, next_variable, value_variable
+from repro.mc.symbolic import (
+    current_variable,
+    event_variable,
+    next_variable,
+    symbolic_variables,
+    value_variable,
+)
 
 #: boolean operators the step relation can encode directly
 _BOOLEAN_OPERATORS = frozenset({"and", "or", "xor", "not", "id", "=", "/="})
@@ -197,7 +206,6 @@ class CompiledAbstraction:
     def __init__(
         self,
         process: NormalizedProcess,
-        hierarchy: Optional[ClockHierarchy] = None,
         cross_check: bool = False,
     ):
         obstacles = compilation_obstacles(process)
@@ -207,7 +215,6 @@ class CompiledAbstraction:
                 + "; ".join(obstacles[:3])
             )
         self.process = process
-        self.hierarchy = hierarchy or build_hierarchy(process)
         self._boolean = set(process.boolean_signals())
         self._signals: Tuple[str, ...] = process.all_signals()
         self._registers: Tuple[str, ...] = tuple(
@@ -225,7 +232,7 @@ class CompiledAbstraction:
             (self.step,) = self.manager.sift([self.step], max_variables=24)
         self._precompute_columns()
         self._oracle: Optional[BooleanAbstraction] = (
-            BooleanAbstraction(process, self.hierarchy) if cross_check else None
+            BooleanAbstraction(process) if cross_check else None
         )
         #: instrumentation for the benchmarks: per-state queries served and
         #: reactions enumerated by the BDD walk
@@ -233,14 +240,10 @@ class CompiledAbstraction:
         self.reactions_enumerated = 0
 
     @classmethod
-    def try_compile(
-        cls,
-        process: NormalizedProcess,
-        hierarchy: Optional[ClockHierarchy] = None,
-    ) -> Optional["CompiledAbstraction"]:
+    def try_compile(cls, process: NormalizedProcess) -> Optional["CompiledAbstraction"]:
         """The compiled abstraction, or ``None`` outside the fragment."""
         try:
-            return cls(process, hierarchy)
+            return cls(process)
         except CompilationError:
             return None
 
@@ -274,44 +277,14 @@ class CompiledAbstraction:
         )
 
     # -- variable order ----------------------------------------------------------
-    def _seed_variable_order(self) -> List[str]:
-        """Registers first (current/next interleaved), then the signal forest.
-
-        The clock hierarchy orders signals parent-before-child (a clock near
-        the root decides the presence of everything below it, so testing it
-        early keeps the relation shallow); each presence variable sits right
-        next to its value variable.
+    def _seed_variable_order(self) -> Tuple[str, ...]:
+        """The step relation's variables in the process's structural
+        :class:`~repro.clocks.order.VariableOrder`: signals in DFS fan-in
+        order, each ``e·x`` next to its ``d·x``, each register's ``s·r`` and
+        ``s'·r`` right after the register — so an equation's variables sit
+        close together and the relation stays shallow.
         """
-        order: List[str] = []
-        for register in self._registers:
-            order.append(current_variable(register))
-            order.append(next_variable(register))
-        emitted: Set[str] = set()
-
-        def emit(name: str) -> None:
-            if name in emitted:
-                return
-            emitted.add(name)
-            order.append(event_variable(name))
-            if name in self._boolean:
-                order.append(value_variable(name))
-
-        parents = self.hierarchy.parent_map()
-        children: Dict[Optional[int], List[int]] = {}
-        for index, parent in parents.items():
-            children.setdefault(parent, []).append(index)
-
-        def visit(index: int) -> None:
-            for name in self.hierarchy.classes[index].signal_clocks():
-                emit(name)
-            for child in sorted(children.get(index, [])):
-                visit(child)
-
-        for root in sorted(children.get(None, [])):
-            visit(root)
-        for name in self._signals:
-            emit(name)
-        return order
+        return symbolic_variables(structural_order([self.process]))
 
     # -- compilation -------------------------------------------------------------
     def _event(self, name: str) -> BDD:
@@ -507,8 +480,9 @@ class CompiledAbstraction:
             )
 
     # -- serialization ------------------------------------------------------------
-    #: payload schema version; bump when the encoding of the relation changes
-    PAYLOAD_FORMAT = 1
+    #: payload schema version; bump when the encoding of the relation or its
+    #: variable order changes (2: structural variable order)
+    PAYLOAD_FORMAT = 2
 
     def to_payload(self) -> Dict[str, object]:
         """A JSON-safe snapshot of the compiled engine for the artifact store.
@@ -539,7 +513,6 @@ class CompiledAbstraction:
         cls,
         process: NormalizedProcess,
         payload: Mapping[str, object],
-        hierarchy: Optional[ClockHierarchy] = None,
     ) -> "CompiledAbstraction":
         """Reattach a stored step relation to ``process`` without recompiling.
 
@@ -572,7 +545,6 @@ class CompiledAbstraction:
             )
         instance = cls.__new__(cls)
         instance.process = process
-        instance.hierarchy = hierarchy
         instance._boolean = set(payload["boolean"])
         instance._signals = tuple(payload["signals"])
         instance._registers = tuple(payload["registers"])

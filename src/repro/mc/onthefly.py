@@ -129,7 +129,6 @@ class ProductLTS:
     def __init__(
         self,
         components: Sequence[NormalizedProcess],
-        hierarchies: Optional[Sequence[Optional[ClockHierarchy]]] = None,
         name: Optional[str] = None,
         types: Optional[Mapping[str, str]] = None,
         engine: str = "compiled",
@@ -140,7 +139,6 @@ class ProductLTS:
             raise ValueError("a product needs at least one component")
         if engine not in ("compiled", "interpreter"):
             raise ValueError(f"unknown product engine {engine!r}")
-        hierarchies = hierarchies or [None] * len(components)
         self.components = tuple(components)
         self.process_name = name or "|".join(c.name for c in components)
         # The boolean abstraction is type-directed (boolean signals carry
@@ -152,14 +150,14 @@ class ProductLTS:
         # enumerates.
         if types is None:
             types = reduce(lambda left, right: left.compose(right), components).types
-        abstracted: List[Tuple[NormalizedProcess, Optional[ClockHierarchy], bool]] = []
-        for component, hierarchy in zip(components, hierarchies):
+        abstracted: List[Tuple[NormalizedProcess, bool]] = []
+        for component in components:
             local_types = {
                 signal: types.get(signal, component.types.get(signal, "any"))
                 for signal in component.all_signals()
             }
             if local_types == dict(component.types):
-                abstracted.append((component, hierarchy, True))
+                abstracted.append((component, True))
             else:
                 retyped = NormalizedProcess(
                     name=component.name,
@@ -169,37 +167,31 @@ class ProductLTS:
                     equations=component.equations,
                     types=local_types,
                 )
-                # the memoized hierarchy was built for the old types
-                abstracted.append((retyped, None, False))
+                abstracted.append((retyped, False))
         #: the components as actually abstracted (retyped under the unified
         #: types where needed) — the symbolic product must encode these same
         #: abstractions, not the locally-typed originals
-        self.abstracted = tuple(component for component, _hierarchy, _orig in abstracted)
+        self.abstracted = tuple(component for component, _original in abstracted)
         # ``engine="compiled"``: each component enumerates its reactions from
         # its compiled step relation (repro.mc.compiled) when it fits the
         # boolean-definable fragment, falling back to the interpreter-backed
         # BooleanAbstraction per component otherwise.  ``compile_component``
         # lets a session (AnalysisContext) serve memoized compilations so the
         # same components are not recompiled per product instance.
-        # ``hierarchy_for`` resolves a missing hierarchy lazily, and only for
-        # components that actually fall back to the interpreter — a product
-        # whose relations all load from an artifact store needs no hierarchy
-        # (hence no ProcessAnalysis) for any component.
+        # ``hierarchy_for`` resolves the hierarchy of an original (not
+        # retyped) component lazily, and only when it falls back to the
+        # interpreter — a product whose relations all compile or load from an
+        # artifact store needs no hierarchy (hence no ProcessAnalysis) for
+        # any component.
         if compile_component is None and engine == "compiled":
             from repro.mc.compiled import CompiledAbstraction
 
             compile_component = CompiledAbstraction.try_compile
         self._lts = []
-        for component, hierarchy, original in abstracted:
-            abstraction = (
-                compile_component(component, hierarchy) if engine == "compiled" else None
-            )
-            if (
-                abstraction is None
-                and hierarchy is None
-                and original
-                and hierarchy_for is not None
-            ):
+        for component, original in abstracted:
+            abstraction = compile_component(component) if engine == "compiled" else None
+            hierarchy = None
+            if abstraction is None and original and hierarchy_for is not None:
                 hierarchy = hierarchy_for(component)
             self._lts.append(LazyReactionLTS(component, hierarchy, abstraction=abstraction))
         self._domains = [set(component.all_signals()) for component in components]

@@ -10,8 +10,9 @@ can be reproduced with either engine.  Two constructions are provided:
   the BDD-reachable set;
 * :class:`SymbolicProductChecker` builds the transition relation of a
   composition ``P1 | ... | Pn`` *directly as the conjunction of the
-  per-component relations* — component register variables are declared in an
-  interleaved order and shared signals map to one common event variable, so
+  per-component relations* — variables are declared from the design's
+  structural :class:`~repro.clocks.order.VariableOrder`, one component at a
+  time, and shared signals map to one common event variable, so
   synchronization is plain BDD conjunction and the product's states are
   never enumerated.
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.bdd import BDD, BDDManager
+from repro.clocks.order import VariableOrder, structural_order
 from repro.mc.onthefly import InvariantResult
 from repro.mc.transition import ReactionLTS, State
 
@@ -56,6 +58,14 @@ def event_variable(signal: str) -> str:
 
 def value_variable(signal: str) -> str:
     return f"d·{signal}"
+
+
+def symbolic_variables(order: VariableOrder) -> Tuple[str, ...]:
+    """The ``e·x`` / ``d·x`` / ``s·r`` / ``s'·r`` variables of ``order``:
+    per signal its event then its data variable, and a register's current
+    and next variables right after it — so the renaming ``s'·r -> s·r`` of
+    the image keeps the level order."""
+    return order.variables(event_variable, value_variable, (current_variable, next_variable))
 
 
 class _ImageFixpoint:
@@ -287,9 +297,11 @@ class SymbolicProductChecker(_ImageFixpoint):
     several components map to the same ``e·x`` / ``d·x`` variables, so the
     product transition relation is simply the conjunction of the component
     relations — the synchronous product of the paper's ``P | Q`` at the BDD
-    level.  Register variables are declared in an *interleaved* order
-    (register 0 of every component, then register 1 of every component, ...)
-    which keeps the relation compact for chains of similar components.
+    level.  When ``components`` are given, the variables are declared in
+    their structural :class:`~repro.clocks.order.VariableOrder` (otherwise
+    in order of first use), so each component's events, values and
+    registers are contiguous and the product relation stays a chain of
+    small per-component relations.
 
     The component LTSs must be complete (not truncated): a truncated
     component would silently under-approximate the product.  Two further
@@ -333,12 +345,9 @@ class SymbolicProductChecker(_ImageFixpoint):
         if len(flat) != len(set(flat)):
             raise ValueError("product components share register names")
         self._registers = tuple(sorted(flat))
-        # interleaved declaration order: position j of every component in turn
-        for position in range(max((len(g) for g in register_groups), default=0)):
-            for group in register_groups:
-                if position < len(group):
-                    self.manager.declare(current_variable(group[position]))
-                    self.manager.declare(next_variable(group[position]))
+        if components is not None:
+            for name in symbolic_variables(structural_order(components)):
+                self.manager.declare(name)
         signals: Set[str] = set()
         booleans: Set[str] = set()
         for lts in component_ltss:
@@ -349,10 +358,6 @@ class SymbolicProductChecker(_ImageFixpoint):
                         booleans.add(name)
         self._signals = tuple(sorted(signals))
         self._boolean_signals = frozenset(booleans)
-        for signal in self._signals:
-            self.manager.declare(event_variable(signal))
-            if signal in self._boolean_signals:
-                self.manager.declare(value_variable(signal))
         self._transition_relation = self.manager.true
         for lts, group in zip(component_ltss, register_groups):
             self._transition_relation = (

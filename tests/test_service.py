@@ -230,8 +230,10 @@ def test_warm_service_reloads_compiled_relations_for_new_queries(tmp_path):
     design = warm.registry.get(warm_digest)
     abstraction = design.context.compiled(design.composition)
     assert abstraction is not None
-    # from_payload leaves no hierarchy behind — proof it was loaded, not compiled
-    assert abstraction.hierarchy is None
+    # the relation came from the store tier — it was loaded, not compiled
+    compiled_counters = design.context.graph.counters["compiled"]
+    assert compiled_counters["store_hits"] == 1
+    assert compiled_counters["computed"] == 0
     warm.close()
 
 

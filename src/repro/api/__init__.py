@@ -20,7 +20,7 @@ One entry point for the paper's whole pipeline::
 * :mod:`repro.api.backends` — dispatch between the static criterion and the
   on-the-fly explicit / symbolic model checkers;
 * :mod:`repro.api.parallel` — process-pool sharding behind
-  ``Design.verify_many(parallel=N)`` and ``Design.map_components``;
+  ``Design.verify_many(parallel=N)``;
 * :mod:`repro.api.deploy` — the four deployment schemes behind one
   :class:`Deployment` interface.
 

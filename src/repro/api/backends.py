@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
-from repro.mc.onthefly import OnTheFlyChecker
-from repro.mc.symbolic import SymbolicChecker, SymbolicProductChecker
+from repro.mc.onthefly import OnTheFlyChecker, ProductLTS
+from repro.mc.symbolic import SymbolicProductChecker
 from repro.properties.compilable import verify_compilable, verify_hierarchic
 from repro.properties.composition import verify_weakly_hierarchic
 from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
@@ -150,79 +150,59 @@ def _engine(
     return design.context.onthefly([design.composition], max_states, engine=engine)
 
 
-def _symbolic_non_blocking(design: "Design", max_states: int) -> Verdict:
-    """Definition 4 decided on BDDs: no reachable state without a successor.
+def _symbolic_checker(design: "Design", max_states: int) -> SymbolicProductChecker:
+    """The design's symbolic checker, on the session's shared manager.
 
     For a multi-component design the product transition relation is the
-    conjunction of the per-component relations (each component LTS explored
-    individually) — the composed state space is never enumerated.  For a
-    single component the explicit LTS is encoded as before.
+    conjunction of the per-component relations over the same (re-typed)
+    abstractions the lazy product joins, so the two engines agree on the
+    product semantics and the composed state space is never enumerated.
+    A single component, or components that cannot form a product (shared
+    registers, a signal two components define, a truncated component), is
+    a product of one over the composed process.
     """
-    from repro.mc.onthefly import ProductLTS
-
     context = design.context
-    engine = _engine(design, max_states) if len(design.components) >= 2 else None
-    if engine is not None and isinstance(engine.lazy, ProductLTS):
-        try:
-            with stopwatch() as elapsed:
-                # encode the same (re-typed) abstractions the lazy product
-                # joins, so the two engines agree on the product semantics
-                component_ltss = [
-                    context.lts(component, max_states)
-                    for component in engine.lazy.abstracted
-                ]
-                checker = SymbolicProductChecker(
-                    component_ltss,
+    if len(design.components) >= 2:
+        engine = _engine(design, max_states)
+        if isinstance(engine.lazy, ProductLTS):
+            components = engine.lazy.abstracted
+            try:
+                return SymbolicProductChecker(
+                    [context.lts(component, max_states) for component in components],
                     manager=context.manager,
-                    components=engine.lazy.abstracted,
+                    components=components,
                 )
-                result = checker.is_non_blocking()
-                states = checker.reachable_count()
-                nodes = checker.bdd_nodes()
-            return Verdict(
-                prop="non-blocking",
-                subject=design.composition.name,
-                holds=result.holds,
-                method="symbolic",
-                diagnostics=[
-                    Diagnostic(
-                        "no reachable deadlock state (Definition 4, product relation)",
-                        result.holds,
-                        result.counterexample or f"{states} reachable states (BDD)",
-                    )
-                ],
-                cost=Cost(
-                    seconds=elapsed[0],
-                    components=len(design.components),
-                    bdd_nodes=nodes,
-                    state_bound=max_states,
-                ),
-                report=result,
-            )
-        except ValueError:
-            pass  # non-product-able components: encode the composition instead
+            except ValueError:
+                pass
+    return SymbolicProductChecker(
+        [context.lts(design.composition, max_states)],
+        manager=context.manager,
+        components=[design.composition],
+    )
+
+
+def _symbolic_non_blocking(design: "Design", max_states: int) -> Verdict:
+    """Definition 4 decided on BDDs: no reachable state without a successor."""
     with stopwatch() as elapsed:
-        lts = context.lts(design.composition, max_states)
-        checker = SymbolicChecker(lts, manager=context.manager)
+        checker = _symbolic_checker(design, max_states)
         result = checker.is_non_blocking()
-        holds = result.holds
         states = checker.reachable_count()
         nodes = checker.bdd_nodes()
     return Verdict(
         prop="non-blocking",
         subject=design.composition.name,
-        holds=holds,
+        holds=result.holds,
         method="symbolic",
         diagnostics=[
             Diagnostic(
-                "no reachable deadlock state (Definition 4)",
-                holds,
-                f"{states} reachable states (BDD)",
+                "no reachable deadlock state (Definition 4, product relation)",
+                result.holds,
+                result.counterexample or f"{states} reachable states (BDD)",
             )
         ],
         cost=Cost(
             seconds=elapsed[0],
-            transitions=lts.transition_count(),
+            components=len(design.components),
             bdd_nodes=nodes,
             state_bound=max_states,
         ),
@@ -259,7 +239,6 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
     if method not in METHODS:
         raise VerificationError(f"unknown method {method!r}; expected one of {METHODS}")
     max_states = int(options.get("max_states", 512))
-    context = design.context
 
     if prop == "compilable":
         _require_static(prop, method)
@@ -340,59 +319,35 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
                 max_states=max_states,
             )
             # cross-check the explored state count with the BDD reachability
-            # of Section 4.1's symbolic formulation, on the shared manager
-            from repro.mc.onthefly import ProductLTS
-
-            if (
-                isinstance(engine.lazy, ProductLTS)
-                and not engine.truncated
-                and verdict.holds
-            ):
-                try:
-                    component_ltss = [
-                        context.lts(component, max_states)
-                        for component in engine.lazy.abstracted
-                    ]
-                    checker = SymbolicProductChecker(
-                        component_ltss,
-                        manager=context.manager,
-                        components=engine.lazy.abstracted,
-                    )
-                    reachable = checker.reachable_count()
-                    verdict.diagnostics.append(
-                        Diagnostic(
-                            "symbolic product reachability agrees with exploration",
-                            reachable == engine.states_expanded,
-                            f"{reachable} reachable states (BDD product relation)",
-                        )
-                    )
-                    verdict.cost = Cost(
-                        seconds=verdict.cost.seconds,
-                        states=verdict.cost.states,
-                        transitions=verdict.cost.transitions,
-                        state_bound=verdict.cost.state_bound,
-                        bdd_nodes=checker.bdd_nodes(),
-                        components=len(design.components),
-                    )
-                except ValueError:
-                    pass
-            elif len(design.components) == 1:
-                lts = context.lts(design.composition, max_states)
-                checker = SymbolicChecker(lts, manager=context.manager)
-                verdict.diagnostics.append(
-                    Diagnostic(
-                        "symbolic reachability agrees with exploration",
-                        checker.reachable_count() == lts.state_count(),
-                        f"{checker.reachable_count()} reachable states (BDD)",
-                    )
+            # of Section 4.1's symbolic formulation, on the shared manager.
+            # The invariants visit only the states their root pairs need, so
+            # the engine first explores the rest.  A product is left alone
+            # when its check stopped at a violation (exploring the rest of
+            # the product is the work the early stop saved) or at the bound
+            # (the product relation has no bound to match).
+            product = isinstance(engine.lazy, ProductLTS)
+            if product and not verdict.holds:
+                return verdict
+            engine.explore_all()
+            if product and engine.truncated:
+                return verdict
+            checker = _symbolic_checker(design, max_states)
+            reachable = checker.reachable_count()
+            verdict.diagnostics.append(
+                Diagnostic(
+                    "symbolic reachability agrees with exploration",
+                    reachable == engine.states_discovered,
+                    f"{reachable} reachable states (BDD)",
                 )
-                verdict.cost = Cost(
-                    seconds=verdict.cost.seconds,
-                    states=verdict.cost.states,
-                    transitions=verdict.cost.transitions,
-                    state_bound=verdict.cost.state_bound,
-                    bdd_nodes=checker.bdd_nodes(),
-                )
+            )
+            verdict.cost = Cost(
+                seconds=verdict.cost.seconds,
+                states=verdict.cost.states,
+                transitions=verdict.cost.transitions,
+                state_bound=verdict.cost.state_bound,
+                bdd_nodes=checker.bdd_nodes(),
+                components=len(design.components),
+            )
             return verdict
 
         if method == "static":

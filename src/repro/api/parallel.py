@@ -1,7 +1,6 @@
 """Process-pool sharding for independent verification queries.
 
-``Design.verify_many(props, parallel=N)`` and
-``Design.map_components(prop, parallel=N)`` shard their queries over a
+``Design.verify_many(props, parallel=N)`` shards its queries over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Each worker process
 builds the design *once* (in the pool initializer) and keeps its own
 memoized :class:`~repro.api.session.AnalysisContext`, so every query routed
@@ -25,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.results import Diagnostic, Verdict
 
-#: one task: (component index or None for the whole design, prop, method, options)
-QueryTask = Tuple[Optional[int], str, str, Dict[str, object]]
+#: one task: (prop, method, options)
+QueryTask = Tuple[str, str, Dict[str, object]]
 
 _WORKER: Dict[str, object] = {}
 
@@ -70,24 +69,11 @@ def _initialize_worker(components, name: str, store_root: Optional[str] = None) 
 
         design.context.artifact_cache = ArtifactStore(store_root)
     _WORKER["design"] = design
-    _WORKER["subdesigns"] = {}
 
 
 def _run_query(task: QueryTask) -> Verdict:
-    from repro.api.session import Design
-
-    index, prop, method, options = task
-    design = _WORKER["design"]
-    if index is None:
-        target = design
-    else:
-        subdesigns = _WORKER["subdesigns"]
-        target = subdesigns.get(index)
-        if target is None:
-            # single-component design sharing the worker's context/memo
-            target = Design.from_process(design.components[index], context=design.context)
-            subdesigns[index] = target
-    return sanitize_verdict(target.verify(prop, method, **options))
+    prop, method, options = task
+    return sanitize_verdict(_WORKER["design"].verify(prop, method, **options))
 
 
 def run_queries(

@@ -19,9 +19,9 @@ by code generation and by later verification calls, instead of being
 re-derived per query.
 
 Batched workloads go through :meth:`Design.verify_many` (several properties
-in one call) and :meth:`Design.map_components` (one property on every
-component); both accept ``parallel=N`` to shard the independent queries
-over a process pool (see :mod:`repro.api.parallel`).  Model-checking
+in one call; ``parallel=N`` shards the independent queries over a process
+pool, see :mod:`repro.api.parallel`) and :meth:`Design.map_components` (one
+property on every component).  Model-checking
 queries run on the on-the-fly engine of :mod:`repro.mc.onthefly`, served
 and memoized by :meth:`AnalysisContext.onthefly`.
 
@@ -944,7 +944,7 @@ class Design:
             return [self.verify(prop, m, **options) for prop, m, options in specs]
         from repro.api.parallel import run_queries
 
-        tasks = [(None, prop, m, options) for prop, m, options in specs]
+        tasks = [(prop, m, options) for prop, m, options in specs]
         return run_queries(
             self._components, self.name, tasks, parallel,
             store_root=self.context.store_root(),
@@ -959,30 +959,17 @@ class Design:
             self._component_designs[index] = design
         return design
 
-    def map_components(
-        self, prop: str, method: str = "auto", parallel: Optional[int] = None, **options
-    ) -> List[object]:
+    def map_components(self, prop: str, method: str = "auto", **options) -> List[object]:
         """Check ``prop`` on every component separately; one Verdict per component.
 
-        The per-component queries are independent, which makes this the
-        natural sharding unit of the compositional criterion: with
-        ``parallel=N`` they run over ``N`` worker processes (verdicts
-        sanitized as in :meth:`verify_many`), otherwise sequentially through
-        this design's shared context.
+        The queries run through this design's shared context, so the
+        component analyses they build are the ones the compositional
+        criterion reuses.
         """
-        indices = range(len(self._components))
-        if not parallel or parallel <= 1 or len(self._components) <= 1:
-            return [
-                self.component_design(index).verify(prop, method, **options)
-                for index in indices
-            ]
-        from repro.api.parallel import run_queries
-
-        tasks = [(index, prop, method, dict(options)) for index in indices]
-        return run_queries(
-            self._components, self.name, tasks, parallel,
-            store_root=self.context.store_root(),
-        )
+        return [
+            self.component_design(index).verify(prop, method, **options)
+            for index in range(len(self._components))
+        ]
 
     def compile(self, strategy: str = "sequential", runtime: str = "specialized", **options):
         """Deploy the design; returns a :class:`~repro.api.deploy.Deployment`.

@@ -128,12 +128,16 @@ def _depth_first(
     return visited
 
 
-def _component_signals(process: NormalizedProcess) -> Tuple[str, ...]:
-    """One process's signals in DFS fan-in order from its outputs, each
-    signal after the signals it reads."""
+def _walk(
+    process: NormalizedProcess,
+) -> Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[str, ...]]:
+    """One pass over a process's equations: its signals in DFS fan-in order
+    from its outputs (each signal after the signals it reads), the signals
+    it defines, and its delay targets."""
     successors: Dict[str, Tuple[str, ...]] = {}
     peers: Dict[str, List[str]] = {}
     delayed: List[str] = []
+    targets: List[str] = []
     for equation in process.equations:
         target = equation.defined_signal()
         if target is None:
@@ -141,7 +145,10 @@ def _component_signals(process: NormalizedProcess) -> Tuple[str, ...]:
                 related = equation.read_signals()
                 for name in related:
                     peers.setdefault(name, []).extend(related)
-        elif target not in successors:
+            continue
+        if isinstance(equation, DelayEquation):
+            targets.append(target)
+        if target not in successors:
             if isinstance(equation, DelayEquation):
                 # a register's source is read at the previous instant: the
                 # delay target is a leaf of the combinational fan-in
@@ -149,6 +156,7 @@ def _component_signals(process: NormalizedProcess) -> Tuple[str, ...]:
                 delayed.append(equation.source)
             else:
                 successors[target] = equation.read_signals()
+    defined = tuple(successors)
     for name, related in peers.items():
         successors[name] = successors.get(name, ()) + tuple(sorted(set(related) - {name}))
     read = {name for reads in successors.values() for name in reads}
@@ -161,7 +169,7 @@ def _component_signals(process: NormalizedProcess) -> Tuple[str, ...]:
     roots.extend(process.locals)
     roots.extend(successors)
     roots.extend(delayed)
-    return tuple(_depth_first(roots, successors, postorder=True))
+    return tuple(_depth_first(roots, successors, postorder=True)), defined, tuple(targets)
 
 
 def structural_order(components: Sequence[NormalizedProcess]) -> VariableOrder:
@@ -173,13 +181,11 @@ def structural_order(components: Sequence[NormalizedProcess]) -> VariableOrder:
     signal two components share is placed with the first of them.
     """
     components = tuple(components)
-    internal = [_component_signals(component) for component in components]
+    walks = [_walk(component) for component in components]
     definer: Dict[str, int] = {}
-    for index, component in enumerate(components):
-        for equation in component.equations:
-            target = equation.defined_signal()
-            if target is not None:
-                definer.setdefault(target, index)
+    for index, (_signals, defined, _delays) in enumerate(walks):
+        for target in defined:
+            definer.setdefault(target, index)
     read = {name for component in components for name in component.inputs}
     indices = range(len(components))
     roots = [
@@ -193,12 +199,12 @@ def structural_order(components: Sequence[NormalizedProcess]) -> VariableOrder:
         inputs = set(components[index].inputs)
         feeders[index] = [
             definer[name]
-            for name in internal[index]
+            for name in walks[index][0]
             if name in inputs and definer.get(name, index) != index
         ]
     signals: Dict[str, None] = {}
     for index in _depth_first(roots, feeders):
-        for name in internal[index]:
+        for name in walks[index][0]:
             signals.setdefault(name)
     booleans = {
         name
@@ -207,9 +213,6 @@ def structural_order(components: Sequence[NormalizedProcess]) -> VariableOrder:
         if kind == "bool"
     }
     registers = {
-        equation.target
-        for component in components
-        for equation in component.equations
-        if isinstance(equation, DelayEquation) and equation.target in booleans
+        target for _signals, _defined, delays in walks for target in delays if target in booleans
     }
     return VariableOrder(tuple(signals), tuple(sorted(booleans)), tuple(sorted(registers)))

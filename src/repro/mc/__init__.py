@@ -14,7 +14,7 @@ the fly, with lazy product construction and early termination
 
 from repro.mc.transition import BooleanAbstraction, ReactionChoice, ReactionLTS
 from repro.mc.onthefly import InvariantResult, LazyReactionLTS, OnTheFlyChecker, ProductLTS
-from repro.mc.symbolic import SymbolicChecker, SymbolicProductChecker
+from repro.mc.symbolic import SymbolicProductChecker
 from repro.mc.compiled import (
     CompilationError,
     CompiledAbstraction,
@@ -36,7 +36,6 @@ __all__ = [
     "LazyReactionLTS",
     "OnTheFlyChecker",
     "ProductLTS",
-    "SymbolicChecker",
     "SymbolicProductChecker",
     "CompilationError",
     "CompiledAbstraction",

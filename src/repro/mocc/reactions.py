@@ -56,7 +56,9 @@ class Reaction:
     __slots__ = ("_domain", "_present", "_items", "_present_set", "_absent_set", "_hash")
 
     #: the intern table of :meth:`interned` (content-keyed canonical instances)
-    _interned: Dict[Tuple[Tuple[str, ...], Tuple[Tuple[str, Value], ...]], "Reaction"] = {}
+    _interned: Dict[
+        Tuple[Tuple[str, ...], Tuple[Tuple[str, Value], ...], Tuple[type, ...]], "Reaction"
+    ] = {}
 
     def __init__(self, domain: Iterable[str], present: Optional[Mapping[str, Value]] = None):
         self._domain: Tuple[str, ...] = _canonical_domain(domain)
@@ -83,11 +85,15 @@ class Reaction:
         long-running process is bounded); :meth:`clear_interned` resets it
         eagerly between unrelated sessions.
         """
-        candidate = cls(domain, present)
-        key = (candidate._domain, candidate._items)
+        canonical = _canonical_domain(domain)
+        items = tuple(sorted((present or {}).items()))
+        # equality identifies True with 1; the key keeps the value types
+        # apart, so a boolean value never comes back as a numeric one
+        key = (canonical, items, tuple([type(value) for _, value in items]))
         existing = cls._interned.get(key)
         if existing is not None:
             return existing
+        candidate = cls(canonical, present)
         if len(cls._interned) >= INTERN_TABLE_LIMIT:
             cls._interned.clear()
         cls._interned[key] = candidate

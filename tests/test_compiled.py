@@ -281,3 +281,15 @@ def test_reactions_are_interned_and_cached():
     assert first.absent_signals() == frozenset({"b", "c"})
     assert hash(first) == hash(Reaction(domain, {"a": True}))
     assert first == Reaction(domain, {"a": True})
+
+
+def test_interning_keeps_boolean_and_numeric_values_apart():
+    # True == 1 in Python, so a content key without the value types would
+    # hand a boolean reaction back as the numeric one interned before it
+    numeric = Reaction.interned(("x", "y"), {"x": 1})
+    boolean = Reaction.interned(("x", "y"), {"x": True})
+    assert boolean is not numeric
+    assert boolean.value("x") is True
+    assert type(numeric.value("x")) is int
+    assert Reaction.interned(("x", "y"), {"x": 1}) is numeric
+    assert Reaction.interned(("x", "y"), {"x": True}) is boolean

@@ -1,8 +1,15 @@
 """Tests for the model-checking substrate: LTS construction, explicit and symbolic checkers."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.api.backends import _symbolic_checker
 from repro.bdd.bdd import BDDManager
+from repro.gen.corpus import Corpus
+from repro.lang.normalize import normalize
+from repro.library.basic import buffer_process
+from repro.library.producer_consumer import normalized_suite as producer_consumer_suite
 from repro.mc.invariants import (
     check_flow_independent,
     check_order_independent,
@@ -11,14 +18,10 @@ from repro.mc.invariants import (
 )
 from repro.api.session import Design
 from repro.gen.topologies import arbiter_tree, chain_of_buffers, pipeline_network
-from repro.mc.symbolic import (
-    SymbolicChecker,
-    SymbolicProductChecker,
-    current_variable,
-    event_variable,
-)
+from repro.mc.symbolic import SymbolicProductChecker
 from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
-from repro.mc.transition import BooleanAbstraction
+from repro.mc.transition import BooleanAbstraction, ReactionLTS, Transition
+from repro.mocc.reactions import Reaction
 from repro.properties.compilable import ProcessAnalysis
 from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.weak_endochrony import check_weak_endochrony
@@ -113,40 +116,21 @@ class TestInvariants:
         assert isinstance(result.holds, bool)
 
 
-class TestSymbolicChecker:
-    def test_reachable_count_matches_explicit(self, filter_normalized):
-        lts = _materialize(filter_normalized)
-        symbolic = SymbolicChecker(lts)
-        assert symbolic.reachable_count() == lts.state_count()
+def _product_of_one(lts, process) -> SymbolicProductChecker:
+    return SymbolicProductChecker([lts], components=[process])
 
-    def test_invariant_check_holds(self, filter_normalized):
-        lts = _materialize(filter_normalized)
-        symbolic = SymbolicChecker(lts)
-        tautology = symbolic.manager.true
-        assert symbolic.check_invariant("true", tautology).holds
 
-    def test_invariant_counterexample(self, filter_normalized):
-        lts = _materialize(filter_normalized)
-        symbolic = SymbolicChecker(lts)
-        never_false = symbolic.register("x_prev")
-        result = symbolic.check_invariant("x_prev stays true", never_false)
-        assert not result.holds
+class TestProductOfOne:
+    """A single process is checked symbolically as a product of one."""
 
-    def test_reaction_invariant(self, filter_normalized):
-        lts = _materialize(filter_normalized)
-        symbolic = SymbolicChecker(lts)
-        # whenever x is emitted, y is read in the same reaction
-        invariant = symbolic.event("x").implies(symbolic.event("y"))
-        assert symbolic.check_reaction_invariant("x needs y", invariant).holds
-
-    def test_buffer_symbolic_state_space(self, buffer_normalized):
-        lts = _materialize(buffer_normalized)
-        symbolic = SymbolicChecker(lts)
-        assert symbolic.reachable_count() == lts.state_count()
+    def test_reachable_count_matches_explicit(self, filter_normalized, buffer_normalized):
+        for process in (filter_normalized, buffer_normalized):
+            lts = _materialize(process)
+            assert _product_of_one(lts, process).reachable_count() == lts.state_count()
 
     def test_non_blocking_matches_explicit(self, filter_normalized, buffer_normalized):
         for process in (filter_normalized, buffer_normalized):
-            symbolic = SymbolicChecker(_materialize(process))
+            symbolic = _product_of_one(_materialize(process), process)
             assert symbolic.is_non_blocking().holds == verify_non_blocking(process).holds
             assert symbolic.deadlock_states().is_false()
 
@@ -157,7 +141,7 @@ class TestSymbolicChecker:
         lts = _materialize(buffer_normalized)
         stuck = next(state for state in lts.states if state != lts.initial)
         lts.transitions = [t for t in lts.transitions if t.source != stuck]
-        symbolic = SymbolicChecker(lts)
+        symbolic = _product_of_one(lts, buffer_normalized)
         result = symbolic.is_non_blocking()
         assert not result.holds
         witness = symbolic.deadlock_states().satisfy_one()
@@ -167,6 +151,88 @@ class TestSymbolicChecker:
             if variable.startswith("s·")
         }
         assert result.counterexample == f"reachable deadlock state {readable}"
+
+    def test_truncated_lts_only_in_a_product_of_one(self, buffer_normalized):
+        lts = _materialize(buffer_normalized, max_states=2)
+        assert lts.truncated
+        # images stay within the explored states: no dangling target counts
+        assert _product_of_one(lts, buffer_normalized).reachable_count() == lts.state_count()
+        with pytest.raises(ValueError, match="truncated"):
+            SymbolicProductChecker([lts, lts], components=[buffer_normalized, buffer_normalized])
+
+
+def test_value_variables_follow_declared_types(producer_consumer):
+    """A signal carries ``d·x`` because it is declared boolean, not because a
+    reaction holds a ``bool``: the producer's boolean ``a`` carried as 0/1
+    and its numeric ``u``/``x`` carried as ``True`` encode the same relation."""
+    producer = producer_consumer["producer"]
+    lts = _materialize(producer)
+
+    def retyped(value):
+        return int(value) if isinstance(value, bool) else True
+
+    swapped = ReactionLTS(
+        lts.process_name,
+        lts.initial,
+        list(lts.states),
+        [
+            Transition(
+                t.source,
+                Reaction(t.reaction.domain, {n: retyped(v) for n, v in t.reaction.items()}),
+                t.target,
+            )
+            for t in lts.transitions
+        ],
+    )
+    manager = BDDManager()
+    declared = SymbolicProductChecker([lts], manager, components=[producer])
+    observed = SymbolicProductChecker([swapped], manager, components=[producer])
+    assert observed.transition_relation == declared.transition_relation
+    support = manager.support(declared.transition_relation)
+    assert "d·a" in support and "d·u" not in support and "d·x" not in support
+
+
+CORPUS = Corpus.load(Path(__file__).resolve().parent.parent / "corpus" / "corpus.json")
+
+
+SINGLE_COMPONENT = {entry.name: entry for entry in CORPUS if len(entry.components) == 1}
+
+
+def _design_of_one(name: str) -> Design:
+    """A fresh design the dispatcher checks as a product of one."""
+    if name == "producer+buffer":
+        # both components define x: they cannot form a symbolic product
+        return Design(
+            name="producer_buffer",
+            components=[producer_consumer_suite()["producer"], normalize(buffer_process())],
+        )
+    return SINGLE_COMPONENT[name].regenerate().design()
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_COMPONENT) + ["producer+buffer"])
+def test_product_of_one_agrees_with_compiled_and_explicit(name):
+    max_states = CORPUS.max_states
+    compiled = _design_of_one(name).verify("non-blocking", "compiled", max_states=max_states)
+    design = _design_of_one(name)
+    symbolic = design.verify("non-blocking", "symbolic", max_states=max_states)
+    assert symbolic.holds == compiled.holds
+    checker = _symbolic_checker(design, max_states)
+    assert len(checker.component_ltss) == 1
+    explored = _materialize(design.composition, max_states=max_states).state_count()
+    assert checker.reachable_count() == explored
+
+
+def test_reachability_cross_check_holds_where_the_invariants_explore_nothing():
+    """``divider_2_s0``'s hierarchy has one root, so the Section 4.1
+    invariants visit no state; the cross-check still compares the BDD count
+    with a complete exploration of the product."""
+    entry = next(entry for entry in CORPUS if entry.name == "divider_2_s0")
+    design = entry.regenerate().design()
+    verdict = design.verify("weak-endochrony", "symbolic", **CORPUS.options())
+    assert verdict.holds
+    cross_check = verdict.diagnostics[-1]
+    assert cross_check.name == "symbolic reachability agrees with exploration"
+    assert cross_check.holds
 
 
 #: exploration bound of the family checks: no family below is truncated by it
@@ -216,14 +282,13 @@ class TestSymbolicEngineRegression:
     @pytest.fixture
     def image_calls(self, monkeypatch):
         calls = []
-        for checker_class in (SymbolicChecker, SymbolicProductChecker):
-            original = checker_class.image
+        original = SymbolicProductChecker.image
 
-            def spy(self, states, _original=original):
-                calls.append(self)
-                return _original(self, states)
+        def spy(self, states):
+            calls.append(self)
+            return original(self, states)
 
-            monkeypatch.setattr(checker_class, "image", spy)
+        monkeypatch.setattr(SymbolicProductChecker, "image", spy)
         return calls
 
     def test_product_fixpoint_runs_once_per_non_blocking_verdict(self, image_calls):
@@ -240,7 +305,7 @@ class TestSymbolicEngineRegression:
     def test_single_component_fixpoint_runs_once_per_non_blocking_verdict(
         self, buffer_normalized, image_calls
     ):
-        SymbolicChecker(_materialize(buffer_normalized)).reachable_states()
+        _product_of_one(_materialize(buffer_normalized), buffer_normalized).reachable_states()
         one_fixpoint = len(image_calls)
         assert one_fixpoint > 1
         image_calls.clear()

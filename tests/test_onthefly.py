@@ -164,7 +164,9 @@ class TestLazyEagerEquivalence:
     def test_symbolic_product_matches_explicit_reachability(self, family, size):
         components, composition = _GENERATORS[family](size)
         composed = _materialize(composition)
-        checker = SymbolicProductChecker([_materialize(c, 512) for c in components])
+        checker = SymbolicProductChecker(
+            [_materialize(c, 512) for c in components], components=components
+        )
         assert checker.reachable_count() == composed.state_count()
         assert checker.is_non_blocking().holds
 
@@ -361,11 +363,12 @@ class TestBatchLayer:
         assert all(v.report is None for v in parallel)
         assert all(v.report is not None for v in sequential)
 
-    def test_map_components_sequential_and_parallel(self, design):
-        sequential = design.map_components("endochrony")
-        assert len(sequential) == 2
-        parallel = design.map_components("endochrony", parallel=2)
-        assert [bool(v) for v in sequential] == [bool(v) for v in parallel]
+    def test_map_components_checks_each_component(self, design):
+        verdicts = design.map_components("endochrony")
+        assert len(verdicts) == 2
+        assert [bool(v) for v in verdicts] == [
+            bool(design.component_design(index).verify("endochrony")) for index in (0, 1)
+        ]
 
     def test_component_design_shares_context(self, design):
         sub = design.component_design(0)

@@ -10,10 +10,12 @@ entailment and feasibility query is decided without interning a BDD node.
 
 The last scenarios time one cold static ``non-blocking`` query on the
 scaling families, each in a fresh session under the design's structural
-variable order (:mod:`repro.clocks.order`), and assert that it holds.
+variable order (:mod:`repro.clocks.order`), assert that it holds and that
+Definition 8 on the composition's reinforced graph interns no BDD node.
 Every record carries the time the same query took before the structural
 order, measured on a 2-vCPU host (Python 3.11.7), and the ROADMAP target
-where there is one.
+where there is one; ``arbiter_tree_6`` also carries its time and peak
+nodes from before acyclicity ran on the plain graph's SCCs.
 Run with::
 
     PYTHONPATH=src python -m pytest -q --benchmark-disable benchmarks/bench_clock_calculus.py
@@ -180,6 +182,11 @@ PARENT_SECONDS = {
 #: ROADMAP targets ("one structural BDD variable order per design")
 TARGETS = {"arbiter_tree_5": 1.0}
 
+#: the same cold static query while Definition 8 still built a constrained
+#: BDD for every scheduling edge, before the SCC pass on the plain graph, on
+#: a 2-vCPU host (Python 3.11.7): two runs, 10.55 s and 12.07 s
+BEFORE_PLAIN_SCC = {"arbiter_tree_6": {"seconds": 11.31, "peak_nodes": 902239}}
+
 FAMILIES = {
     "arbiter_tree": arbiter_tree,
     "chain_of_buffers": chain_of_buffers,
@@ -200,11 +207,24 @@ def test_static_non_blocking_scaling(scenario):
     gc.collect()
     verdict, seconds = timed(design.verify, "non-blocking", "static")
     assert verdict.holds, f"{scenario}: static non-blocking should hold"
+    manager = design.context.manager
+    peak_nodes = manager.stats()["peak_nodes"]
+    # Definition 8 on the composition's reinforced graph, which has no plain
+    # cycle, is decided by the SCC pass alone
+    size = manager.size()
+    assert is_acyclic(design.analysis.reinforced_graph)
+    assert manager.size() == size, f"{scenario}: acyclicity built a BDD node"
     extra = {"target_seconds": TARGETS[scenario]} if scenario in TARGETS else {}
+    if scenario in BEFORE_PLAIN_SCC:
+        before = BEFORE_PLAIN_SCC[scenario]
+        extra.update(
+            before_plain_scc_seconds=before["seconds"],
+            before_plain_scc_peak_nodes=before["peak_nodes"],
+        )
     RECORD.record(
         f"{scenario} static non-blocking",
         seconds=seconds,
         parent_seconds=PARENT_SECONDS[scenario],
-        peak_nodes=design.context.manager.stats()["peak_nodes"],
+        peak_nodes=peak_nodes,
         **extra,
     )

@@ -20,8 +20,10 @@ That combination makes one file serve two roles:
   its seed, asserts the digest still matches (catching *generator* drift:
   a grammar or topology change that silently alters what a seed means),
   then re-verifies every recorded query and compares outcomes (catching
-  *engine* drift: a backend change that flips a verdict).  CI runs this on
-  every pull request.
+  *engine* drift: a backend change that flips a verdict) and the rest of
+  the recorded payload (a renamed diagnostic or a changed cost is drift
+  too, because the warm store serves the recorded payload verbatim).  CI
+  runs this on every pull request.
 * **warm-store seed** — :func:`seed_store` files every recorded verdict
   into an :class:`~repro.service.store.ArtifactStore` under the design
   digest and the same ``verdict-*`` object names the session facade uses,
@@ -48,6 +50,11 @@ DEFAULT_QUERIES: Tuple[Tuple[str, str], ...] = tuple(
 )
 
 CORPUS_VERSION = 1
+
+#: the cost fields a re-run must reproduce; not ``seconds`` (wall-clock) nor
+#: ``bdd_nodes``, which depends on the variable order a context shared across
+#: designs (``corpus check --store``) took from its first design
+COMPARED_COSTS: Tuple[str, ...] = ("states", "transitions", "state_bound", "components")
 
 
 def _query_key(prop: str, method: str) -> str:
@@ -225,11 +232,26 @@ class Drift:
 
     entry_name: str
     seed: int
-    kind: str  # "digest" or "verdict"
+    kind: str  # "digest", "verdict" or "payload"
     detail: str
 
     def describe(self) -> str:
         return f"{self.entry_name} (seed {self.seed}): {self.kind} drift — {self.detail}"
+
+
+def _payload_fields(payload: Mapping[str, object]) -> Dict[str, object]:
+    """The parts of a verdict payload a re-run must reproduce: the method,
+    each diagnostic's ``(name, holds)`` and the :data:`COMPARED_COSTS`."""
+    cost = payload.get("cost", {})
+    fields: Dict[str, object] = {
+        "method": payload.get("method"),
+        "diagnostics": [
+            (diagnostic["name"], bool(diagnostic["holds"]))
+            for diagnostic in payload.get("diagnostics", ())
+        ],
+    }
+    fields.update((name, cost.get(name)) for name in COMPARED_COSTS)
+    return fields
 
 
 def check_corpus(corpus: Corpus, context=None) -> List[Drift]:
@@ -239,9 +261,11 @@ def check_corpus(corpus: Corpus, context=None) -> List[Drift]:
     equal the recorded one (generator determinism — a failure here means a
     seed no longer denotes the same design, and the corpus must be
     explicitly rebuilt, not silently re-verified); then every recorded
-    query is re-run and its outcome compared (engine regression).  An
-    entry whose digest drifted is not re-verified — its recorded verdicts
-    describe a design that no longer exists.
+    query is re-run and its outcome compared (engine regression, kind
+    ``"verdict"``).  A query whose outcome still matches is compared field
+    by field (:func:`_payload_fields`, kind ``"payload"``).  An entry whose
+    digest drifted is not re-verified — its recorded verdicts describe a
+    design that no longer exists.
     """
     drift: List[Drift] = []
     for entry in corpus.entries:
@@ -265,17 +289,17 @@ def check_corpus(corpus: Corpus, context=None) -> List[Drift]:
         for (prop, method), verdict in zip(queries, verdicts):
             recorded = entry.holds(prop, method)
             if bool(verdict.holds) != recorded:
-                drift.append(
-                    Drift(
-                        entry_name=entry.name,
-                        seed=entry.seed,
-                        kind="verdict",
-                        detail=(
-                            f"{prop} via {method}: recorded holds={recorded}, "
-                            f"now holds={bool(verdict.holds)}"
-                        ),
-                    )
+                kind, detail = "verdict", f"recorded holds={recorded}, now holds={bool(verdict.holds)}"
+            else:
+                then = _payload_fields(entry.verdicts[_query_key(prop, method)])
+                now = _payload_fields(verdict.to_dict())
+                kind, detail = "payload", "; ".join(
+                    f"{name} recorded {value!r}, now {now[name]!r}"
+                    for name, value in then.items()
+                    if value != now[name]
                 )
+            if detail:
+                drift.append(Drift(entry.name, entry.seed, kind, f"{prop} via {method}: {detail}"))
     return drift
 
 

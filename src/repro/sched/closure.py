@@ -8,70 +8,27 @@ The closure rules of Section 3.5 are:
 
 A graph is acyclic iff every self-path ``a ⇒e a`` has an empty clock under
 the timing relations (``R |= e = 0``).
+
+A self-path only exists through a cycle of the plain (unlabelled) graph, so
+the labels are consulted only where such a cycle exists: Tarjan's algorithm
+finds the strongly connected components of the plain graph, the kernel's
+non-constructive ``intersects`` drops the infeasible edges inside them, and
+the labelled closure runs only inside the components that survive a second
+Tarjan pass.  On a graph without plain cycles, such as every reinforced
+graph of the committed corpus, Definition 8 builds no BDD node.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.bdd.bdd import BDD
 from repro.clocks.relations import Node
-from repro.sched.graph import SchedulingGraph
-
-
-def transitive_closure(graph: SchedulingGraph) -> Dict[Tuple[Node, Node], BDD]:
-    """The labelled transitive closure of the scheduling graph.
-
-    Returns a mapping from node pairs to the BDD of the clock at which a path
-    exists between them.  The computation is a label-weighted Floyd–Warshall:
-    labels combine by conjunction along a path and by disjunction across
-    alternative paths.
-    """
-    manager = graph.algebra.manager
-    closure: Dict[Tuple[Node, Node], BDD] = {}
-    for edge in graph.edges():
-        key = (edge.source, edge.target)
-        closure[key] = closure.get(key, manager.false) | edge.label
-
-    nodes = graph.nodes()
-    for middle in nodes:
-        for source in nodes:
-            through = closure.get((source, middle))
-            if through is None or through.is_false():
-                continue
-            for target in nodes:
-                onward = closure.get((middle, target))
-                if onward is None or onward.is_false():
-                    continue
-                combined = through & onward
-                if combined.is_false():
-                    continue
-                key = (source, target)
-                closure[key] = closure.get(key, manager.false) | combined
-    return closure
-
-
-def _feasible_edges(graph: SchedulingGraph):
-    """The edges whose clock label can actually tick under the timing relations.
-
-    Each label is conjoined with the relation *factors* it touches
-    (:meth:`~repro.clocks.algebra.ClockAlgebra.constrained`) rather than the
-    full relation — equi-satisfiable, and on an N-component composition the
-    per-edge BDD work stays local to the components the edge mentions.
-    """
-    algebra = graph.algebra
-    if not algebra.satisfiable():
-        return []
-    feasible = []
-    for edge in graph.edges():
-        constrained = algebra.constrained(edge.label)
-        if constrained.is_satisfiable():
-            feasible.append((edge, constrained))
-    return feasible
+from repro.sched.graph import Edge, SchedulingGraph
 
 
 def _strongly_connected_components(nodes, successors) -> List[List[Node]]:
-    """Tarjan's algorithm (iterative) over the feasible-edge graph."""
+    """Tarjan's algorithm (iterative) over a successor map."""
     index_of: Dict[Node, int] = {}
     lowlink: Dict[Node, int] = {}
     on_stack: Dict[Node, bool] = {}
@@ -119,63 +76,78 @@ def _strongly_connected_components(nodes, successors) -> List[List[Node]]:
     return components
 
 
-def cyclic_nodes(graph: SchedulingGraph) -> List[Tuple[Node, BDD]]:
-    """Nodes that lie on a cycle whose clock is not provably empty.
+def _cycles(edges: Sequence[Edge]) -> List[List[Edge]]:
+    """The edges that lie on a cycle, grouped by strongly connected component.
 
-    The labelled all-pairs closure is only computed inside non-trivial
-    strongly connected components of the feasible-edge graph: acyclic graphs
-    (the common case) are dismissed by the SCC decomposition alone, which
-    keeps the check cheap on large compositions.
+    A group is the edges inside one component that has a cycle: two or more
+    nodes, or one node with a self-loop.  Edges between components lie on
+    no cycle and are dropped.
     """
-    manager = graph.algebra.manager
-    algebra = graph.algebra
-    feasible = _feasible_edges(graph)
     successors: Dict[Node, List[Node]] = {}
-    for edge, _constrained in feasible:
+    for edge in edges:
         successors.setdefault(edge.source, []).append(edge.target)
-    nodes = graph.nodes()
-    components = _strongly_connected_components(nodes, successors)
+    component_of: Dict[Node, int] = {}
+    for position, component in enumerate(
+        _strongly_connected_components(sorted(successors), successors)
+    ):
+        for node in component:
+            component_of[node] = position
+    groups: Dict[int, List[Edge]] = {}
+    for edge in edges:
+        position = component_of[edge.source]
+        if component_of[edge.target] == position:
+            groups.setdefault(position, []).append(edge)
+    return [groups[position] for position in sorted(groups)]
 
-    offenders: List[Tuple[Node, BDD]] = []
-    self_loops = {
-        edge.source: constrained for edge, constrained in feasible if edge.source == edge.target
-    }
-    for node, constrained in sorted(self_loops.items()):
-        offenders.append((node, constrained))
 
-    for component in components:
-        if len(component) < 2:
-            continue
-        members = set(component)
-        closure: Dict[Tuple[Node, Node], BDD] = {}
-        for edge, constrained in feasible:
-            if edge.source in members and edge.target in members:
-                key = (edge.source, edge.target)
-                closure[key] = closure.get(key, manager.false) | constrained
-        ordered = sorted(members)
-        for middle in ordered:
-            for source in ordered:
-                through = closure.get((source, middle))
-                if through is None or through.is_false():
+def _self_paths(edges: Iterable[Tuple[Edge, BDD]]) -> Dict[Node, BDD]:
+    """The labelled closure of ``edges``, restricted to its self-paths."""
+    closure: Dict[Tuple[Node, Node], BDD] = {}
+    members = set()
+    for edge, label in edges:
+        key = (edge.source, edge.target)
+        closure[key] = closure[key] | label if key in closure else label
+        members.update(key)
+    ordered = sorted(members)
+    for middle in ordered:
+        for source in ordered:
+            through = closure.get((source, middle))
+            if through is None:
+                continue
+            for target in ordered:
+                onward = closure.get((middle, target))
+                if onward is None:
                     continue
-                for target in ordered:
-                    onward = closure.get((middle, target))
-                    if onward is None or onward.is_false():
-                        continue
-                    combined = through & onward
-                    if combined.is_false():
-                        continue
-                    key = (source, target)
-                    closure[key] = closure.get(key, manager.false) | combined
-        for node in ordered:
-            label = closure.get((node, node))
-            # the closure entries already carry the relation factors of every
-            # label on their path (constrained labels are closed under
-            # conjunction), so satisfiability alone decides feasibility here
-            if label is not None and label.is_satisfiable():
-                if node not in self_loops:
-                    offenders.append((node, algebra.constrained(label)))
-    return offenders
+                combined = through & onward
+                if combined.is_false():
+                    continue
+                key = (source, target)
+                closure[key] = closure[key] | combined if key in closure else combined
+    return {node: closure[(node, node)] for node in ordered if (node, node) in closure}
+
+
+def cyclic_nodes(graph: SchedulingGraph) -> List[Tuple[Node, BDD]]:
+    """Nodes that lie on a cycle whose clock is not provably empty, each with
+    the clock of its self-path conjoined with the relation factors it touches.
+
+    Only edges on a cycle of the plain graph are tested for feasibility, and
+    only edges on a cycle of the feasible ones are labelled: an edge is
+    conjoined with its relation factors (``ClockAlgebra.constrained``) and
+    those labels, closed under conjunction, are closed per component, so a
+    self-path's label is satisfiable exactly when its clock can tick.
+    """
+    algebra = graph.algebra
+    if not algebra.satisfiable():
+        return []
+    plain = [edge for group in _cycles(graph.edges()) for edge in group]
+    feasible = [edge for edge in plain if algebra.feasible(edge.label)]
+    offenders: List[Tuple[Node, BDD]] = []
+    for group in _cycles(feasible):
+        labelled = [(edge, algebra.constrained(edge.label)) for edge in group]
+        # the closure keeps no empty label, so every self-path it holds ticks
+        for node, label in _self_paths(labelled).items():
+            offenders.append((node, algebra.constrained(label)))
+    return sorted(offenders, key=lambda offender: offender[0])
 
 
 def is_acyclic(graph: SchedulingGraph) -> bool:

@@ -10,7 +10,7 @@ the closure and acyclicity computations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.bdd.bdd import BDD
 from repro.clocks.algebra import ClockAlgebra
@@ -93,16 +93,6 @@ class SchedulingGraph:
 
     def edge(self, source: Node, target: Node) -> Optional[Edge]:
         return self._edges.get((source, target))
-
-    def successors(self, node: Node) -> Iterator[Edge]:
-        for (source, _target), edge in sorted(self._edges.items()):
-            if source == node:
-                yield edge
-
-    def predecessors(self, node: Node) -> Iterator[Edge]:
-        for (_source, target), edge in sorted(self._edges.items()):
-            if target == node:
-                yield edge
 
     def edge_count(self) -> int:
         return len(self._edges)

@@ -63,6 +63,43 @@ class TestDriftDetection:
         drift = check_corpus(corpus)
         assert any(item.kind == "verdict" for item in drift)
 
+    @staticmethod
+    def _tampered(small_corpus, change):
+        corpus = Corpus.from_dict(json.loads(json.dumps(small_corpus.to_dict())))
+        payload = corpus.entries[0].verdicts["weak-endochrony|symbolic"]
+        change(payload)
+        return check_corpus(corpus)
+
+    def test_renamed_diagnostic_is_payload_drift(self, small_corpus):
+        def rename(payload):
+            payload["diagnostics"][0]["name"] = "a name the engine no longer emits"
+
+        drift = self._tampered(small_corpus, rename)
+        assert [item.kind for item in drift] == ["payload"]
+        assert "weak-endochrony via symbolic: diagnostics recorded" in drift[0].detail
+
+    @pytest.mark.parametrize("field", ["states", "transitions", "state_bound", "components"])
+    def test_changed_cost_is_payload_drift(self, small_corpus, field):
+        def bump(payload):
+            payload["cost"][field] += 1
+
+        drift = self._tampered(small_corpus, bump)
+        assert [item.kind for item in drift] == ["payload"]
+        assert f"{field} recorded" in drift[0].detail
+
+    def test_changed_method_is_payload_drift(self, small_corpus):
+        def relabel(payload):
+            payload["method"] = "explicit"
+
+        assert [item.kind for item in self._tampered(small_corpus, relabel)] == ["payload"]
+
+    @pytest.mark.parametrize("field", ["seconds", "bdd_nodes"])
+    def test_run_dependent_costs_are_not_compared(self, small_corpus, field):
+        def bump(payload):
+            payload["cost"][field] += 1
+
+        assert self._tampered(small_corpus, bump) == []
+
     def test_digest_drift_is_detected_and_stops_reverification(self, small_corpus):
         corpus = Corpus.from_dict(json.loads(json.dumps(small_corpus.to_dict())))
         payload = corpus.entries[0].to_dict()

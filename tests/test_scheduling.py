@@ -1,13 +1,21 @@
 """Tests for the scheduling graph: construction, reinforcement, closure, serialization (E8)."""
 
-import pytest
+from pathlib import Path
 
-from repro.clocks.relations import clock_node, signal_node
-from repro.lang.builder import ProcessBuilder, signal, tick, when_true
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.api.session import Design
+from repro.bdd.bdd import BDDManager
+from repro.clocks.algebra import ClockAlgebra, presence_variable, value_variable
+from repro.clocks.relations import TimingRelations, clock_node, signal_node
+from repro.gen.corpus import Corpus
+from repro.gen.topologies import chain_of_buffers
+from repro.lang.ast import ClockBinary, ClockFalse, ClockOf, ClockTrue
+from repro.lang.builder import ProcessBuilder, signal, when_false, when_true
 from repro.lang.normalize import normalize
-from repro.library.basic import buffer_process, filter_process
 from repro.properties.compilable import ProcessAnalysis
-from repro.sched.closure import cyclic_nodes, is_acyclic, transitive_closure
+from repro.sched.closure import cyclic_nodes, is_acyclic
 from repro.sched.graph import SchedulingGraph
 from repro.sched.reinforce import reinforce
 from repro.sched.serialize import SerializationError, sequential_schedule
@@ -59,10 +67,6 @@ class TestClosureAndAcyclicity:
         assert is_acyclic(buffer_analysis.reinforced_graph)
         assert cyclic_nodes(buffer_analysis.reinforced_graph) == []
 
-    def test_closure_contains_transitive_paths(self, filter_analysis):
-        closure = transitive_closure(filter_analysis.scheduling_graph)
-        assert (signal_node("y"), signal_node("x")) in closure
-
     def test_feasible_cycle_is_detected(self):
         """x := y + 0 | y := x + 0 is an instantaneous dependency cycle."""
         builder = ProcessBuilder("loop", inputs=[], outputs=["x", "y"])
@@ -81,17 +85,171 @@ class TestClosureAndAcyclicity:
         analysis = ProcessAnalysis(normalize(builder.build()))
         assert analysis.is_acyclic()
 
-    def test_cycle_with_exclusive_clocks_is_acyclic(self):
-        """A cyclic-looking graph whose two arcs never tick together is acyclic (Def. 8)."""
-        builder = ProcessBuilder("excl", inputs=["c", "a"], outputs=["x", "y"])
-        builder.define("x", signal("a").when(signal("c")).default(signal("y")))
-        builder.define("y", signal("a").when(signal("c").not_()).default(signal("x")))
+    @staticmethod
+    def _crossed_samplings(second_sampling):
+        """x := (y when c) default a | y := (x when d) default b, with
+        ``[d] = second_sampling``: a plain cycle x → y → x in both cases."""
+        builder = ProcessBuilder("crossed", inputs=["c", "d", "a", "b"], outputs=["x", "y"])
+        builder.define("x", signal("y").when(signal("c")).default(signal("a")))
+        builder.define("y", signal("x").when(signal("d")).default(signal("b")))
+        builder.constrain(when_true("d"), second_sampling)
         analysis = ProcessAnalysis(normalize(builder.build()))
-        # x depends on y at [¬c-ish] instants and y on x at other instants; the
-        # labelled closure must notice the conjunction of the two labels is empty
-        # only if the clock calculus can prove it; here it cannot (the two merges
-        # overlap), so the cycle is reported.
-        assert isinstance(analysis.is_acyclic(), bool)
+        assert _has_plain_cycle(analysis.reinforced_graph)
+        return analysis
+
+    def test_cycle_with_exclusive_clocks_is_acyclic(self):
+        """[d] = [¬c]: the arcs x → y (at [d]) and y → x (at [c]) never tick
+        together, so the closure proves every self-path empty (Def. 8)."""
+        analysis = self._crossed_samplings(when_false("c"))
+        assert analysis.is_acyclic()
+        assert cyclic_nodes(analysis.reinforced_graph) == []
+
+    def test_cycle_with_overlapping_clocks_is_cyclic(self):
+        """[d] = [c]: both arcs tick at [c], so the cycle is feasible."""
+        analysis = self._crossed_samplings(when_true("c"))
+        assert not analysis.is_acyclic()
+        offenders = {node for node, _label in cyclic_nodes(analysis.reinforced_graph)}
+        assert {signal_node("x"), signal_node("y"), clock_node("x"), clock_node("y")} <= offenders
+
+
+def _has_plain_cycle(graph):
+    """Whether some node reaches itself along the unlabelled edges."""
+    successors = {}
+    for edge in graph.edges():
+        successors.setdefault(edge.source, set()).add(edge.target)
+    for start in successors:
+        seen, frontier = set(), list(successors[start])
+        while frontier:
+            node = frontier.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                frontier.extend(successors.get(node, ()))
+    return False
+
+
+def _reference_cyclic_nodes(graph):
+    """Definition 8 the long way: every edge label conjoined with its
+    relation factors and kept if satisfiable, a Floyd–Warshall closure over
+    the whole graph, then every node whose self-path is satisfiable."""
+    algebra = graph.algebra
+    if not algebra.satisfiable():
+        return set()
+    closure = {}
+    for edge in graph.edges():
+        label = algebra.constrained(edge.label)
+        if label.is_satisfiable():
+            closure[(edge.source, edge.target)] = label
+    nodes = graph.nodes()
+    for middle in nodes:
+        for source in nodes:
+            through = closure.get((source, middle))
+            if through is None:
+                continue
+            for target in nodes:
+                onward = closure.get((middle, target))
+                if onward is None:
+                    continue
+                key = (source, target)
+                combined = through & onward
+                closure[key] = closure[key] | combined if key in closure else combined
+    return {
+        node for node in nodes if (node, node) in closure and closure[(node, node)].is_satisfiable()
+    }
+
+
+SIGNALS = ("s0", "s1", "s2", "s3")
+GRAPH_NODES = tuple(signal_node(f"n{index}") for index in range(5))
+
+
+@st.composite
+def clock_expressions(draw, signals, depth=2):
+    name = draw(st.sampled_from(signals))
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from([ClockOf(name), ClockTrue(name), ClockFalse(name)]))
+    operator = draw(st.sampled_from(["and", "or", "diff"]))
+    return ClockBinary(
+        operator,
+        draw(clock_expressions(signals, depth - 1)),
+        draw(clock_expressions(signals, depth - 1)),
+    )
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A random clock-labelled graph over an algebra of 2–4 boolean signals."""
+    signals = SIGNALS[: draw(st.integers(min_value=2, max_value=4))]
+    builder = ProcessBuilder("random", inputs=list(signals), outputs=["o"])
+    builder.define("o", signal(signals[0]))
+    relations = TimingRelations()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        relations.add_clock_relation(
+            draw(clock_expressions(signals)), draw(clock_expressions(signals))
+        )
+    manager = BDDManager(
+        [variable for name in signals for variable in (presence_variable(name), value_variable(name))]
+    )
+    algebra = ClockAlgebra(normalize(builder.build()), relations, manager=manager)
+    graph = SchedulingGraph(algebra.process, algebra)
+    for node in GRAPH_NODES:
+        graph.add_node(node)
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        graph.add_edge(
+            draw(st.sampled_from(GRAPH_NODES)),
+            draw(st.sampled_from(GRAPH_NODES)),
+            draw(clock_expressions(signals)),
+        )
+    return graph
+
+
+class TestAcyclicityAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_graphs())
+    def test_cyclic_nodes_match_the_full_closure(self, graph):
+        expected = _reference_cyclic_nodes(graph)
+        offenders = cyclic_nodes(graph)
+        assert {node for node, _label in offenders} == expected
+        assert len(offenders) == len(expected)
+        assert all(label.is_satisfiable() for _node, label in offenders)
+        assert is_acyclic(graph) == (not expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_graphs())
+    def test_plain_acyclic_graph_builds_no_node(self, graph):
+        if _has_plain_cycle(graph):
+            return
+        size = graph.algebra.manager.size()
+        assert is_acyclic(graph)
+        assert graph.algebra.manager.size() == size
+
+
+COMMITTED_CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "corpus.json"
+
+
+def _corpus_design(index):
+    return Corpus.load(COMMITTED_CORPUS).entries[index].regenerate().design()
+
+
+PLAIN_ACYCLIC_DESIGNS = {
+    **{f"corpus_{index}": lambda index=index: _corpus_design(index) for index in (0, 15, 30, 45)},
+    "chain_of_buffers_8": lambda: Design(
+        name="chain_of_buffers_8", components=list(chain_of_buffers(8)[0])
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PLAIN_ACYCLIC_DESIGNS))
+def test_acyclicity_of_a_plain_acyclic_composition_builds_no_node(scenario):
+    """Definition 8 on a reinforced graph without plain cycles is decided by
+    the SCC pass alone: not one BDD node is interned."""
+    design = PLAIN_ACYCLIC_DESIGNS[scenario]()
+    graph = design.analysis.reinforced_graph
+    assert not _has_plain_cycle(graph)
+    manager = design.context.manager
+    size = manager.size()
+    assert is_acyclic(graph)
+    assert manager.size() == size
 
 
 class TestSerialization:

@@ -13,7 +13,11 @@ throughput gates plus the batched-vs-scalar identity contract:
   deep single-clock dataflow whose values stay bounded, so no lane ever
   leaves the int64 fragment);
 * batched outputs must be byte-identical to scalar outputs across the
-  committed corpus seeds (vectorized lanes and fallback lanes alike).
+  committed corpus seeds (vectorized lanes and fallback lanes alike);
+* a cold ``Design`` over a 64- or 128-stage derivative chain renders each
+  equation at most twice while computing its content digest (recorded with
+  the digest's seconds, next to the seconds it took before each α-renaming
+  round became linear).
 
 Cold numbers (compile) and warm numbers (run on an already-compiled
 deployment) are recorded separately in ``BENCH_deploy.json``.
@@ -33,7 +37,9 @@ from repro import Design
 from repro.codegen.batch import numpy_available
 from repro.codegen.sequential import CodeGenerationError, build_step_program
 from repro.gen.topologies import pipeline_network, sample_design
+from repro.lang import printer
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
+from repro.lang.normalize import normalize
 
 RECORD = recorder("deploy")
 
@@ -43,6 +49,9 @@ FLEET = 1024
 FLEET_STEPS = 256
 CHAIN = 32
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "corpus.json"
+#: digest seconds of the derivative chains while every refinement round
+#: re-rendered every occurrence of a hidden local (2 vCPU, Python 3.11.7)
+QUADRATIC_ROUND_DIGEST_SECONDS = {64: 0.83, 128: 6.16}
 
 
 @pytest.fixture(scope="module")
@@ -272,4 +281,38 @@ def test_corpus_batched_identical_to_scalar():
         skipped=skipped,
         vectorized_lanes=vectorized,
         fallback_lanes=fallback,
+    )
+
+
+@pytest.mark.parametrize("stages", sorted(QUADRATIC_ROUND_DIGEST_SECONDS))
+def test_cold_chain_design_renders_each_equation_at_most_twice(stages, monkeypatch):
+    """Recorded: a cold ``Design`` and a cold digest of a long derivative
+    chain; gate: the digest's α-renaming renders each equation at most twice
+    (a count, not a time: the rounds fill templates instead of rendering)."""
+    render = printer.format_primitive_equation
+    renders = []
+
+    def counting(equation):
+        renders.append(equation)
+        return render(equation)
+
+    monkeypatch.setattr(printer, "format_primitive_equation", counting)
+    design, seconds = timed(
+        Design, name=f"deriv_{stages}", components=[derivative_chain(stages)]
+    )
+    equations, rendered = len(design.composition.equations), len(renders)
+    assert 0 < rendered <= 2 * equations, (
+        f"{rendered} renders for {equations} equations of deriv_{stages}"
+    )
+    digest, digest_seconds = timed(
+        printer.process_digest, normalize(derivative_chain(stages))
+    )
+    assert digest == design.digest()
+    RECORD.record(
+        f"cold design deriv_{stages}",
+        seconds=seconds,
+        digest_seconds=round(digest_seconds, 6),
+        quadratic_round_digest_seconds=QUADRATIC_ROUND_DIGEST_SECONDS[stages],
+        equations=equations,
+        renders=rendered,
     )

@@ -67,8 +67,27 @@ def operand_signals(operands: Iterable[Operand]) -> Tuple[str, ...]:
     return tuple(operand for operand in operands if isinstance(operand, str))
 
 
+#: per-object memos kept beside the dataclass fields: equality, hashing and
+#: ``repr`` read the fields only, and pickles leave the memos out
+_MEMOS = frozenset({"_signals", "_template", "_all_signals"})
+
+
+def _without_memos(instance: object) -> Dict[str, object]:
+    return {
+        name: value for name, value in instance.__dict__.items() if name not in _MEMOS
+    }
+
+
 class PrimitiveEquation:
-    """Base class of primitive equations."""
+    """Base class of primitive equations.
+
+    The equations are frozen, so what is derived from their fields alone is
+    computed once per object: :meth:`signals` here, and the render template
+    :mod:`repro.lang.printer` builds for the canonical form.
+    """
+
+    _signals = None  # Tuple[str, ...] once computed
+    _template = None  # the printer's (plain, head, occurrences) once built
 
     def defined_signal(self) -> Optional[str]:
         """The signal defined by this equation, or None for pure constraints."""
@@ -79,9 +98,15 @@ class PrimitiveEquation:
         return ()
 
     def signals(self) -> Tuple[str, ...]:
-        defined = self.defined_signal()
-        reads = self.read_signals()
-        return ((defined,) if defined else ()) + reads
+        signals = self._signals
+        if signals is None:
+            defined = self.defined_signal()
+            signals = ((defined,) if defined else ()) + self.read_signals()
+            object.__setattr__(self, "_signals", signals)
+        return signals
+
+    def __getstate__(self) -> Dict[str, object]:
+        return _without_memos(self)
 
 
 @dataclass(frozen=True)
@@ -159,6 +184,10 @@ class ClockEquation(PrimitiveEquation):
 # Normalized process
 # ---------------------------------------------------------------------------
 
+#: the fields :meth:`NormalizedProcess.all_signals` reads
+_SIGNAL_FIELDS = frozenset({"inputs", "outputs", "locals", "equations"})
+
+
 @dataclass
 class NormalizedProcess:
     """A Signal process expanded into primitive equations.
@@ -175,11 +204,27 @@ class NormalizedProcess:
     equations: Tuple[PrimitiveEquation, ...]
     types: Dict[str, str] = field(default_factory=dict)
 
+    _all_signals = None  # not a field: Tuple[str, ...] once computed
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _SIGNAL_FIELDS:
+            self.__dict__.pop("_all_signals", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return _without_memos(self)
+
     def all_signals(self) -> Tuple[str, ...]:
-        names: Set[str] = set(self.inputs) | set(self.outputs) | set(self.locals)
-        for equation in self.equations:
-            names.update(equation.signals())
-        return tuple(sorted(names))
+        """Every signal of the process, sorted; computed once until one of
+        the fields it reads is reassigned."""
+        signals = self._all_signals
+        if signals is None:
+            names: Set[str] = set(self.inputs) | set(self.outputs) | set(self.locals)
+            for equation in self.equations:
+                names.update(equation.signals())
+            signals = tuple(sorted(names))
+            object.__setattr__(self, "_all_signals", signals)
+        return signals
 
     def interface_signals(self) -> Tuple[str, ...]:
         return tuple(self.inputs) + tuple(self.outputs)

@@ -24,8 +24,7 @@ multiplicative < unary, plus the postfix-style ``pre`` and ``cell`` forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.lang.ast import (
     BinaryOp,
@@ -63,34 +62,38 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     column: int
 
 
+#: keyword spelling -> token kind
 _KEYWORDS = {
-    "process",
-    "returns",
-    "local",
-    "when",
-    "default",
-    "pre",
-    "cell",
-    "init",
-    "and",
-    "or",
-    "not",
-    "xor",
-    "true",
-    "false",
+    keyword: keyword.upper()
+    for keyword in (
+        "process",
+        "returns",
+        "local",
+        "when",
+        "default",
+        "pre",
+        "cell",
+        "init",
+        "and",
+        "or",
+        "not",
+        "xor",
+        "true",
+        "false",
+    )
 }
 
-_TOKEN_SPEC = [
-    ("COMMENT", r"(#|%)[^\n]*"),
-    ("NUMBER", r"\d+(\.\d+)?"),
+#: token kinds in match priority; a kind's group number is its position + 1
+_TOKEN_SPEC = (
+    ("COMMENT", r"[#%][^\n]*"),
+    ("NUMBER", r"\d+(?:\.\d+)?"),
     ("NAME", r"[A-Za-z_][A-Za-z_0-9]*"),
     ("CLOCKOP", r"\^\*|\^\+|\^\-|\^="),
     ("HAT", r"\^"),
@@ -106,32 +109,49 @@ _TOKEN_SPEC = [
     ("COMMA", r","),
     ("SEMI", r";"),
     ("NEWLINE", r"\n"),
-    ("SKIP", r"[ \t\r]+"),
+    ("EOF", r"\Z"),
     ("MISMATCH", r"."),
-]
+)
+_KINDS = (None,) + tuple(kind for kind, _pattern in _TOKEN_SPEC)
+#: one match per token: the spaces, tabs and carriage returns before it,
+#: then the token itself in the group of its kind
+_TOKEN = re.compile(
+    "[ \t\r]*(?:" + "|".join(f"({pattern})" for _kind, pattern in _TOKEN_SPEC) + ")"
+)
 
 
 def tokenize(source: str) -> List[Token]:
     """Split source text into tokens, dropping whitespace and comments."""
-    specification = "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC)
+    match = _TOKEN.match
     tokens: List[Token] = []
     line = 1
     line_start = 0
-    for match in re.finditer(specification, source):
-        kind = match.lastgroup or "MISMATCH"
-        text = match.group()
-        column = match.start() - line_start + 1
-        if kind == "NEWLINE":
+    position = 0
+    while True:
+        found = match(source, position)
+        group = found.lastindex
+        kind = _KINDS[group]
+        position = found.end()
+        if kind == "NAME":
+            text = found.group(group)
+            tokens.append(
+                Token(_KEYWORDS.get(text, "NAME"), text, line, found.start(group) - line_start + 1)
+            )
+        elif kind == "NEWLINE":
             line += 1
-            line_start = match.end()
-            continue
-        if kind in ("SKIP", "COMMENT"):
-            continue
-        if kind == "MISMATCH":
-            raise ParseError(f"unexpected character {text!r}", line, column)
-        if kind == "NAME" and text in _KEYWORDS:
-            kind = text.upper()
-        tokens.append(Token(kind, text, line, column))
+            line_start = position
+        elif kind == "EOF":
+            break
+        elif kind == "MISMATCH":
+            raise ParseError(
+                f"unexpected character {found.group(group)!r}",
+                line,
+                found.start(group) - line_start + 1,
+            )
+        elif kind != "COMMENT":
+            tokens.append(
+                Token(kind, found.group(group), line, found.start(group) - line_start + 1)
+            )
     tokens.append(Token("EOF", "", line, 1))
     return tokens
 
@@ -142,8 +162,9 @@ class _Parser:
         self.position = 0
 
     # -- token helpers ---------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.position + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # never past the end: ``advance`` stops at the trailing EOF token
+        return self.tokens[self.position]
 
     def advance(self) -> Token:
         token = self.tokens[self.position]
@@ -152,7 +173,7 @@ class _Parser:
         return token
 
     def check(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.position]
         return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:

@@ -19,7 +19,7 @@ design registry and artifact store key on.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.lang.ast import (
     BinaryOp,
@@ -53,6 +53,7 @@ from repro.lang.normalize import (
     NormalizedProcess,
     PrimitiveEquation,
     SamplingEquation,
+    rename_equation,
 )
 
 
@@ -251,6 +252,41 @@ def format_normalized_process(process: NormalizedProcess) -> str:
 # Canonical form and content digests
 # ---------------------------------------------------------------------------
 
+#: a render template: the plain render, the text before the first signal,
+#: and each signal occurrence paired with the text that follows it
+_Template = Tuple[str, str, Tuple[Tuple[str, str], ...]]
+
+
+def _template(equation: PrimitiveEquation) -> _Template:
+    """The render template of an equation, built once per equation object.
+
+    The equation is rendered once by :func:`format_primitive_equation` with
+    every signal replaced by a numbered ``\\x00`` sentinel and the render
+    is split at the sentinels (the rest is operators and constants, whose
+    renders hold no ``\\x00``), so filling the slots with names gives
+    exactly the render of the correspondingly renamed equation.
+    """
+    template = equation._template
+    if template is None:
+        names = tuple(dict.fromkeys(equation.signals()))
+        sentinels = {name: f"\x00{index}\x00" for index, name in enumerate(names)}
+        pieces = format_primitive_equation(rename_equation(equation, sentinels)).split("\x00")
+        occurrences = tuple(
+            (names[int(pieces[index])], pieces[index + 1])
+            for index in range(1, len(pieces), 2)
+        )
+        plain = pieces[0] + "".join(name + text for name, text in occurrences)
+        template = (plain, pieces[0], occurrences)
+        object.__setattr__(equation, "_template", template)
+    return template
+
+
+def _fill(template: _Template, names: Mapping[str, str]) -> str:
+    """A template rendered with its signals renamed by ``names``."""
+    _plain, head, occurrences = template
+    return head + "".join([names.get(name, name) + text for name, text in occurrences])
+
+
 def _canonical_local_renaming(process: NormalizedProcess) -> Dict[str, str]:
     """α-rename hidden locals canonically, independently of input order.
 
@@ -259,41 +295,45 @@ def _canonical_local_renaming(process: NormalizedProcess) -> Dict[str, str]:
     order; the renaming must therefore be a function of the process's
     *content* only.  Each hidden local is characterized by a signature —
     the sorted renders of the equations it occurs in, with itself marked
-    and every other hidden local replaced by its current equivalence-class
-    rank — and the ranks are refined until stable (Weisfeiler–Leman style
-    partition refinement).  Distinguishable locals end in distinct classes
-    whatever order the equations were listed in; residual ties are broken
-    by original spelling.  Like WL refinement in general this is complete
-    for the occurrence structures arising in practice but not in theory: a
-    pathologically regular reference pattern among hidden locals could
-    leave distinguishable locals tied, letting α-variants digest apart —
-    such designs then merely miss each other's cached artifacts; verdicts
-    are never wrong, because the compiled-payload loader independently
-    rejects signal-name mismatches.
+    ``\\x00self`` and every other hidden local replaced by its current
+    equivalence-class rank ``\\x00c{rank}`` — and the ranks are refined
+    until stable, for at most ``len(hidden) + 2`` rounds (Weisfeiler–Leman
+    style partition refinement).  Distinguishable locals end in distinct
+    classes whatever order the equations were listed in; residual ties are
+    broken by original spelling.  Like WL refinement in general this is
+    complete for the occurrence structures arising in practice but not in
+    theory: a pathologically regular reference pattern among hidden locals
+    could leave distinguishable locals tied, letting α-variants digest
+    apart — such designs then merely miss each other's cached artifacts;
+    verdicts are never wrong, because the compiled-payload loader
+    independently rejects signal-name mismatches.
+
+    Each round is linear in the occurrences of hidden locals: the equations
+    each local occurs in are indexed once, as render templates (see
+    :func:`_template`) whose slots a round fills from the current ranks,
+    so no equation is renamed or rendered again.
 
     The canonical names live in a ``\\x00``-prefixed namespace no parsed or
     built process can occupy, so a renamed local can never collide with —
     and alias itself to — a real signal of the process.
     """
-    from repro.lang.normalize import rename_equation
-
     interface = set(process.inputs) | set(process.outputs)
     hidden = set(process.locals) - interface
     if not hidden:
         return {}
+    occurrences: Dict[str, List[_Template]] = {name: [] for name in hidden}
+    for equation in process.equations:
+        template = _template(equation)
+        for name in hidden.intersection(equation.signals()):
+            occurrences[name].append(template)
     rank: Dict[str, int] = {name: 0 for name in hidden}
     for _round in range(len(hidden) + 2):
+        marking = {name: f"\x00c{rank[name]}" for name in hidden}
         signatures: Dict[str, List[str]] = {}
-        for name in hidden:
-            marking = {
-                other: ("\x00self" if other == name else f"\x00c{rank[other]}")
-                for other in hidden
-            }
-            signatures[name] = sorted(
-                format_primitive_equation(rename_equation(equation, marking))
-                for equation in process.equations
-                if name in equation.signals()
-            )
+        for name, templates in occurrences.items():
+            marking[name] = "\x00self"
+            signatures[name] = sorted(_fill(template, marking) for template in templates)
+            marking[name] = f"\x00c{rank[name]}"
         ordered = sorted(hidden, key=lambda name: (rank[name], signatures[name]))
         refined: Dict[str, int] = {}
         previous_key = None
@@ -324,15 +364,11 @@ def format_canonical(process: NormalizedProcess) -> str:
     equation order) produce the same canonical form, which is what makes
     content-addressing reproducible across parse ∘ print round trips.
     """
-    from repro.lang.normalize import rename_equation
-
     renaming = _canonical_local_renaming(process)
-    equations = (
-        [rename_equation(equation, renaming) for equation in process.equations]
-        if renaming
-        else list(process.equations)
+    rendered = sorted(
+        _fill(_template(equation), renaming) if renaming else _template(equation)[0]
+        for equation in process.equations
     )
-    rendered = sorted(format_primitive_equation(equation) for equation in equations)
     signals = sorted(
         {renaming.get(name, name) for name in process.all_signals()}
         | set(process.inputs)
@@ -399,7 +435,9 @@ def process_fingerprint(process: NormalizedProcess) -> str:
     concrete signals — an α-variant must not adopt them — while the
     persistent tier keys by digest alone and *validates* names on load.
 
-    Cheap by construction: no partition refinement, just a sorted render.
+    Cheap by construction: no partition refinement, just the sorted plain
+    renders, which the equations' templates already hold when the canonical
+    form was printed first.
     """
     digest = hashlib.sha256()
     digest.update(process.name.encode("utf-8"))
@@ -408,7 +446,7 @@ def process_fingerprint(process: NormalizedProcess) -> str:
     digest.update(
         ("\x00" + ",".join(f"{k}:{v}" for k, v in sorted(process.types.items()))).encode("utf-8")
     )
-    for line in sorted(format_primitive_equation(equation) for equation in process.equations):
+    for line in sorted(_template(equation)[0] for equation in process.equations):
         digest.update(("\x00" + line).encode("utf-8"))
     return digest.hexdigest()[:24]
 

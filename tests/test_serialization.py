@@ -10,7 +10,9 @@ Four surfaces, each JSON-safe end to end:
   content digest does not match;
 * the canonical printed form and its digest — stable under parse ∘ print,
   equation reordering, component reordering and local renaming (the
-  property content-addressing relies on), pinned with hypothesis.
+  property content-addressing relies on), pinned with hypothesis; the
+  α-renaming behind it equals the one-render-per-round reference on
+  generated processes and renders each equation at most twice.
 """
 
 from __future__ import annotations
@@ -22,12 +24,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.results import Cost, Diagnostic, Verdict
 from repro.bdd.bdd import BDDManager
+from repro.lang import printer
+from repro.lang.ast import ClockBinary, ClockFalse, ClockOf, ClockTrue, Const
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
-from repro.lang.normalize import normalize
+from repro.lang.normalize import (
+    ClockEquation,
+    DelayEquation,
+    FunctionEquation,
+    MergeEquation,
+    NormalizedProcess,
+    SamplingEquation,
+    infer_types,
+    normalize,
+    rename_equation,
+)
 from repro.lang.parser import parse_process
 from repro.lang.printer import (
+    _canonical_local_renaming,
     canonical_digest,
     format_canonical,
+    format_primitive_equation,
     format_process,
     process_digest,
 )
@@ -438,3 +454,228 @@ def test_parse_print_is_digest_stable_on_random_processes(definition):
     original = normalize(definition)
     reparsed = normalize(parse_process(format_process(definition)))
     assert process_digest(reparsed) == process_digest(original)
+
+
+# -- the α-renaming against the quadratic-round reference --------------------------
+
+def _reference_local_renaming(process):
+    """The renaming as it was before each round became linear (every round
+    renames and renders every occurrence again); kept as the reference."""
+    interface = set(process.inputs) | set(process.outputs)
+    hidden = set(process.locals) - interface
+    if not hidden:
+        return {}
+    rank = {name: 0 for name in hidden}
+    for _round in range(len(hidden) + 2):
+        signatures = {}
+        for name in hidden:
+            marking = {
+                other: ("\x00self" if other == name else f"\x00c{rank[other]}")
+                for other in hidden
+            }
+            signatures[name] = sorted(
+                format_primitive_equation(rename_equation(equation, marking))
+                for equation in process.equations
+                if name in equation.signals()
+            )
+        ordered = sorted(hidden, key=lambda name: (rank[name], signatures[name]))
+        refined = {}
+        previous_key = None
+        next_rank = -1
+        for name in ordered:
+            key = (rank[name], signatures[name])
+            if key != previous_key:
+                next_rank += 1
+                previous_key = key
+            refined[name] = next_rank
+        if refined == rank:
+            break
+        rank = refined
+    # distinct final names per local; classes that refinement could not
+    # split are tie-broken by original spelling (see the docstring caveat)
+    ordered = sorted(hidden, key=lambda name: (rank[name], name))
+    return {name: f"\x00l{position}" for position, name in enumerate(ordered)}
+
+
+def _reference_canonical(process):
+    """The canonical form rendered from the reference renaming."""
+    renaming = _reference_local_renaming(process)
+    equations = (
+        [rename_equation(equation, renaming) for equation in process.equations]
+        if renaming
+        else list(process.equations)
+    )
+    rendered = sorted(format_primitive_equation(equation) for equation in equations)
+    signals = sorted(
+        {renaming.get(name, name) for name in process.all_signals()}
+        | set(process.inputs)
+        | set(process.outputs)
+    )
+    types = {
+        renaming.get(name, name): kind for name, kind in process.types.items()
+    }
+    lines = [
+        f"process {process.name}",
+        f"inputs: {', '.join(sorted(process.inputs))}",
+        f"outputs: {', '.join(sorted(process.outputs))}",
+        "types: " + ", ".join(name + ":" + types.get(name, "any") for name in signals),
+        "equations:",
+    ]
+    lines.extend(f"  {line}" for line in rendered)
+    return "\n".join(lines) + "\n"
+
+
+_INPUTS = ("i0", "i1")
+_CONSTANTS = st.sampled_from([Const(0), Const(1), Const(True), Const(False), Const(2.5)])
+
+
+@st.composite
+def _local_blocks(draw, fresh):
+    """Equations over fresh hidden locals: a chain, tied copies of one shape,
+    a mutually referencing pair, repeated and self references, or clock
+    equations over hidden signals."""
+    kind = draw(st.sampled_from(["chain", "tied", "mutual", "repeated", "clocks"]))
+    source = draw(st.sampled_from(_INPUTS))
+    if kind == "chain":
+        # a derivative chain: each stage reads its predecessor and its delay
+        previous, equations = fresh(), []
+        equations.append(FunctionEquation(previous, "+", (draw(_CONSTANTS), source)))
+        for _stage in range(draw(st.integers(1, 10))):
+            delayed, stage = fresh(), fresh()
+            equations.append(DelayEquation(delayed, previous, draw(_CONSTANTS).value))
+            equations.append(FunctionEquation(stage, "-", (previous, delayed)))
+            previous = stage
+        return equations, previous
+    if kind == "tied":
+        # identical shapes over distinct locals: refinement cannot split them
+        ends, equations = [], []
+        for _copy in range(draw(st.integers(2, 4))):
+            sampled, merged = fresh(), fresh()
+            equations.append(SamplingEquation(sampled, draw(_CONSTANTS), "i1"))
+            equations.append(MergeEquation(merged, sampled, source))
+            ends.append(merged)
+        combined = fresh()
+        equations.append(FunctionEquation(combined, "and", (ends[0], ends[-1])))
+        return equations, combined
+    if kind == "mutual":
+        first, second = fresh(), fresh()
+        return [
+            SamplingEquation(first, source, second),
+            SamplingEquation(second, source, first),
+            ClockEquation(ClockOf(first), ClockOf(second)),
+        ], first
+    if kind == "repeated":
+        # a local read twice by one equation, and one that reads itself
+        sampled, doubled, looped = fresh(), fresh(), fresh()
+        return [
+            SamplingEquation(sampled, source, "i1"),
+            FunctionEquation(doubled, "+", (sampled, sampled)),
+            DelayEquation(looped, looped, draw(_CONSTANTS).value),
+            SamplingEquation(looped, doubled, doubled),
+        ], looped
+    flag, other = fresh(), fresh()
+    return [
+        FunctionEquation(flag, "not", (source,)),
+        FunctionEquation(other, "id", (draw(_CONSTANTS),)),
+        ClockEquation(ClockOf(other), ClockBinary("or", ClockTrue(flag), ClockFalse(flag))),
+        ClockEquation(ClockOf(flag), ClockOf(source)),
+    ], other
+
+
+@st.composite
+def _hidden_local_processes(draw):
+    counter = []
+
+    def fresh():
+        counter.append(f"L{len(counter)}")
+        return counter[-1]
+
+    equations, ends = [], []
+    for _block in range(draw(st.integers(1, 4))):
+        block, end = draw(_local_blocks(fresh))
+        equations.extend(block)
+        ends.append(end)
+    # cross references between blocks, over any locals and constants
+    for _extra in range(draw(st.integers(0, 3))):
+        target = fresh()
+        left = draw(st.sampled_from(counter[:-1]))
+        right = draw(st.one_of(st.sampled_from(counter[:-1]), _CONSTANTS))
+        equations.append(FunctionEquation(target, "+", (left, right)))
+    # spell the locals in an order unrelated to their structure
+    prefix = draw(st.sampled_from(["t", "_x_", "h"]))
+    order = draw(st.permutations(range(len(counter))))
+    spelling = {name: f"{prefix}{position}" for name, position in zip(counter, order)}
+    equations.append(FunctionEquation("o0", "id", (draw(st.sampled_from(ends)),)))
+    renamed = [rename_equation(equation, spelling) for equation in equations]
+    process = NormalizedProcess(
+        name="p",
+        inputs=_INPUTS,
+        outputs=("o0",),
+        locals=tuple(spelling[name] for name in counter),
+        equations=tuple(draw(st.permutations(renamed))),
+    )
+    process.types = infer_types(process)
+    return process
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hidden_local_processes())
+def test_linear_rounds_rename_like_the_reference(process):
+    assert _canonical_local_renaming(process) == _reference_local_renaming(process)
+    assert format_canonical(process) == _reference_canonical(process)
+
+
+def _derivative_chain(stages):
+    builder = ProcessBuilder("deriv", inputs=["c"], outputs=[f"g{stages}"])
+    builder.local("u1")
+    builder.constrain(tick("u1"), when_true("c"))
+    builder.define("u1", const(1) + signal("u1").pre(0))
+    previous = "u1"
+    for index in range(1, stages + 1):
+        name = f"g{index}"
+        if index < stages:
+            builder.local(name)
+        builder.define(name, signal(previous) - signal(previous).pre(0))
+        previous = name
+    return builder.build()
+
+
+def test_canonical_form_renders_each_equation_at_most_twice(monkeypatch):
+    """The refinement rounds fill render templates instead of rendering
+    again: a 64-stage derivative chain (about 200 hidden locals, as many
+    rounds as the chain is long) costs at most two renders per equation."""
+    process = normalize(_derivative_chain(64))
+    calls = []
+
+    def counting(equation):
+        calls.append(equation)
+        return format_primitive_equation(equation)
+
+    monkeypatch.setattr(printer, "format_primitive_equation", counting)
+    form = format_canonical(process)
+    assert 0 < len(calls) <= 2 * len(process.equations)
+    monkeypatch.undo()
+    assert process_digest(normalize(_derivative_chain(64))) == process_digest(process)
+    assert form.count("\n  ") == len(process.equations)
+
+
+def test_memoized_signal_sets_follow_reassignment_and_stay_out_of_pickles():
+    import pickle
+
+    process = normalize(_derivative_chain(2))
+    equation = process.equations[0]
+    fresh = normalize(_derivative_chain(2))
+    assert process.all_signals() == fresh.all_signals()
+    assert equation.signals() == fresh.equations[0].signals()
+    format_canonical(process)  # fills the render templates
+    assert process == fresh and equation == fresh.equations[0]
+    assert hash(equation) == hash(fresh.equations[0])
+    assert repr(process) == repr(fresh)
+    assert pickle.dumps(process) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(process)) == process
+    process.inputs = ("c", "extra")
+    assert "extra" in process.all_signals()
+    process.equations = process.equations[:1]
+    assert process.all_signals() == tuple(
+        sorted({"c", "extra", "g2", *process.locals, *equation.signals()})
+    )

@@ -23,6 +23,7 @@ interpreter-backed enumeration.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
@@ -321,14 +322,21 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
             # cross-check the explored state count with the BDD reachability
             # of Section 4.1's symbolic formulation, on the shared manager.
             # The invariants visit only the states their root pairs need, so
-            # the engine first explores the rest.  A product is left alone
-            # when its check stopped at a violation (exploring the rest of
-            # the product is the work the early stop saved) or at the bound
-            # (the product relation has no bound to match).
+            # the engine first explores the rest, and the query's cost counts
+            # that sweep as the explicit axioms count theirs.  A product is
+            # left alone when its check stopped at a violation (exploring the
+            # rest of the product is the work the early stop saved); a
+            # product cut by the bound gets no diagnostic (the product
+            # relation has no bound to match).
             product = isinstance(engine.lazy, ProductLTS)
             if product and not verdict.holds:
                 return verdict
-            engine.explore_all()
+            states = transitions = 0
+            for state in engine.iter_states():
+                states += 1
+                transitions += len(engine.transitions_from(state))
+            if states > verdict.cost.states:
+                verdict.cost = replace(verdict.cost, states=states, transitions=transitions)
             if product and engine.truncated:
                 return verdict
             checker = _symbolic_checker(design, max_states)

@@ -94,8 +94,9 @@ class Cost:
     * ``states`` — the states the query actually *visited* (successor sets
       computed on demand, or served from the session engine's memo).  Zero
       for the purely static criterion — the whole point of Theorem 1 — and
-      zero for symbolic runs, which never touch explicit states (their
-      footprint is ``bdd_nodes``);
+      zero for symbolic non-blocking, which never touches explicit states
+      (its footprint is ``bdd_nodes``); symbolic weak endochrony counts the
+      explicit sweep of its reachability cross-check;
     * ``transitions`` — the transitions enumerated over the visited states;
     * ``state_bound`` — the exploration budget (``max_states``) the query ran
       under, when one applied.  ``states < state_bound`` on a conclusive

@@ -774,15 +774,53 @@ class BDDManager:
         """All satisfying assignments as rows of booleans, columns = ``variables``.
 
         Row ``i`` is exactly the ``i``-th assignment :meth:`satisfy_all`
-        yields (same values, same order), decoded positionally instead of
-        into dicts; bulk consumers like the compiled reaction sweep index
-        columns once instead of hashing variable names per solution.
+        yields (same values, same order), filled positionally in one walk
+        instead of through per-solution dicts; bulk consumers like the
+        compiled reaction sweep index columns once instead of hashing
+        variable names per solution.
         """
         names = tuple(variables)
-        return [
-            [assignment[name] for name in names]
-            for assignment in self.satisfy_all(node, names)
+        missing = self.support(node) - set(names)
+        if missing:
+            raise ValueError(
+                f"satisfy_all variables must cover the support; missing {sorted(missing)}"
+            )
+        # the walk of satisfy_all: manager level order, unknown names last;
+        # each step writes every column that names the variable it decides
+        columns: Dict[str, List[int]] = {}
+        for column, name in enumerate(names):
+            columns.setdefault(name, []).append(column)
+        levels_by_name = self._levels_by_name
+        ordered = sorted(names, key=lambda name: levels_by_name.get(name, self.TERMINAL_LEVEL))
+        steps = [
+            (levels_by_name.get(name, self.TERMINAL_LEVEL), columns[name]) for name in ordered
         ]
+        depth = len(steps)
+        levels, lows, highs = self._levels, self._lows, self._highs
+        false = self.FALSE_INDEX
+        row = [False] * len(names)
+        rows: List[List[bool]] = []
+
+        def walk(index: int, position: int) -> None:
+            if index == false:
+                return
+            if position == depth:
+                rows.append(row[:])
+                return
+            level, targets = steps[position]
+            if levels[index] == level:
+                low, high = lows[index], highs[index]
+            else:
+                low = high = index  # don't care on this variable
+            for column in targets:
+                row[column] = False
+            walk(low, position + 1)
+            for column in targets:
+                row[column] = True
+            walk(high, position + 1)
+
+        walk(node.index, 0)
+        return rows
 
     def count(self, node: BDD, variables: Optional[Sequence[str]] = None) -> int:
         """Number of satisfying assignments over ``variables`` (default: support)."""

@@ -19,47 +19,55 @@ counterexample state when the invariant fails.  Every function quantifies
 over the ``iter_states()`` of an :class:`~repro.mc.onthefly.OnTheFlyChecker`,
 so a failing invariant stops the exploration at the violating state instead
 of forcing the full product first.
+
+The quantifiers over reactions read the state's
+:class:`~repro.mc.onthefly.StateTable`: ``masks[x]`` has bit ``i`` set iff
+``x`` is present in the state's ``i``-th reaction, so "``x`` without ``y``"
+is ``masks[x] & ~masks[y]`` and "``x`` and ``y`` together" is
+``masks[x] & masks[y]``; the successor of the ``i``-th reaction is one
+lookup in the state's first-wins ``targets`` index.  Reactions are visited
+in the order the state enumerates them, so the successors expanded, the
+states a query visits and the first failure reported are those of a scan of
+the state's transitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.mc.onthefly import InvariantResult, OnTheFlyChecker
-from repro.mc.transition import State, Transition
-from repro.mocc.reactions import Reaction
-
-
-def _reactions_with(checker, state: State, present: str, absent: str):
-    """Reactions from ``state`` in which ``present`` occurs and ``absent`` does not."""
-    return [
-        reaction
-        for reaction in checker.reactions_from(state)
-        if present in reaction.present_signals() and absent not in reaction.present_signals()
-    ]
+from repro.mc.onthefly import InvariantResult, OnTheFlyChecker, StateTable
+from repro.mc.transition import State
 
 
-def _reactions_with_both(checker, state: State, first: str, second: str):
-    return [
-        reaction
-        for reaction in checker.reactions_from(state)
-        if first in reaction.present_signals() and second in reaction.present_signals()
-    ]
+def _positions(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def check_state_independent(checker, x: str, y: str) -> InvariantResult:
     """Property (1) of Section 4.1 for the pair of signals ``(x, y)``."""
     name = f"StateIndependent({x}, {y})"
     for state in checker.iter_states():
-        for first in _reactions_with(checker, state, x, y):
-            successor = checker.successor(state, first)
-            if successor is None:
+        table = checker.table(state)
+        masks = table.masks
+        x_mask = masks.get(x, 0)
+        y_mask = masks.get(y, 0)
+        both = x_mask & y_mask
+        reactions = table.reactions
+        targets = table.targets
+        for index in _positions(x_mask & ~y_mask):
+            after = checker.table(targets[reactions[index]])
+            if both:
+                # the state already closes the diamond; the successor is
+                # still visited, as the quantifier over ``x`` alone asks
                 continue
-            y_after = _reactions_with(checker, successor, y, x)
-            if not y_after:
-                continue
-            if not _reactions_with_both(checker, state, x, y):
+            after_masks = after.masks
+            if after_masks.get(y, 0) & ~after_masks.get(x, 0):
                 return InvariantResult(
                     name,
                     False,
@@ -72,9 +80,10 @@ def check_order_independent(checker, x: str, y: str) -> InvariantResult:
     """Property (2) of Section 4.1 for the pair of signals ``(x, y)``."""
     name = f"OrderIndependent({x}, {y})"
     for state in checker.iter_states():
-        x_alone = _reactions_with(checker, state, x, y)
-        y_alone = _reactions_with(checker, state, y, x)
-        if x_alone and y_alone and not _reactions_with_both(checker, state, x, y):
+        masks = checker.table(state).masks
+        x_mask = masks.get(x, 0)
+        y_mask = masks.get(y, 0)
+        if x_mask & ~y_mask and y_mask & ~x_mask and not x_mask & y_mask:
             return InvariantResult(
                 name,
                 False,
@@ -87,24 +96,25 @@ def check_flow_independent(checker, x: str, y: str, z: str) -> InvariantResult:
     """Property (3) of Section 4.1 for the triple ``(x, y, z)``."""
     name = f"FlowIndependent({x}, {y}, {z})"
     for state in checker.iter_states():
-        x_alone = _reactions_with(checker, state, x, y)
-        y_alone = _reactions_with(checker, state, y, x)
+        table = checker.table(state)
+        masks = table.masks
+        x_mask = masks.get(x, 0)
+        y_mask = masks.get(y, 0)
+        x_alone = x_mask & ~y_mask
+        y_alone = y_mask & ~x_mask
         if not (x_alone and y_alone):
             continue
-        z_now = any(z in reaction.present_signals() for reaction in checker.reactions_from(state))
-        if not z_now:
+        z_mask = masks.get(z, 0)
+        if not z_mask:
             continue
+        reactions = table.reactions
+        targets = table.targets
         # z must remain producible whichever of x or y is performed first
-        for first in x_alone + y_alone:
-            successor = checker.successor(state, first)
-            if successor is None:
+        for index in chain(_positions(x_alone), _positions(y_alone)):
+            if z_mask >> index & 1:
                 continue
-            if z in first.present_signals():
-                continue
-            z_later = any(
-                z in reaction.present_signals() for reaction in checker.reactions_from(successor)
-            )
-            if not z_later:
+            first = reactions[index]
+            if not checker.table(targets[first]).masks.get(z, 0):
                 return InvariantResult(
                     name,
                     False,
@@ -143,7 +153,7 @@ class WeakEndochronyInvariantReport:
 class _QueryView:
     """One query's view of a shared :class:`OnTheFlyChecker`.
 
-    Records the distinct states whose reactions the query consulted (memo
+    Records the distinct states whose tables the query consulted (memo
     hits included) with their transition counts, so the cost a query
     reports does not depend on what earlier queries already expanded.
     """
@@ -152,24 +162,15 @@ class _QueryView:
         self.checker = checker
         self.visited: Dict[State, int] = {}
 
-    def _transitions_from(self, state: State) -> List[Transition]:
-        transitions = self.checker.transitions_from(state)
-        self.visited.setdefault(state, len(transitions))
-        return transitions
+    def table(self, state: State) -> StateTable:
+        table = self.checker.table(state)
+        self.visited.setdefault(state, len(table.transitions))
+        return table
 
     def iter_states(self):
         for state in self.checker.iter_states():
-            self._transitions_from(state)
+            self.table(state)
             yield state
-
-    def reactions_from(self, state: State) -> List[Reaction]:
-        return [transition.reaction for transition in self._transitions_from(state)]
-
-    def successor(self, state: State, reaction: Reaction) -> Optional[State]:
-        for transition in self._transitions_from(state):
-            if transition.reaction == reaction:
-                return transition.target
-        return None
 
 
 def check_weak_endochrony_invariants(

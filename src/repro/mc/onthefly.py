@@ -17,7 +17,7 @@ materializing the synchronous product up front.
 * :class:`OnTheFlyChecker` — the one breadth-first search driver over any
   lazy LTS.  The Definition 2 axioms, the Definition 4 deadlock search and
   the Section 4.1 invariants are written against its query interface
-  (``transitions_from`` / ``successor`` / ``enables`` / ``iter_states``), so
+  (``iter_states`` and the per-state :class:`StateTable` of ``table``), so
   a check that returns on the first violating reaction terminates after
   expanding only the states it visited.  Exhausting the search
   (:meth:`OnTheFlyChecker.materialize`) is the only way to obtain a full
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.clocks.hierarchy import ClockHierarchy
 from repro.lang.normalize import NormalizedProcess
@@ -283,13 +283,134 @@ class ProductLTS:
         return cached
 
 
+class StateTable:
+    """The query tables of one expanded state, each built on first use.
+
+    ``transitions`` is the state's outgoing transitions in the order its
+    lazy LTS enumerated them; every other table is derived from it the
+    first time a query reads it, so a query that never asks for a table
+    (the deadlock search reads only ``transitions``) never pays for it:
+
+    * ``targets`` — ``{reaction: target}``, first transition wins (what a
+      scan of ``transitions`` for the first equal reaction returns), and
+      ``conflict``, the first reaction whose target differs from the one
+      ``targets`` recorded for it (the determinism witness), or ``None``;
+    * ``reactions`` / ``non_silent`` — the reactions of ``transitions`` in
+      order, duplicates kept, with and without the stuttering ones;
+    * ``item_sets`` — ``frozenset(reaction.items())`` of each ``non_silent``
+      reaction, and ``item_targets`` — ``{frozenset(items): target}``,
+      first transition wins.  Item sets identify reactions only among
+      reactions of one domain, which every reaction of one lazy LTS has
+      (a :class:`ProductLTS` builds its joins on the union domain, a
+      :class:`LazyReactionLTS` enumerates its process's signals), so
+      ``domain`` is the engine's domain and building ``item_targets`` on a
+      reaction of another domain raises ``ValueError``;
+    * ``masks`` — ``{signal: bitmask}``, bit ``i`` set iff ``signal`` is
+      present in ``reactions[i]``.
+    """
+
+    __slots__ = (
+        "transitions",
+        "domain",
+        "_targets",
+        "_conflict",
+        "_reactions",
+        "_non_silent",
+        "_item_sets",
+        "_item_targets",
+        "_masks",
+    )
+
+    def __init__(self, transitions: Tuple[Transition, ...], domain: Optional[Tuple[str, ...]]):
+        self.transitions = transitions
+        self.domain = domain
+        self._targets: Optional[Dict[Reaction, State]] = None
+        self._conflict: Optional[Reaction] = None
+        self._reactions: Optional[Tuple[Reaction, ...]] = None
+        self._non_silent: Optional[Tuple[Reaction, ...]] = None
+        self._item_sets: Optional[Tuple[FrozenSet[Tuple[str, object]], ...]] = None
+        self._item_targets: Optional[Dict[FrozenSet[Tuple[str, object]], State]] = None
+        self._masks: Optional[Dict[str, int]] = None
+
+    def _index_targets(self) -> None:
+        targets: Dict[Reaction, State] = {}
+        for transition in self.transitions:
+            target = transition.target
+            first = targets.setdefault(transition.reaction, target)
+            if self._conflict is None and first is not target and first != target:
+                self._conflict = transition.reaction
+        self._targets = targets
+
+    @property
+    def targets(self) -> Dict[Reaction, State]:
+        if self._targets is None:
+            self._index_targets()
+        return self._targets
+
+    @property
+    def conflict(self) -> Optional[Reaction]:
+        if self._targets is None:
+            self._index_targets()
+        return self._conflict
+
+    @property
+    def reactions(self) -> Tuple[Reaction, ...]:
+        if self._reactions is None:
+            self._reactions = tuple(transition.reaction for transition in self.transitions)
+        return self._reactions
+
+    @property
+    def non_silent(self) -> Tuple[Reaction, ...]:
+        if self._non_silent is None:
+            self._non_silent = tuple(
+                reaction for reaction in self.reactions if not reaction.is_silent()
+            )
+        return self._non_silent
+
+    @property
+    def item_sets(self) -> Tuple[FrozenSet[Tuple[str, object]], ...]:
+        if self._item_sets is None:
+            self._item_sets = tuple(frozenset(reaction.items()) for reaction in self.non_silent)
+        return self._item_sets
+
+    @property
+    def item_targets(self) -> Dict[FrozenSet[Tuple[str, object]], State]:
+        if self._item_targets is None:
+            domain = self.domain
+            item_targets: Dict[FrozenSet[Tuple[str, object]], State] = {}
+            for transition in self.transitions:
+                reaction = transition.reaction
+                if reaction.domain is not domain and reaction.domain != domain:
+                    raise ValueError(
+                        f"reaction {reaction} is not on the engine's domain {domain}; "
+                        "item sets identify reactions of one domain only"
+                    )
+                item_targets.setdefault(frozenset(reaction.items()), transition.target)
+            self._item_targets = item_targets
+        return self._item_targets
+
+    @property
+    def masks(self) -> Dict[str, int]:
+        if self._masks is None:
+            masks: Dict[str, int] = {}
+            bit = 1
+            for reaction in self.reactions:
+                for signal in reaction.present_signals():
+                    masks[signal] = masks.get(signal, 0) | bit
+                bit <<= 1
+            self._masks = masks
+        return self._masks
+
+
 class OnTheFlyChecker:
     """Frontier-based search over a lazy LTS.
 
     States are discovered breadth-first and expanded only when a query needs
     their successors, so a check that stops at the first violating reaction
     leaves the rest of the state space untouched.  Expansions are memoized:
-    queries issued against one checker keep extending one exploration.
+    queries issued against one checker keep extending one exploration, and
+    every query reads the expanded state's :class:`StateTable`, so a
+    successor lookup is one dictionary probe instead of a transition scan.
     """
 
     def __init__(self, lazy, max_states: int = 512):
@@ -297,9 +418,12 @@ class OnTheFlyChecker:
         self.max_states = max_states
         self.truncated = False
         self.transitions_expanded = 0
+        #: the domain of every reaction of the lazy LTS (fixed by the first
+        #: reaction expanded; see :class:`StateTable`)
+        self.domain: Optional[Tuple[str, ...]] = None
         self._order: List[State] = [lazy.initial]
         self._seen: Set[State] = {lazy.initial}
-        self._transitions: Dict[State, Tuple[Transition, ...]] = {}
+        self._tables: Dict[State, StateTable] = {}
 
     @property
     def process_name(self) -> str:
@@ -316,7 +440,7 @@ class OnTheFlyChecker:
 
     @property
     def states_expanded(self) -> int:
-        return len(self._transitions)
+        return len(self._tables)
 
     @property
     def states_discovered(self) -> int:
@@ -332,34 +456,34 @@ class OnTheFlyChecker:
         self._order.append(state)
 
     # -- queries ------------------------------------------------------------------
-    def transitions_from(self, state: State) -> List[Transition]:
-        cached = self._transitions.get(state)
-        if cached is None:
+    def table(self, state: State) -> StateTable:
+        """The query tables of ``state``, expanding it on first use."""
+        table = self._tables.get(state)
+        if table is None:
             successors = self.lazy.successors(state)
-            cached = tuple(
-                Transition(source=state, reaction=reaction, target=target)
-                for reaction, target in successors
+            if self.domain is None and successors:
+                self.domain = successors[0][0].domain
+            table = StateTable(
+                tuple(
+                    Transition(source=state, reaction=reaction, target=target)
+                    for reaction, target in successors
+                ),
+                self.domain,
             )
-            self._transitions[state] = cached
-            self.transitions_expanded += len(cached)
+            self._tables[state] = table
+            self.transitions_expanded += len(successors)
             for _reaction, target in successors:
                 self._discover(target)
-        return list(cached)
+        return table
 
-    def reactions_from(self, state: State) -> List[Reaction]:
-        return [transition.reaction for transition in self.transitions_from(state)]
-
-    def non_silent_reactions_from(self, state: State) -> List[Reaction]:
-        return [reaction for reaction in self.reactions_from(state) if not reaction.is_silent()]
+    def transitions_from(self, state: State) -> Tuple[Transition, ...]:
+        return self.table(state).transitions
 
     def successor(self, state: State, reaction: Reaction) -> Optional[State]:
-        for transition in self.transitions_from(state):
-            if transition.reaction == reaction:
-                return transition.target
-        return None
+        return self.table(state).targets.get(reaction)
 
     def enables(self, state: State, reaction: Reaction) -> bool:
-        return self.successor(state, reaction) is not None
+        return reaction in self.table(state).targets
 
     def iter_states(self) -> Iterator[State]:
         """Breadth-first stream of reachable states, expanding as it goes.
@@ -372,7 +496,7 @@ class OnTheFlyChecker:
         while index < len(self._order):
             state = self._order[index]
             index += 1
-            self.transitions_from(state)
+            self.table(state)
             yield state
 
     # -- early-terminating checks -------------------------------------------------
@@ -409,7 +533,7 @@ class OnTheFlyChecker:
             truncated=self.truncated,
         )
         for state in self._order:
-            lts.transitions.extend(self._transitions[state])
+            lts.transitions.extend(self._tables[state].transitions)
         return lts
 
     def statistics(self) -> Dict[str, int]:

@@ -20,12 +20,16 @@ Every axiom is implemented per state, and both drivers run on an
 *all* axioms at each state as the frontier advances and returns at the
 first violating reaction, leaving the rest of the product unexpanded.
 Definition 2 is a conjunction, so the first violation decides the verdict.
+Each axiom reads the state's :class:`~repro.mc.onthefly.StateTable`: (2a)
+looks successors up in ``targets``, (2b) and (2c) combine the reactions'
+item sets and look the results up in ``item_targets``, and determinism reads
+the ``conflict`` recorded when ``targets`` was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.api.results import Cost, Verdict, diagnostics_from_invariants, stopwatch
 from repro.clocks.hierarchy import ClockHierarchy
@@ -33,7 +37,7 @@ from repro.lang.normalize import NormalizedProcess
 from repro.mc.invariants import WeakEndochronyInvariantReport, check_weak_endochrony_invariants
 from repro.mc.onthefly import InvariantResult, LazyReactionLTS, OnTheFlyChecker
 from repro.mc.transition import State
-from repro.mocc.reactions import Reaction, independent, merge_reactions
+from repro.mocc.reactions import Reaction
 from repro.properties.compilable import ProcessAnalysis
 
 
@@ -75,47 +79,50 @@ class WeakEndochronyReport:
 # ---------------------------------------------------------------------------
 
 def _determinism_at(checker, state: State) -> Optional[InvariantResult]:
-    seen: Dict[Reaction, State] = {}
-    for transition in checker.transitions_from(state):
-        previous = seen.get(transition.reaction)
-        if previous is not None and previous != transition.target:
-            return InvariantResult(
-                "determinism",
-                False,
-                f"reaction {transition.reaction} from {dict(state)} has two successors",
-            )
-        seen[transition.reaction] = transition.target
-    return None
+    conflict = checker.table(state).conflict
+    if conflict is None:
+        return None
+    return InvariantResult(
+        "determinism", False, f"reaction {conflict} from {dict(state)} has two successors"
+    )
 
 
 def _axiom_2a_at(checker, state: State) -> Optional[InvariantResult]:
     """(2a): if b·r·s is possible with r, s independent, then b·s is possible."""
-    for first in checker.non_silent_reactions_from(state):
-        successor = checker.successor(state, first)
-        if successor is None:
-            continue
-        for second in checker.non_silent_reactions_from(successor):
-            if not independent(first, second):
+    table = checker.table(state)
+    targets = table.targets
+    for first in table.non_silent:
+        first_present = first.present_signals()
+        for second in checker.table(targets[first]).non_silent:
+            if second in targets or not first_present.isdisjoint(second.present_signals()):
                 continue
-            if not checker.enables(state, second):
-                return InvariantResult(
-                    "axiom 2a (commutation)",
-                    False,
-                    f"from state {dict(state)}, {second} is possible after {first} "
-                    f"but not before it",
-                )
+            return InvariantResult(
+                "axiom 2a (commutation)",
+                False,
+                f"from state {dict(state)}, {second} is possible after {first} "
+                f"but not before it",
+            )
     return None
 
 
 def _axiom_2b_at(checker, state: State) -> Optional[InvariantResult]:
-    """(2b): independent reactions enabled together can be merged."""
-    enabled = checker.non_silent_reactions_from(state)
+    """(2b): independent reactions enabled together can be merged.
+
+    The union ``r ⊔ s`` is the item set ``items(r) | items(s)``, looked up
+    in the state's item-set index.
+    """
+    table = checker.table(state)
+    enabled = table.non_silent
+    item_sets = table.item_sets
+    item_targets = table.item_targets
     for index, first in enumerate(enabled):
-        for second in enabled[index + 1 :]:
-            if not independent(first, second):
+        first_present = first.present_signals()
+        first_items = item_sets[index]
+        for other in range(index + 1, len(enabled)):
+            second = enabled[other]
+            if not first_present.isdisjoint(second.present_signals()):
                 continue
-            merged = merge_reactions(first, second)
-            if not checker.enables(state, merged):
+            if first_items | item_sets[other] not in item_targets:
                 return InvariantResult(
                     "axiom 2b (merge)",
                     False,
@@ -125,73 +132,60 @@ def _axiom_2b_at(checker, state: State) -> Optional[InvariantResult]:
     return None
 
 
-def _split_candidates(reaction: Reaction, other: Reaction) -> Optional[Reaction]:
-    """The common sub-reaction of two reactions (same signals with the same values).
-
-    ``present_signals()`` is a cached frozenset shared by every caller (the
-    axiom sweeps below intersect it O(|enabled|²) times per state), so the
-    set algebra here never re-materializes per-call sets.
-    """
-    common = {
-        name
-        for name in reaction.present_signals() & other.present_signals()
-        if reaction.value(name) == other.value(name)
-    }
-    if not common:
-        return None
-    return Reaction(reaction.domain, {name: reaction.value(name) for name in common})
-
-
 def _axiom_2c_at(checker, state: State) -> Optional[InvariantResult]:
-    """(2c): merged reactions sharing a common part can be decomposed sequentially."""
+    """(2c): merged reactions sharing a common part can be decomposed sequentially.
+
+    The common part of two enabled reactions is ``items(r) & items(s)`` (the
+    signals present in both with the same value) and the remainders are the
+    differences; each is looked up in an item-set index, and a
+    :class:`Reaction` is built only to print a counterexample.
+    """
     name = "axiom 2c (decomposition)"
-    enabled = checker.non_silent_reactions_from(state)
+    table = checker.table(state)
+    enabled = table.non_silent
+    item_sets = table.item_sets
+    item_targets = table.item_targets
     for index, first_union in enumerate(enabled):
-        for second_union in enabled[index + 1 :]:
-            core = _split_candidates(first_union, second_union)
-            if core is None:
-                continue
-            if core == first_union or core == second_union:
-                continue
-            rest_first = Reaction(
-                first_union.domain,
-                {
-                    name_: first_union.value(name_)
-                    for name_ in first_union.present_signals() - core.present_signals()
-                },
-            )
-            rest_second = Reaction(
-                second_union.domain,
-                {
-                    name_: second_union.value(name_)
-                    for name_ in second_union.present_signals() - core.present_signals()
-                },
-            )
-            if rest_first.is_silent() or rest_second.is_silent():
+        first_present = first_union.present_signals()
+        first_items = item_sets[index]
+        for other in range(index + 1, len(enabled)):
+            second_items = item_sets[other]
+            core = first_items & second_items
+            size = len(core)
+            if not size or size == len(first_items) or size == len(second_items):
                 continue
             # Definition 2 quantifies over *independent* reactions: the core and
-            # the two remainders must be pairwise independent for (2c) to apply.
-            if not independent(rest_first, rest_second):
+            # the two remainders must be pairwise independent for (2c) to apply,
+            # so every signal the two unions share must be in the core.
+            second_union = enabled[other]
+            if len(first_present & second_union.present_signals()) != size:
                 continue
-            if not checker.enables(state, core):
+            after_core = item_targets.get(core)
+            if after_core is None:
                 return InvariantResult(
                     name,
                     False,
-                    f"from state {dict(state)}, the common part {core} of two enabled "
+                    f"from state {dict(state)}, the common part "
+                    f"{_reaction(first_union, core)} of two enabled "
                     f"reactions is not itself enabled",
                 )
-            after_core = checker.successor(state, core)
-            if after_core is None:
-                continue
-            for rest in (rest_first, rest_second):
-                if not checker.enables(after_core, rest):
+            after = checker.table(after_core).item_targets
+            for union, items in ((first_union, first_items), (second_union, second_items)):
+                rest = items - core
+                if rest not in after:
                     return InvariantResult(
                         name,
                         False,
-                        f"from state {dict(state)}, {core} cannot be followed by {rest} "
+                        f"from state {dict(state)}, {_reaction(first_union, core)} "
+                        f"cannot be followed by {_reaction(union, rest)} "
                         f"although their union is enabled",
                     )
     return None
+
+
+def _reaction(reaction: Reaction, items) -> Reaction:
+    """The sub-reaction of ``reaction`` on the signals named in ``items``."""
+    return Reaction(reaction.domain, {name: reaction.value(name) for name, _value in items})
 
 
 _AXIOMS = (

@@ -464,3 +464,29 @@ class TestSatisfyAllEdgeCases:
         function = edge_manager.var("a") & edge_manager.var("b")
         with pytest.raises(ValueError):
             edge_manager.satisfy_matrix(function, ["a"])
+
+
+class TestSatisfyMatrixProperties:
+    """satisfy_matrix fills its rows in one walk; satisfy_all is the oracle."""
+
+    @given(
+        program=_programs,
+        columns=st.permutations(_PROPERTY_VARIABLES + ("e", "zz", "y")),
+        width=st.integers(min_value=0, max_value=7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_satisfy_all_in_order(self, program, columns, width):
+        # "e" is declared but in no program's support; "zz" and "y" are
+        # names the manager never declared
+        manager = BDDManager(_PROPERTY_VARIABLES + ("e",))
+        function = _build(manager, program)
+        names = list(columns[:width])
+        if not manager.support(function) <= set(names):
+            with pytest.raises(ValueError, match="cover the support"):
+                manager.satisfy_matrix(function, names)
+            return
+        expected = [
+            [assignment[name] for name in names]
+            for assignment in manager.satisfy_all(function, names)
+        ]
+        assert manager.satisfy_matrix(function, names) == expected

@@ -233,6 +233,15 @@ def test_reachability_cross_check_holds_where_the_invariants_explore_nothing():
     cross_check = verdict.diagnostics[-1]
     assert cross_check.name == "symbolic reachability agrees with exploration"
     assert cross_check.holds
+    # the cost counts the exploration the cross-check ran, as explicit does
+    explicit = entry.regenerate().design().verify(
+        "weak-endochrony", "explicit", **CORPUS.options()
+    )
+    assert (verdict.cost.states, verdict.cost.transitions) == (4, 8)
+    assert (verdict.cost.states, verdict.cost.transitions) == (
+        explicit.cost.states,
+        explicit.cost.transitions,
+    )
 
 
 #: exploration bound of the family checks: no family below is truncated by it

@@ -436,7 +436,6 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
             right,
             input_flows,
             max_instants=int(options.get("max_instants", 8)),
-            lazy=bool(options.get("lazy", True)),
         )
 
     if method == "static":

@@ -32,7 +32,12 @@ from repro.codegen.batch import (
     FleetResult,
 )
 from repro.codegen.concurrent import ConcurrentComposition
-from repro.codegen.controller import ControlledComposition, synthesize_controller
+from repro.codegen.controller import (
+    ControlledComposition,
+    dependency_order,
+    shared_signals,
+    synthesize_controller,
+)
 from repro.codegen.runtime import EndOfStream, StreamIO
 from repro.codegen.interpreted import compile_interpreted
 from repro.codegen.sequential import compile_process, render_c_source
@@ -278,8 +283,8 @@ class LttaDeployment(Deployment):
             component.name: max(1, int((paces or {}).get(component.name, 1)))
             for component in self.components
         }
-        self._shared: Set[str] = _shared_signals(self.components)
-        self._order: List[NormalizedProcess] = _dependency_order(self.components)
+        self._shared: Set[str] = shared_signals(self.components)
+        self._order: List[NormalizedProcess] = dependency_order(self.components)
         self._interpreters: Dict[str, SignalInterpreter] = {
             component.name: SignalInterpreter(component) for component in self.components
         }
@@ -515,40 +520,6 @@ class BatchedDeployment(Deployment):
 
     def listing(self) -> str:
         return render_c_source(self._scalar.program)
-
-
-def _shared_signals(components: Sequence[NormalizedProcess]) -> Set[str]:
-    produced: Set[str] = set()
-    consumed: Set[str] = set()
-    for component in components:
-        produced.update(component.outputs)
-        consumed.update(component.inputs)
-    return produced & consumed
-
-
-def _dependency_order(components: Sequence[NormalizedProcess]) -> List[NormalizedProcess]:
-    """Producers of shared signals before their consumers, stable on ties."""
-    produced_by: Dict[str, str] = {}
-    for component in components:
-        for name in component.outputs:
-            produced_by[name] = component.name
-    dependencies: Dict[str, Set[str]] = {component.name: set() for component in components}
-    for component in components:
-        for name in component.inputs:
-            producer = produced_by.get(name)
-            if producer and producer != component.name:
-                dependencies[component.name].add(producer)
-    by_name = {component.name: component for component in components}
-    order: List[str] = []
-    remaining = dict(dependencies)
-    while remaining:
-        ready = sorted(name for name, deps in remaining.items() if deps <= set(order))
-        if not ready:
-            order.extend(sorted(remaining))
-            break
-        order.append(ready[0])
-        del remaining[ready[0]]
-    return [by_name[name] for name in order]
 
 
 def _compile_components(design: "Design", runtime: str = "specialized") -> List[object]:

@@ -311,8 +311,9 @@ class AnalysisContext:
         the interpreter-backed enumeration); the negative answer is itself
         persisted so warm starts skip the recompile attempt.  The
         abstraction owns a private BDD manager, declared in the process's
-        structural variable order (no clock hierarchy, no analysis); a large
-        relation may then be resifted, which a shared manager cannot allow.
+        structural variable order (no clock hierarchy, no analysis), so
+        garbage collection after compilation invalidates no other handle and
+        the stored dump holds the step relation alone.
         """
         return self._compiled_node(self.normalized(process))
 

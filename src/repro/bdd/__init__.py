@@ -6,19 +6,5 @@ model checker — the role Sigali plays in the Polychrony toolset.
 """
 
 from repro.bdd.bdd import BDD, BDDManager
-from repro.bdd.expr import BoolExpr, Var, TRUE, FALSE, And, Or, Not, Implies, Iff, Xor
 
-__all__ = [
-    "BDD",
-    "BDDManager",
-    "BoolExpr",
-    "Var",
-    "TRUE",
-    "FALSE",
-    "And",
-    "Or",
-    "Not",
-    "Implies",
-    "Iff",
-    "Xor",
-]
+__all__ = ["BDD", "BDDManager"]

@@ -26,13 +26,12 @@ The implementation follows the classical Bryant construction:
   calculus (``R ⊨ c`` is ``leq(R, c)``) leave the unique table untouched.
 
 Variables are referred to by name; their order is the order of registration
-with :meth:`BDDManager.declare` (callers that care about ordering declare
-variables explicitly up front).  The order can be revised after the fact
-with :meth:`BDDManager.reorder` (an explicit permutation) or
-:meth:`BDDManager.sift` (Rudell's sifting heuristic); both rebuild the
-graphs of the roots they are given and invalidate every other handle, so
-they are meant for managers with a single owner — the compiled reaction
-engine of :mod:`repro.mc.compiled` runs them right after compilation.
+with :meth:`BDDManager.declare`: callers declare variables up front in the
+structural fan-in order of :mod:`repro.clocks.order`, the only
+variable-order policy.  :meth:`BDDManager.reorder` rebuilds the graphs of
+the roots it is given under an explicit permutation and invalidates every
+other handle, so it is meant for managers with a single owner (the
+order-independence tests drive it).
 
 Three performance features keep long-lived managers healthy:
 
@@ -49,8 +48,7 @@ Three performance features keep long-lived managers healthy:
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 
 class BDD:
@@ -71,22 +69,6 @@ class BDD:
 
     def is_terminal(self) -> bool:
         return self.index in (BDDManager.TRUE_INDEX, BDDManager.FALSE_INDEX)
-
-    @property
-    def level(self) -> int:
-        return self.manager.node_level(self.index)
-
-    @property
-    def variable(self) -> str:
-        return self.manager.level_name(self.level)
-
-    @property
-    def low(self) -> "BDD":
-        return BDD(self.manager, self.manager.node_low(self.index))
-
-    @property
-    def high(self) -> "BDD":
-        return BDD(self.manager, self.manager.node_high(self.index))
 
     # -- boolean operations -------------------------------------------------
     def __invert__(self) -> "BDD":
@@ -140,9 +122,6 @@ class BDD:
     def is_satisfiable(self) -> bool:
         return not self.is_false()
 
-    def is_tautology(self) -> bool:
-        return self.is_true()
-
     def satisfy_one(self) -> Optional[Dict[str, bool]]:
         return self.manager.satisfy_one(self)
 
@@ -179,7 +158,9 @@ class BDD:
             return "BDD(TRUE)"
         if self.is_false():
             return "BDD(FALSE)"
-        return f"BDD(var={self.variable!r}, nodes={self.node_count()})"
+        manager = self.manager
+        variable = manager._names[manager._levels[self.index]]
+        return f"BDD(var={variable!r}, nodes={self.node_count()})"
 
 
 class BDDManager:
@@ -235,7 +216,6 @@ class BDDManager:
         self.intersects_cache_hits = 0
         self._meets_cache_hits = 0
         self.peak_nodes = 2
-        self.sift_seconds = 0.0
         for name in variables:
             self.declare(name)
 
@@ -249,22 +229,6 @@ class BDDManager:
 
     def variables(self) -> Tuple[str, ...]:
         return tuple(self._names)
-
-    def level_name(self, level: int) -> str:
-        return self._names[level]
-
-    def has_variable(self, name: str) -> bool:
-        return name in self._levels_by_name
-
-    # -- raw node accessors ------------------------------------------------------
-    def node_level(self, index: int) -> int:
-        return self._levels[index]
-
-    def node_low(self, index: int) -> int:
-        return self._lows[index]
-
-    def node_high(self, index: int) -> int:
-        return self._highs[index]
 
     def size(self) -> int:
         """Total number of interned nodes (including the two terminals)."""
@@ -962,7 +926,7 @@ class BDDManager:
     def equivalent(self, left: BDD, right: BDD) -> bool:
         return left.index == right.index
 
-    # -- maintenance: GC, reordering, sifting -------------------------------------
+    # -- maintenance: GC and reordering ---------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Operational counters for benchmarks and health checks."""
         # peak tracking is lazy: updated here rather than on every interning,
@@ -991,7 +955,9 @@ class BDDManager:
             "intersects_cache_hits": self.intersects_cache_hits,
             "support_cache": len(self._support_cache),
             "peak_nodes": self.peak_nodes,
-            "sift_seconds": self.sift_seconds,
+            # no dynamic reordering runs: the key stays at 0.0 because the
+            # perf ledger (perfbench/designs.py) reads it
+            "sift_seconds": 0.0,
         }
 
     def clear_caches(self) -> None:
@@ -1090,214 +1056,3 @@ class BDDManager:
         self.reorder_runs += 1
         self.collect_garbage(keep)
         return list(keep)
-
-    def sift(self, keep: Sequence[BDD], max_variables: Optional[int] = None) -> List[BDD]:
-        """Rudell-style sifting: move each variable to its best position.
-
-        The search runs on a private shadow copy of the graphs in ``keep``
-        (adjacent-level swaps with reference counts), so it only *chooses*
-        an order; the actual reordering is the semantics-preserving rebuild
-        of :meth:`reorder`.  Variables are sifted in decreasing order of
-        node population; ``max_variables`` bounds how many are sifted (all
-        by default).  Handles in ``keep`` are re-pointed in place and
-        returned; other handles become stale.
-        """
-        started = time.perf_counter()
-        try:
-            support: Set[str] = set()
-            for handle in keep:
-                support |= self.support(handle)
-            if len(support) < 3:
-                return list(keep)
-            session = _SiftSession(self, keep)
-            order = session.run(max_variables)
-            return self.reorder(order, keep)
-        finally:
-            self.sift_seconds += time.perf_counter() - started
-
-
-class _SiftSession:
-    """A private, refcounted shadow of some BDD roots used to *choose* an order.
-
-    Nodes are small lists ``[level, low, high]`` in a per-level unique table;
-    adjacent levels are swapped in place with the classical Rudell update, so
-    evaluating a candidate position costs only the nodes of the two levels
-    involved.  The session never feeds nodes back into the manager: its only
-    product is a variable order, consumed by :meth:`BDDManager.reorder`.
-    """
-
-    FALSE = 0
-    TRUE = 1
-
-    def __init__(self, manager: BDDManager, roots: Sequence[BDD]):
-        support: Set[str] = set()
-        for root in roots:
-            support |= manager.support(root)
-        #: position -> variable name, in the manager's current relative order
-        self.names: List[str] = [name for name in manager.variables() if name in support]
-        position_of = {name: position for position, name in enumerate(self.names)}
-        # nodes[id] = [level, low, high]; 0/1 are the terminals
-        self.nodes: List[List[int]] = [[len(self.names), 0, 0], [len(self.names), 1, 1]]
-        self.refs: List[int] = [1, 1]
-        self.tables: List[Dict[Tuple[int, int], int]] = [{} for _ in self.names]
-        copied: Dict[int, int] = {
-            BDDManager.FALSE_INDEX: self.FALSE,
-            BDDManager.TRUE_INDEX: self.TRUE,
-        }
-
-        def copy(index: int) -> int:
-            cached = copied.get(index)
-            if cached is not None:
-                return cached
-            level = position_of[manager.level_name(manager.node_level(index))]
-            low = copy(manager.node_low(index))
-            high = copy(manager.node_high(index))
-            node = self._lookup(level, low, high)
-            copied[index] = node
-            return node
-
-        self.root_ids = [copy(root.index) for root in roots]
-        for node in self.root_ids:
-            self.refs[node] += 1
-        # the copy pass left one construction reference per distinct node;
-        # shed it so refcounts mean exactly "parents plus roots"
-        for node in copied.values():
-            if node not in (self.FALSE, self.TRUE):
-                self.refs[node] -= 1
-
-    # -- node store --------------------------------------------------------------
-    def _lookup(self, level: int, low: int, high: int) -> int:
-        if low == high:
-            self.refs[low] += 1
-            return low
-        existing = self.tables[level].get((low, high))
-        if existing is not None:
-            self.refs[existing] += 1
-            return existing
-        node = len(self.nodes)
-        self.nodes.append([level, low, high])
-        self.refs.append(1)
-        self.refs[low] += 1
-        self.refs[high] += 1
-        self.tables[level][(low, high)] = node
-        return node
-
-    def _release(self, node: int) -> None:
-        if node in (self.FALSE, self.TRUE) or self.refs[node] <= 0:
-            return
-        self.refs[node] -= 1
-        if self.refs[node] == 0:
-            level, low, high = self.nodes[node]
-            table = self.tables[level]
-            if table.get((low, high)) == node:
-                del table[(low, high)]
-            else:
-                table.pop((low, high, node), None)
-            self._release(low)
-            self._release(high)
-
-    def size(self) -> int:
-        return sum(len(table) for table in self.tables)
-
-    def level_sizes(self) -> List[int]:
-        return [len(table) for table in self.tables]
-
-    @staticmethod
-    def _insert(table: Dict, key: Tuple[int, int], node: int) -> None:
-        """Insert preserving existing entries: a (rare) duplicate function gets
-        a salted slot — it only inflates the size heuristic, never breaks it."""
-        if key in table and table[key] != node:
-            table[(key[0], key[1], node)] = node
-        else:
-            table[key] = node
-
-    # -- the adjacent swap --------------------------------------------------------
-    def swap(self, upper: int) -> None:
-        """Swap the variables at levels ``upper`` and ``upper + 1`` in place.
-
-        Node ids are preserved (parents above the pair keep pointing at the
-        same ids with the same functions): a node of the upper variable that
-        depends on the lower one is rewritten in place as a lower-variable
-        node over fresh cofactor children; one that does not sinks a level;
-        lower-variable nodes still referenced from outside the pair rise.
-        """
-        lower = upper + 1
-        u_nodes = self.tables[upper]
-        v_nodes = self.tables[lower]
-        self.tables[upper] = {}
-        self.tables[lower] = {}
-        for _key, node in u_nodes.items():
-            if self.refs[node] <= 0:
-                continue
-            _level, low, high = self.nodes[node]
-            low_is_v = low > 1 and self.nodes[low][0] == lower
-            high_is_v = high > 1 and self.nodes[high][0] == lower
-            if not low_is_v and not high_is_v:
-                # independent of the rising variable: the node sinks one level
-                self.nodes[node][0] = lower
-                self._insert(self.tables[lower], (low, high), node)
-                continue
-            f00, f01 = (self.nodes[low][1], self.nodes[low][2]) if low_is_v else (low, low)
-            f10, f11 = (self.nodes[high][1], self.nodes[high][2]) if high_is_v else (high, high)
-            new_low = self._lookup(lower, f00, f10)
-            new_high = self._lookup(lower, f01, f11)
-            self.nodes[node][0] = upper
-            self.nodes[node][1] = new_low
-            self.nodes[node][2] = new_high
-            self._insert(self.tables[upper], (new_low, new_high), node)
-            self._release(low)
-            self._release(high)
-        # lower-variable nodes still referenced from roots or from levels above
-        # the pair rise; the rest died when their last upper parent released them
-        for _key, node in v_nodes.items():
-            if self.refs[node] <= 0 or self.nodes[node][0] != lower:
-                continue
-            self.nodes[node][0] = upper
-            self._insert(self.tables[upper], (self.nodes[node][1], self.nodes[node][2]), node)
-        self.names[upper], self.names[lower] = self.names[lower], self.names[upper]
-
-    # -- the sifting loop ---------------------------------------------------------
-    def run(self, max_variables: Optional[int] = None) -> List[str]:
-        """Sift variables (largest population first); return the best order."""
-        candidates = sorted(
-            range(len(self.names)),
-            key=lambda level: -len(self.tables[level]),
-        )
-        if max_variables is not None:
-            candidates = candidates[:max_variables]
-        sifted_names = [self.names[level] for level in candidates]
-        for name in sifted_names:
-            self._sift_one(name)
-        return list(self.names)
-
-    def _sift_one(self, name: str, max_growth: float = 1.5) -> None:
-        position = self.names.index(name)
-        best_size = self.size()
-        best_position = position
-        limit = int(best_size * max_growth) + 2
-        # downward pass
-        current = position
-        while current < len(self.names) - 1:
-            self.swap(current)
-            current += 1
-            size = self.size()
-            if size < best_size:
-                best_size, best_position = size, current
-            if size > limit:
-                break
-        # back up through the start
-        while current > 0:
-            self.swap(current - 1)
-            current -= 1
-            size = self.size()
-            if size < best_size:
-                best_size, best_position = size, current
-            if size > limit and current < best_position:
-                break
-        # settle at the best position seen
-        while current < best_position:
-            self.swap(current)
-            current += 1
-        while current > best_position:
-            self.swap(current - 1)
-            current -= 1

@@ -14,7 +14,6 @@
 * :mod:`repro.codegen.batch` — the vectorized fleet runtime: a numpy printer
   of the program whose lanes step thousands of independent deployment
   instances per call;
-* :mod:`repro.codegen.clusters` — grouping of signals by clock class;
 * :mod:`repro.codegen.controller` — the compositional scheme of Section 5.2:
   a synthesized controller that schedules separately compiled endochronous
   components and enforces the reported clock constraints by rendez-vous;
@@ -39,7 +38,6 @@ from repro.codegen.batch import (
     FleetResult,
     compile_batch,
 )
-from repro.codegen.clusters import clock_clusters
 from repro.codegen.controller import (
     ClockConstraintSpec,
     ControlledComposition,
@@ -65,7 +63,6 @@ __all__ = [
     "BatchProgram",
     "FleetResult",
     "compile_batch",
-    "clock_clusters",
     "ClockConstraintSpec",
     "ControlledComposition",
     "synthesize_controller",

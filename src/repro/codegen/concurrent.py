@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.codegen.controller import ClockConstraintSpec, ControlledComposition
+from repro.codegen.controller import ClockConstraintSpec, shared_signals
 from repro.codegen.runtime import EndOfStream, StreamIO
 from repro.codegen.sequential import CompiledProcess
 
@@ -70,7 +70,7 @@ class ConcurrentComposition:
     max_steps: int = 10_000
 
     def __post_init__(self) -> None:
-        self._shared_signals = ControlledComposition._compute_shared_signals(self.components)
+        self._shared_signals = shared_signals([compiled.process for compiled in self.components])
 
     def run(self, inputs: Mapping[str, Sequence[object]]) -> Dict[str, List[object]]:
         """Run every component in its own thread until its inputs are exhausted.

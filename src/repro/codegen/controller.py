@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.codegen.runtime import EndOfStream, StreamIO
 from repro.codegen.sequential import CompiledProcess
 from repro.lang.ast import ClockExpressionSyntax, ClockFalse, ClockOf, ClockTrue
+from repro.lang.normalize import NormalizedProcess
 from repro.properties.composition import CompositionVerdict
 
 
@@ -64,6 +65,41 @@ class ClockConstraintSpec:
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
+
+
+def shared_signals(components: Sequence[NormalizedProcess]) -> Set[str]:
+    """Signals one component produces and another consumes."""
+    produced: Set[str] = set()
+    consumed: Set[str] = set()
+    for component in components:
+        produced.update(component.outputs)
+        consumed.update(component.inputs)
+    return produced & consumed
+
+
+def dependency_order(components: Sequence[NormalizedProcess]) -> List[NormalizedProcess]:
+    """Producers of shared signals before their consumers, stable on ties."""
+    produced_by: Dict[str, str] = {}
+    for component in components:
+        for name in component.outputs:
+            produced_by[name] = component.name
+    dependencies: Dict[str, Set[str]] = {component.name: set() for component in components}
+    for component in components:
+        for name in component.inputs:
+            producer = produced_by.get(name)
+            if producer and producer != component.name:
+                dependencies[component.name].add(producer)
+    by_name = {component.name: component for component in components}
+    order: List[str] = []
+    remaining = dict(dependencies)
+    while remaining:
+        ready = sorted(name for name, deps in remaining.items() if deps <= set(order))
+        if not ready:
+            order.extend(sorted(remaining))
+            break
+        order.append(ready[0])
+        del remaining[ready[0]]
+    return [by_name[name] for name in order]
 
 
 class _ComponentIO:
@@ -137,47 +173,14 @@ class ControlledComposition:
             compiled.process.name: _ComponentState(compiled) for compiled in components
         }
         self.constraints = list(constraints)
-        self._order = self._dependency_order(components)
-        self._shared_signals = self._compute_shared_signals(components)
+        processes = [compiled.process for compiled in components]
+        self._order = [process.name for process in dependency_order(processes)]
+        self._shared_signals = shared_signals(processes)
         self._shared_store: Dict[str, object] = {}
         for state in self.components.values():
             for index, constraint in enumerate(self.constraints):
                 if constraint.literal_for(state.compiled.process.name) is not None:
                     state.arrived[index] = False
-
-    # -- static structure -------------------------------------------------------------
-    @staticmethod
-    def _compute_shared_signals(components: Sequence[CompiledProcess]) -> Set[str]:
-        produced: Set[str] = set()
-        consumed: Set[str] = set()
-        for compiled in components:
-            produced.update(compiled.process.outputs)
-            consumed.update(compiled.process.inputs)
-        return produced & consumed
-
-    @staticmethod
-    def _dependency_order(components: Sequence[CompiledProcess]) -> List[str]:
-        """Producers of shared signals before their consumers (topological order)."""
-        produced_by: Dict[str, str] = {}
-        for compiled in components:
-            for name in compiled.process.outputs:
-                produced_by[name] = compiled.process.name
-        dependencies: Dict[str, Set[str]] = {c.process.name: set() for c in components}
-        for compiled in components:
-            for name in compiled.process.inputs:
-                producer = produced_by.get(name)
-                if producer and producer != compiled.process.name:
-                    dependencies[compiled.process.name].add(producer)
-        order: List[str] = []
-        remaining = dict(dependencies)
-        while remaining:
-            ready = sorted(name for name, deps in remaining.items() if deps <= set(order))
-            if not ready:
-                order.extend(sorted(remaining))
-                break
-            order.append(ready[0])
-            del remaining[ready[0]]
-        return order
 
     # -- interface --------------------------------------------------------------------
     @property
@@ -368,7 +371,7 @@ def synthesize_controller(
     already enforced by the data-flow through the shared store.
     """
     owners: Dict[str, str] = {}
-    shared = ControlledComposition._compute_shared_signals(components)
+    shared = shared_signals([compiled.process for compiled in components])
     for compiled in components:
         for signal in compiled.process.inputs:
             if signal not in shared:

@@ -35,11 +35,10 @@ The compiled step relation lives on a **private**
 :class:`~repro.bdd.bdd.BDDManager` whose variables are declared in the
 process's structural :class:`~repro.clocks.order.VariableOrder` (signals in
 DFS fan-in order, each ``e·x`` adjacent to its ``d·x`` and each register's
-``s·r`` / ``s'·r`` right after it); no clock hierarchy is built.  After
-compilation the manager sheds its intermediate conjuncts
-(:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`) and — for relations
-past :data:`SIFT_THRESHOLD` nodes — runs a sifting pass to shrink the order
-further.
+``s·r`` / ``s'·r`` right after it); no clock hierarchy is built.  That
+order is final: after compilation the manager only sheds its intermediate
+conjuncts (:meth:`~repro.bdd.bdd.BDDManager.collect_garbage`), and no
+dynamic reordering runs.
 
 The interpreter is kept as a *cross-check oracle*: ``cross_check=True``
 verifies every per-state answer against
@@ -89,9 +88,6 @@ from repro.mc.symbolic import (
 
 #: boolean operators the step relation can encode directly
 _BOOLEAN_OPERATORS = frozenset({"and", "or", "xor", "not", "id", "=", "/="})
-
-#: past this many step-relation nodes, a sifting pass is worth its cost
-SIFT_THRESHOLD = 2048
 
 
 class CompilationError(ValueError):
@@ -228,8 +224,6 @@ class CompiledAbstraction:
         self.manager = BDDManager(self._seed_variable_order())
         self.step = self._compile()
         (self.step,) = self.manager.collect_garbage([self.step])
-        if self.step.node_count() > SIFT_THRESHOLD:
-            (self.step,) = self.manager.sift([self.step], max_variables=24)
         self._precompute_columns()
         self._oracle: Optional[BooleanAbstraction] = (
             BooleanAbstraction(process) if cross_check else None
@@ -517,8 +511,8 @@ class CompiledAbstraction:
         """Reattach a stored step relation to ``process`` without recompiling.
 
         The reconstruction is linear in the stored node count: no equation
-        compilation, no conjunction schedule, no sifting — which is the
-        whole point of persisting the relation.  Raises ``ValueError`` when
+        compilation and no conjunction schedule, which is the whole point of
+        persisting the relation.  Raises ``ValueError`` when
         the payload's format or content digest does not match.
         """
         from repro.lang.printer import process_digest

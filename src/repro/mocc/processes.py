@@ -118,7 +118,7 @@ def iter_asynchronous_gluings(
     Behaviors are glued when they are *flow equivalent* on the shared
     interface; every gluing keeps, for each shared signal, the flow of
     values (re-timed on the tags of the left operand).  A consumer that
-    stops early — the lazy isochrony comparison of
+    stops early — the isochrony comparison of
     :mod:`repro.properties.isochrony` — never pays for the remaining
     |left| × |right| combinations.
     """
@@ -140,7 +140,7 @@ def asynchronous_composition(left: DenotationalProcess, right: DenotationalProce
     """Asynchronous composition ``p ‖ q`` of two denotational processes.
 
     The materialized form of :func:`iter_asynchronous_gluings`, for callers
-    that need the whole composite (Definition 3's eager comparison).
+    that need the whole composite.
     """
     return DenotationalProcess(
         left.domain | right.domain, list(iter_asynchronous_gluings(left, right))

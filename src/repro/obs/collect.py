@@ -272,11 +272,6 @@ def bdd_collector(manager) -> Collector:
                 "Peak unique-table size observed",
                 [_sample(stats.get("peak_nodes", 0))],
             ),
-            _gauge(
-                "repro_bdd_sift_seconds",
-                "Cumulative time in variable sifting",
-                [_sample(round(stats.get("sift_seconds", 0.0), 6))],
-            ),
             _counter(
                 "repro_bdd_and_exists_calls_total",
                 "Relational products (and_exists, exists, forall)",

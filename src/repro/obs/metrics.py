@@ -31,8 +31,8 @@ import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: fixed half-decade log-scale latency buckets, in seconds (upper bounds).
-#: 100 µs … 100 s covers everything from a warm cache hit to a
-#: sift-dominated compile; +Inf is implicit in the exposition.
+#: 100 µs … 100 s covers everything from a warm cache hit to a cold
+#: compile of a large composition; +Inf is implicit in the exposition.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0001,
     0.000316,

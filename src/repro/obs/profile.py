@@ -84,7 +84,6 @@ def bdd_tags(manager) -> Dict[str, object]:
         "bdd.and_exists_calls": stats.get("and_exists_calls", 0),
         "bdd.nodes": stats.get("nodes", 0),
         "bdd.peak_nodes": stats.get("peak_nodes", 0),
-        "bdd.sift_seconds": round(stats.get("sift_seconds", 0.0), 6),
     }
 
 

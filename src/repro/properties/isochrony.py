@@ -8,29 +8,24 @@ obtains this for free for weakly hierarchic compositions; this module is the
 bounded-trace oracle the criterion is cross-checked against.
 
 The check below enumerates the bounded behaviors of the two components over
-given input flows, builds both compositions with the operators of
-:mod:`repro.mocc.processes`, and compares the sets of flow-equivalence
-classes of the shared and visible signals.  With ``lazy=True`` the
-asynchronous side is *not* materialized: candidate gluings are streamed one
-by one and the comparison stops at the first asynchronous flow class missing
-synchronously — the denotational analogue of the on-the-fly engine of
-:mod:`repro.mc.onthefly`.
+given input flows and compares the flow-equivalence classes of the shared
+and visible signals of the two compositions.  The synchronous side is the
+composed process itself.  The asynchronous side is *not* materialized:
+candidate gluings (:func:`~repro.mocc.processes.iter_asynchronous_gluings`)
+are streamed one by one and the comparison stops at the first asynchronous
+flow class missing synchronously — the denotational analogue of the
+on-the-fly engine of :mod:`repro.mc.onthefly`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.lang.normalize import NormalizedProcess
 from repro.mocc.behaviors import Behavior
-from repro.mocc.processes import (
-    DenotationalProcess,
-    asynchronous_composition,
-    iter_asynchronous_gluings,
-    synchronous_composition,
-)
+from repro.mocc.processes import DenotationalProcess, iter_asynchronous_gluings
 from repro.semantics.denotational import enumerate_behaviors
 
 
@@ -39,8 +34,8 @@ class IsochronyReport:
     """Result of the bounded isochrony comparison.
 
     ``complete`` is ``False`` when the comparison stopped at the first
-    missing class (the lazy path): ``asynchronous_classes`` then counts the
-    classes streamed before the counterexample, not the full set.
+    missing class: ``asynchronous_classes`` then counts the classes streamed
+    up to the counterexample, not the full set.
     """
 
     left_name: str
@@ -80,7 +75,6 @@ def check_isochrony(
     input_flows: Mapping[str, Sequence[object]],
     max_instants: int = 8,
     signals: Optional[Iterable[str]] = None,
-    lazy: bool = False,
 ) -> IsochronyReport:
     """Definition 3 on bounded traces: ``p | q ≈ p ‖ q``.
 
@@ -88,11 +82,20 @@ def check_isochrony(
     the composition (inputs of either component not produced by the other).
     The comparison is on flow-equivalence classes: every flow of values
     reachable asynchronously must be reachable synchronously and conversely.
+    The asynchronous gluings are streamed and the comparison returns at the
+    first class missing synchronously, so a violating composition never pays
+    for the full asynchronous product.  A comparison in which either side
+    has no flow class at all does not hold: it compared nothing.
 
-    With ``lazy=True`` the asynchronous gluings are streamed and the
-    comparison returns at the first class missing synchronously, so a
-    violating composition never pays for the full asynchronous product.
+    The producer of the shared signals is enumerated first and feeds the
+    consumer, whichever of the two the caller names first.  When each
+    component consumes signals the other produces, ``left`` is enumerated
+    first and is not fed the signals ``right`` produces.
     """
+    if set(right.outputs) & set(left.inputs) and not set(left.outputs) & set(right.inputs):
+        report = check_isochrony(right, left, input_flows, max_instants, signals)
+        report.left_name, report.right_name = left.name, right.name
+        return report
     observable = _observable_signals(left, right, signals)
 
     left_inputs = {
@@ -124,69 +127,59 @@ def check_isochrony(
         signals=tuple(name for name in observable if name in composed.all_signals()),
     )
 
-    # Asynchronous side: each component is enumerated against untimed flows —
-    # shared flows produced by the other side are taken from its enumeration —
+    # Asynchronous side: each component is enumerated against untimed flows
     # and the results are glued by flow equivalence on the interface (p ‖ q).
+    # The consumer reads the shared flows of one producer behavior at a time:
+    # flows taken signal by signal from different producer behaviors form a
+    # combination no producer emits, and nothing would glue to it.
     left_process = enumerate_behaviors(
         left,
-        {**left_inputs},
+        left_inputs,
         max_instants=max_instants,
         signals=tuple(sorted(set(left.interface_signals()) & set(observable))),
     )
-    right_flows: Dict[str, Sequence[object]] = {**right_inputs}
-    for name in shared_produced_by_left:
-        flows_seen: Set[Tuple[object, ...]] = set()
-        for behavior in left_process:
-            if name in behavior.domain():
-                flows_seen.add(behavior[name].values)
-        if flows_seen:
-            # Use the longest produced flow as the consumer's available flow.
-            right_flows[name] = max(flows_seen, key=len)
-    right_process = enumerate_behaviors(
-        right,
-        right_flows,
-        max_instants=max_instants,
-        signals=tuple(sorted(set(right.interface_signals()) & set(observable))),
-    )
+    fed = sorted(shared_produced_by_left & left_process.domain)
+    right_signals = tuple(sorted(set(right.interface_signals()) & set(observable)))
+    right_behaviors: List[Behavior] = []
+    produced: Set[Tuple[Tuple[object, ...], ...]] = set()
+    for behavior in left_process:
+        shared_flows = tuple(behavior[name].values for name in fed)
+        if shared_flows in produced:
+            continue
+        produced.add(shared_flows)
+        right_behaviors.extend(
+            enumerate_behaviors(
+                right,
+                {**right_inputs, **dict(zip(fed, shared_flows))},
+                max_instants=max_instants,
+                signals=right_signals,
+            )
+        )
+    right_process = DenotationalProcess(right_signals, right_behaviors)
     synchronous_classes = synchronous.restrict(observable).flow_classes()
 
-    if lazy:
-        seen: Set[Tuple] = set()
-        for gluing in iter_asynchronous_gluings(left_process, right_process):
-            key = _flow_class_key(gluing.restrict(observable))
-            if key in seen:
-                continue
-            seen.add(key)
-            if key not in synchronous_classes:
-                return IsochronyReport(
-                    left_name=left.name,
-                    right_name=right.name,
-                    holds=False,
-                    synchronous_classes=len(synchronous_classes),
-                    asynchronous_classes=len(seen),
-                    missing_in_synchronous=[key],
-                    complete=False,
-                )
-        return IsochronyReport(
-            left_name=left.name,
-            right_name=right.name,
-            holds=bool(synchronous_classes),
-            synchronous_classes=len(synchronous_classes),
-            asynchronous_classes=len(seen),
-        )
-
-    asynchronous = asynchronous_composition(left_process, right_process)
-    asynchronous_classes = asynchronous.restrict(observable).flow_classes()
-
-    missing = sorted(asynchronous_classes - synchronous_classes)
-    holds = not missing and bool(synchronous_classes)
+    seen: Set[Tuple] = set()
+    for gluing in iter_asynchronous_gluings(left_process, right_process):
+        key = _flow_class_key(gluing.restrict(observable))
+        if key in seen:
+            continue
+        seen.add(key)
+        if key not in synchronous_classes:
+            return IsochronyReport(
+                left_name=left.name,
+                right_name=right.name,
+                holds=False,
+                synchronous_classes=len(synchronous_classes),
+                asynchronous_classes=len(seen),
+                missing_in_synchronous=[key],
+                complete=False,
+            )
     return IsochronyReport(
         left_name=left.name,
         right_name=right.name,
-        holds=holds,
+        holds=bool(synchronous_classes) and bool(seen),
         synchronous_classes=len(synchronous_classes),
-        asynchronous_classes=len(asynchronous_classes),
-        missing_in_synchronous=missing,
+        asynchronous_classes=len(seen),
     )
 
 
@@ -196,11 +189,10 @@ def verify_isochrony(
     input_flows: Mapping[str, Sequence[object]],
     max_instants: int = 8,
     signals: Optional[Iterable[str]] = None,
-    lazy: bool = False,
 ) -> Verdict:
     """Definition 3 on bounded traces as a :class:`~repro.api.results.Verdict`."""
     with stopwatch() as elapsed:
-        report = check_isochrony(left, right, input_flows, max_instants, signals, lazy=lazy)
+        report = check_isochrony(left, right, input_flows, max_instants, signals)
     witness = report.missing_in_synchronous[0] if report.missing_in_synchronous else None
     return Verdict(
         prop="isochrony",

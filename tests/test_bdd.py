@@ -1,11 +1,10 @@
-"""Unit tests for the ROBDD engine and the boolean expression layer."""
+"""Unit tests for the ROBDD engine."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd.bdd import BDDManager
-from repro.bdd.expr import FALSE, TRUE, And, Iff, Implies, Not, Or, Var, Xor, conjunction, disjunction
 
 
 @pytest.fixture
@@ -123,43 +122,8 @@ class TestBDDQueries:
         assert manager.equivalent(a & b, b & a)
 
 
-class TestBoolExpr:
-    def test_evaluate_matches_bdd(self):
-        manager = BDDManager()
-        expression = Implies(And(Var("a"), Var("b")), Or(Var("a"), Var("c")))
-        compiled = expression.to_bdd(manager)
-        for a in (False, True):
-            for b in (False, True):
-                for c in (False, True):
-                    assignment = {"a": a, "b": b, "c": c}
-                    assert compiled.evaluate(assignment) == expression.evaluate(assignment)
-
-    def test_constants(self):
-        manager = BDDManager()
-        assert TRUE.to_bdd(manager).is_true()
-        assert FALSE.to_bdd(manager).is_false()
-
-    def test_not_xor_iff(self):
-        manager = BDDManager()
-        expression = Iff(Xor(Var("a"), Var("b")), Not(Iff(Var("a"), Var("b"))))
-        assert expression.to_bdd(manager).is_true()
-
-    def test_conjunction_disjunction_helpers(self):
-        manager = BDDManager()
-        everything = conjunction(Var("a"), Var("b"), Var("c"))
-        assert everything.to_bdd(manager).count(["a", "b", "c"]) == 1
-        anything = disjunction(Var("a"), Var("b"))
-        assert anything.to_bdd(manager).count(["a", "b"]) == 3
-        assert conjunction().to_bdd(manager).is_true()
-        assert disjunction().to_bdd(manager).is_false()
-
-    def test_variables(self):
-        expression = And(Var("a"), Or(Var("b"), Not(Var("c"))))
-        assert expression.variables() == {"a", "b", "c"}
-
-
 class TestManagerMaintenance:
-    """The PR-3 manager upgrades: GC, reordering, sifting, bounded caches."""
+    """Manager maintenance: GC, reordering, bounded caches."""
 
     def test_satisfy_all_is_output_sensitive(self):
         # one cube over 20 variables: the walk must not expand 2^20 candidates
@@ -208,22 +172,6 @@ class TestManagerMaintenance:
             expected = (assignment["x0"] and assignment["y0"]) or (
                 assignment["x1"] and assignment["y1"]
             )
-            assert function.evaluate(assignment) == expected
-
-    def test_sift_shrinks_an_interleaving_sensitive_function(self):
-        names = [f"a{i}" for i in range(4)] + [f"b{i}" for i in range(4)]
-        manager = BDDManager(names)
-        function = manager.false
-        for index in range(4):
-            function = function | (manager.var(f"a{index}") & manager.var(f"b{index}"))
-        before = function.node_count()
-        manager.sift([function])
-        after = function.node_count()
-        assert after < before
-        for bits in range(256):
-            assignment = {f"a{i}": bool(bits & (1 << i)) for i in range(4)}
-            assignment.update({f"b{i}": bool(bits & (1 << (4 + i))) for i in range(4)})
-            expected = any(assignment[f"a{i}"] and assignment[f"b{i}"] for i in range(4))
             assert function.evaluate(assignment) == expected
 
     def test_computed_table_is_bounded(self):
@@ -294,13 +242,14 @@ class TestDumpRoundTripProperties:
         assert _truth_table(loaded_manager, root) == table
         assert loaded_manager.dump([root]) == payload_after
 
-    @given(program=_programs)
+    @given(program=_programs, order=st.permutations(_PROPERTY_VARIABLES))
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_survives_sift(self, program):
+    def test_round_trip_survives_reorder(self, program, order):
         manager = BDDManager(_PROPERTY_VARIABLES)
         function = _build(manager, program)
         table = _truth_table(manager, function)
-        (function,) = manager.sift([function])
+        (function,) = manager.reorder(order, [function])
+        assert manager.variables() == tuple(order)
         payload = manager.dump([function])
         loaded_manager, (root,) = BDDManager.load(payload)
         assert _truth_table(loaded_manager, root) == table

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.codegen.runtime import EndOfStream, RecordingIO, StreamIO, simulate
-from repro.codegen.clusters import clock_clusters
 from repro.codegen.sequential import (
     CodeGenerationError,
     build_step_program,
@@ -220,12 +219,3 @@ class TestMultiRootHandling:
         compiled.run(io)
         assert io.output("u") == [1]
         assert io.output("v") == [1]
-
-
-class TestClusters:
-    def test_buffer_clusters_follow_the_hierarchy(self, buffer_analysis):
-        clusters = clock_clusters(buffer_analysis)
-        assert clusters[0].depth == 0
-        assert {"buffer_s", "buffer_t"} <= set(clusters[0].signals)
-        depths = {cluster.depth for cluster in clusters}
-        assert 1 in depths

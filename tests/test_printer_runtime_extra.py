@@ -1,8 +1,7 @@
-"""Additional unit coverage: primitive-equation printing, runtime helpers, clusters."""
+"""Additional unit coverage: primitive-equation printing, runtime helpers."""
 
 import pytest
 
-from repro.codegen.clusters import clock_clusters
 from repro.codegen.runtime import EndOfStream, RecordingIO, StreamIO, simulate
 from repro.lang.ast import ClockOf, ClockTrue, Const
 from repro.lang.normalize import (
@@ -20,7 +19,6 @@ from repro.lang.printer import (
     format_primitive_equation,
 )
 from repro.library.basic import filter_process
-from repro.properties.compilable import ProcessAnalysis
 
 
 class TestPrimitivePrinting:
@@ -89,14 +87,3 @@ class TestRuntimeHelpers:
         io.end_step()
         assert len(io.step_log) == 2
         assert io.step_log[1] == {"a": 2, "-> x": 5}
-
-
-class TestClusters:
-    def test_filter_clusters(self):
-        analysis = ProcessAnalysis(normalize(filter_process()))
-        clusters = clock_clusters(analysis)
-        assert clusters, "the filter has at least one clock cluster"
-        root_cluster = clusters[0]
-        assert root_cluster.depth == 0
-        assert "y" in root_cluster.signals
-        assert str(root_cluster)

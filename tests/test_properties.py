@@ -108,26 +108,59 @@ class TestNonBlocking:
         assert verify_non_blocking(buffer_normalized).holds
 
 
+def _in_order(left, right, consumer_first):
+    return (right, left) if consumer_first else (left, right)
+
+
 class TestIsochrony:
-    def test_filter_and_merge_are_isochronous(self, filter_merge):
+    @pytest.mark.parametrize("consumer_first", [False, True])
+    def test_filter_and_merge_are_isochronous(self, filter_merge, consumer_first):
         """E3: the untimed composition of filter and merge preserves the flows."""
         report = check_isochrony(
-            filter_merge["filter"],
-            filter_merge["merge"],
+            *_in_order(filter_merge["filter"], filter_merge["merge"], consumer_first),
             {"y": [True, False], "c": [True, False], "z": [False]},
             max_instants=5,
         )
         assert report.holds, str(report)
         assert report.asynchronous_classes >= 1
 
-    def test_producer_and_consumer_are_isochronous(self, producer_consumer):
+    @pytest.mark.parametrize("consumer_first", [False, True])
+    def test_producer_and_consumer_are_isochronous(self, producer_consumer, consumer_first):
         report = check_isochrony(
-            producer_consumer["producer"],
-            producer_consumer["consumer"],
+            *_in_order(producer_consumer["producer"], producer_consumer["consumer"], consumer_first),
             {"a": [True, False], "b": [False, True]},
             max_instants=5,
         )
         assert report.holds, str(report)
+        assert report.asynchronous_classes >= 1
+        assert report.left_name == ("consumer" if consumer_first else "producer")
+
+    @pytest.mark.parametrize("consumer_first", [False, True])
+    @pytest.mark.parametrize("max_instants", [3, 4, 5])
+    def test_split_and_join_are_not_isochronous(self, max_instants, consumer_first):
+        """A join may reorder the two halves of a split when it runs alone.
+
+        ``x = a when c`` and ``y = a when not c`` split ``a``; ``z = x default
+        y`` joins them back.  Synchronously ``z`` replays ``a``; with FIFOs in
+        between the join can read ``y``'s value before ``x``'s.  The consumer
+        must be fed the shared flows of one producer behavior: flows mixed
+        from different behaviors glue to nothing, and a comparison of no
+        asynchronous class must not pass.
+        """
+        split = ProcessBuilder("split", inputs=["a", "c"], outputs=["x", "y"])
+        split.define("x", signal("a").when(signal("c")))
+        split.define("y", signal("a").when(signal("c").not_()))
+        join = ProcessBuilder("join", inputs=["x", "y"], outputs=["z"])
+        join.define("z", signal("x").default(signal("y")))
+        report = check_isochrony(
+            *_in_order(normalize(split.build()), normalize(join.build()), consumer_first),
+            {"a": [1, 2, 3], "c": [True, False, True]},
+            max_instants=max_instants,
+        )
+        assert not report.holds, str(report)
+        assert report.asynchronous_classes >= 1
+        assert len(report.missing_in_synchronous) == 1
+        assert not report.complete
 
     def test_report_rendering(self, producer_consumer):
         report = check_isochrony(

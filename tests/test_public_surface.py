@@ -8,7 +8,16 @@ import importlib
 
 import pytest
 
-PACKAGES = ["repro", "repro.api", "repro.properties", "repro.library", "repro.mc", "repro.gen"]
+PACKAGES = [
+    "repro",
+    "repro.api",
+    "repro.bdd",
+    "repro.codegen",
+    "repro.gen",
+    "repro.library",
+    "repro.mc",
+    "repro.properties",
+]
 
 
 @pytest.mark.parametrize("name", PACKAGES)

@@ -16,6 +16,10 @@ Every record carries the time the same query took before the structural
 order, measured on a 2-vCPU host (Python 3.11.7), and the ROADMAP target
 where there is one; ``arbiter_tree_6`` also carries its time and peak
 nodes from before acyclicity ran on the plain graph's SCCs.
+
+One gate counts instead of timing: the factor count and the kernel's
+``apply`` calls of the clock algebra of a 128-stage derivative chain, whose
+synchrony equalities collapse into one class.
 Run with::
 
     PYTHONPATH=src python -m pytest -q --benchmark-disable benchmarks/bench_clock_calculus.py
@@ -34,19 +38,21 @@ from repro.clocks.inference import infer_timing_relations
 from repro.gen.topologies import (
     arbiter_tree,
     chain_of_buffers,
+    derivative_chain,
     independent_components,
     mode_automaton,
     pipeline_network,
 )
-
-RECORD = recorder("clock_calculus")
 from repro.lang.ast import ClockBinary, ClockFalse, ClockOf, ClockTrue
+from repro.lang.normalize import normalize
 from repro.properties.compilable import ProcessAnalysis
 from repro.properties.composition import check_weakly_hierarchic
 from repro.sched.closure import is_acyclic
 from repro.sched.graph import SchedulingGraph
 from repro.sched.reinforce import reinforce
 from repro.sched.serialize import sequential_schedule
+
+RECORD = recorder("clock_calculus")
 
 
 def test_buffer_clock_inference(benchmark, paper_processes):
@@ -228,3 +234,40 @@ def test_static_non_blocking_scaling(scenario):
         peak_nodes=peak_nodes,
         **extra,
     )
+
+
+#: the clock algebra of ``derivative_chain(128)`` (387 clock relations, 386
+#: of them ``x^ = y^``) while every synchrony equality was one more conjunct
+#: of the relation: its factor count, the kernel's ``apply`` calls and the
+#: nodes interned building it
+BEFORE_SYNCHRONY_CLASSES = {"factors": 1, "apply_calls": 774, "nodes": 67984}
+#: the same counts over synchrony classes, which the gate allows to double
+WITH_SYNCHRONY_CLASSES = {"factors": 1, "apply_calls": 2}
+
+
+def test_derivative_chain_clock_algebra_counts():
+    """Counted, not timed: the clock algebra of a 128-stage derivative chain.
+
+    Its equalities form one synchrony class, so the relation is the single
+    conjunct left over.  Operation counts do not depend on the host's load;
+    before synchrony classes the same build took 774 ``apply`` calls.
+    """
+    process = normalize(derivative_chain(128))
+    relations = infer_timing_relations(process)
+    algebra = ClockAlgebra(process, relations)
+    counts = {
+        "factors": len(algebra._factors),
+        "apply_calls": algebra.manager.stats()["apply_calls"],
+    }
+    RECORD.record(
+        "deriv_128 clock algebra counts",
+        relations=len(relations.clock_relations),
+        nodes=algebra.manager.size(),
+        before_synchrony_classes=BEFORE_SYNCHRONY_CLASSES,
+        **counts,
+    )
+    for name, count in counts.items():
+        assert count <= 2 * WITH_SYNCHRONY_CLASSES[name], (
+            f"deriv_128 clock algebra: {count} {name} "
+            f"(gate: 2 x {WITH_SYNCHRONY_CLASSES[name]})"
+        )

@@ -471,9 +471,9 @@ class BatchedDeployment(Deployment):
         staged = None
         batch = self._batch
         if batch is not None and n:
-            # fast path: stage the whole fleet in one numpy pass — eligibility
-            # falls out of the conversion itself, so an all-eligible fleet
-            # skips the per-lane Python scans entirely
+            # fast path: stage the whole fleet in one pass — it accepts
+            # exactly when every lane is vectorizable, so an all-eligible
+            # fleet skips the per-lane eligibility scans entirely
             staged = batch.stage_fleet(instances)
             if staged is not None:
                 vector_rows = list(range(n))

@@ -16,6 +16,13 @@ entailment question of the analyses (clock equivalence, emptiness,
 inclusion, constraint detection) is then a BDD inclusion test, decided by
 the kernel's non-constructive ``leq`` / ``intersects`` without building the
 implication or the conjunction.
+
+Synchrony equalities ``x^ = y^`` are not conjoined at all.  A union-find
+over them groups the signals into *synchrony classes*, and ``x^`` encodes
+as the presence variable of its class representative, ``p·rep(x)``.
+Substituting equals is exact: ``R ∧ (p·x ⇔ p·y) ⊨ c`` iff
+``R[p·y/p·x] ⊨ c[p·y/p·x]``, and likewise for satisfiability, so every
+query answers as on the unreduced relation.
 """
 
 from __future__ import annotations
@@ -79,13 +86,13 @@ class ClockAlgebra:
         if isinstance(expression, ClockEmpty):
             return self.manager.false
         if isinstance(expression, ClockOf):
-            return self.manager.var(presence_variable(expression.name))
+            return self._presence(expression.name)
         if isinstance(expression, ClockTrue):
-            return self.manager.var(presence_variable(expression.name)) & self.manager.var(
+            return self._presence(expression.name) & self.manager.var(
                 value_variable(expression.name)
             )
         if isinstance(expression, ClockFalse):
-            return self.manager.var(presence_variable(expression.name)) & ~self.manager.var(
+            return self._presence(expression.name) & ~self.manager.var(
                 value_variable(expression.name)
             )
         if isinstance(expression, ClockBinary):
@@ -98,6 +105,45 @@ class ClockAlgebra:
             if expression.operator == "diff":
                 return left & ~right
         raise TypeError(f"unsupported clock expression: {expression!r}")
+
+    def _presence(self, name: str) -> BDD:
+        """``x^``: the presence variable of ``x``'s synchrony class."""
+        return self.manager.var(presence_variable(self._representative.get(name, name)))
+
+    def _synchrony_classes(self) -> List[ClockRelation]:
+        """Group the signals that ``x^ = y^`` relations equate; return the
+        other relations.
+
+        Union-find over the synchrony equalities; each class is represented
+        by the member whose presence variable sits lowest in the manager's
+        order, so a class's variable keeps the place the structural order
+        gave its first member.
+        """
+        parent: Dict[str, str] = {}
+
+        def find(name: str) -> str:
+            root = name
+            while parent.get(root, root) != root:
+                root = parent[root]
+            while name != root:  # path compression
+                parent[name], name = root, parent[name]
+            return root
+
+        def level(name: str) -> int:
+            return self.manager.declare(presence_variable(name))
+
+        rest: List[ClockRelation] = []
+        for relation in self.relations.clock_relations:
+            left, right = relation.left, relation.right
+            if isinstance(left, ClockOf) and isinstance(right, ClockOf):
+                roots = sorted({find(left.name), find(right.name)}, key=level)
+                parent[roots[-1]] = roots[0]
+            else:
+                rest.append(relation)
+        self._representative = {
+            name: root for name in parent if (root := find(name)) != name
+        }
+        return rest
 
     def _compile_relations(self) -> List[BDD]:
         """Compile the clock relations into variable-disjoint *factors*.
@@ -112,12 +158,17 @@ class ClockAlgebra:
         for variable-disjoint ``R = G ∧ H`` with ``vars(H) ∩ vars(c) = ∅``,
         ``R ⊨ c`` iff ``R`` is unsatisfiable or ``G ⊨ c`` — so the analyses
         of an N-component composition stop paying for the other N−1
-        components on every BDD query.
+        components on every BDD query.  The synchrony equalities are not
+        among the conjuncts: they are folded into the encoding first
+        (:meth:`_synchrony_classes`), and a conjunct they make ``true`` is
+        dropped.
         """
         factors: List[BDD] = []
         factor_of: Dict[str, int] = {}
-        for relation in self.relations.clock_relations:
+        for relation in self._synchrony_classes():
             conjunct = self.encode(relation.left).iff(self.encode(relation.right))
+            if conjunct.is_true():
+                continue  # a tautology once equal clocks share one variable
             support = conjunct.support()
             touched = sorted({factor_of[v] for v in support if v in factor_of})
             merged = conjunct

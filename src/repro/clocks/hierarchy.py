@@ -270,10 +270,12 @@ def build_hierarchy(
     # rule 2: equivalence classes under provable equality, by hash-consing.
     # R is a conjunction of variable-disjoint factors, each satisfied by the
     # silent instant (every signal absent).  Every clock here is about one
-    # signal ``x``, and ``v·x`` only ever occurs conjoined with ``p·x``, so
-    # any factor the clock touches contains ``p·x``.  Hence, for satisfiable
-    # R, ``R ⊨ a = b`` iff ``constrained(a)`` and ``constrained(b)`` (each
-    # clock conjoined with the factors it touches) are the same function:
+    # signal ``x``, whose presence the algebra encodes as ``p·rep(x)``, the
+    # presence variable of its synchrony class, and ``v·x`` only ever occurs
+    # conjoined with ``p·rep(x)``, so any factor the clock touches contains
+    # ``p·rep(x)``.  Hence, for satisfiable R, ``R ⊨ a = b`` iff
+    # ``constrained(a)`` and ``constrained(b)`` (each clock conjoined with
+    # the factors it touches) are the same function:
     # if ``b`` touches a factor ``a`` does not, silencing that factor in an
     # instant of ``R ∧ a`` keeps the instant in ``R ∧ a`` and makes ``b``
     # false, unless both clocks are empty — and empty clocks all constrain

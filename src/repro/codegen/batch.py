@@ -38,6 +38,7 @@ just those lanes to the scalar fallback.
 from __future__ import annotations
 
 import functools
+import marshal
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -475,6 +476,77 @@ def render_batch_source(program: StepProgram, dtypes: Mapping[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ``marshal.dumps`` writes a plain list as a 5-byte header (the type code
+# ``[``, with the reference flag 0x80 possibly set, then a 4-byte length)
+# followed by its elements' encodings.  ``True`` and ``False`` encode as the
+# single bytes ``T`` and ``F``; every other object takes at least one byte
+# and never encodes as ``T`` or ``F`` alone.
+_MARSHAL_LIST_HEADER = 5
+_MARSHAL_LIST = ord("[")
+_MARSHAL_TRUE = ord("T")
+_MARSHAL_FALSE = ord("F")
+
+
+def _marshal_or_empty(lane: Sequence[object]) -> bytes:
+    try:
+        return marshal.dumps(lane)
+    except ValueError:  # an unmarshallable element, e.g. a numpy scalar
+        return b""
+
+
+def _stage_bool_stream(
+    lanes: Sequence[Sequence[object]], sizes: Sequence[int], width: int
+) -> Optional[object]:
+    """One boolean input stream as a ``(lanes, width)`` ``bool_`` matrix,
+    each row zero-padded past its lane's length; ``None`` if some lane
+    holds an element that is not a genuine ``bool``.
+
+    A lane whose ``marshal`` bytes are a list header plus exactly one ``T``
+    or ``F`` byte per element is a plain list of genuine bools, so one
+    ``marshal`` pass and a few vector operations over all lanes' bytes
+    both type-check and stage such lanes.  Any other lane (a tuple, ints,
+    ``None``, a numpy scalar) is type-scanned and staged on its own.
+    """
+    _np = _numpy()
+    n = len(lanes)
+    blobs = list(map(_marshal_or_empty, lanes))
+    fast = [
+        size > 0
+        and len(blob) == _MARSHAL_LIST_HEADER + size
+        and blob[0] & 0x7F == _MARSHAL_LIST
+        for blob, size in zip(blobs, sizes)
+    ]
+    codes = _np.frombuffer(
+        b"".join(
+            [memoryview(blob)[_MARSHAL_LIST_HEADER:] for blob, ok in zip(blobs, fast) if ok]
+        ),
+        _np.uint8,
+    )
+    values = codes == _MARSHAL_TRUE
+    stray = ~values & (codes != _MARSHAL_FALSE)
+    lengths = _np.array(sizes, _np.int64)
+    fast_rows = _np.array(fast, _np.bool_)
+    if stray.any():
+        # a one-byte element other than a bool (``None``, ``...``): that
+        # lane goes the per-lane way
+        body_sizes = lengths[fast_rows]
+        spoiled = _np.add.reduceat(stray, _np.cumsum(body_sizes) - body_sizes) > 0
+        values = values[~_np.repeat(spoiled, body_sizes)]
+        fast_rows[_np.flatnonzero(fast_rows)[spoiled]] = False
+    if values.size == n * width:
+        data = values.reshape(n, width)  # rectangular, every lane a bool list
+    else:
+        data = _np.zeros((n, width), _np.bool_)
+        # boolean-mask assignment fills row-major: the order of ``codes``
+        data[fast_rows[:, None] & (_np.arange(width) < lengths[:, None])] = values
+    for row in _np.flatnonzero(~fast_rows & (lengths > 0)).tolist():
+        lane = lanes[row]
+        if set(map(type, lane)) - {bool}:
+            return None
+        data[row, : sizes[row]] = lane
+    return data
+
+
 class BatchProgram:
     """An exec-compiled numpy kernel stepping many instances per iteration."""
 
@@ -549,11 +621,16 @@ class BatchProgram:
     ) -> Optional[Dict[str, Tuple[object, object]]]:
         """Stage the whole fleet in one pass; ``None`` if any lane is ineligible.
 
-        Eligibility and staging are one numpy conversion: a boolean stream's
-        matrix keeps dtype ``bool_`` only when every element is a genuine
-        bool, and numeric bounds are one vector reduction over the staged
-        matrix — so an all-eligible fleet (the common case) never pays a
-        per-element Python scan beyond the int-type check on numeric streams.
+        A lane is eligible exactly when :meth:`lane_vectorizable` accepts
+        it: a boolean stream of numpy bools (an ``ndarray`` or a list of
+        ``np.bool_``) is refused like one of ints, so such lanes run on the
+        scalar tier, as numeric numpy streams already did.  Boolean streams
+        are checked and staged together by :func:`_stage_bool_stream`,
+        which reads a list of genuine bools from its ``marshal`` bytes in
+        one C-level pass and type-scans only the lanes that are not such a
+        list.  Numeric streams pass the
+        int-type scan, then one conversion to an ``int64`` matrix and one
+        vector reduction for the magnitude bound.
         """
         _np = _numpy()
         n = len(instances)
@@ -569,24 +646,18 @@ class BatchProgram:
             longest = max(sizes) if sizes else 0
             width = max(1, longest)
             lengths = _np.array(sizes, _np.int64)
-            dtype = _np.bool_ if kind == "bool" else _np.int64
             try:
-                if longest == width and min(sizes) == longest:
-                    data = (
-                        _np.array(lanes)
-                        if kind == "bool"
-                        else _np.array(lanes, _np.int64)
-                    )
-                    if kind == "bool" and data.dtype != _np.bool_:
+                if kind == "bool":
+                    data = _stage_bool_stream(lanes, sizes, width)
+                    if data is None:
                         return None
+                elif longest == width and min(sizes) == longest:
+                    data = _np.array(lanes, _np.int64)
                 else:
-                    data = _np.zeros((n, width), dtype)
+                    data = _np.zeros((n, width), _np.int64)
                     for row, lane in enumerate(lanes):
                         if sizes[row]:
-                            row_data = _np.array(lane)
-                            if kind == "bool" and row_data.dtype != _np.bool_:
-                                return None
-                            data[row, : sizes[row]] = row_data
+                            data[row, : sizes[row]] = _np.array(lane)
             except (OverflowError, ValueError, TypeError):
                 return None
             if kind == "num" and data.size and _np.abs(data).max() > LANE_LIMIT:
@@ -602,32 +673,17 @@ class BatchProgram:
     ) -> Tuple[List[int], List[Dict[str, List[object]]]]:
         """Run every instance to stream exhaustion; returns (steps, outputs).
 
-        Raises :class:`BatchOverflowError` when a numeric lane approaches the
-        int64 range — callers should then redo the batch on the scalar tier.
+        Every lane must be one :meth:`lane_vectorizable` accepts; a fleet
+        holding any other lane raises ``ValueError``.  Raises
+        :class:`BatchOverflowError` when a numeric lane approaches the int64
+        range — callers should then redo the batch on the scalar tier.
         """
-        _np = _numpy()
-        n = len(instances)
-        if n == 0:
+        if not instances:
             return [], []
-        streams: Dict[str, Tuple[object, object]] = {}
-        for signal in self.program.inputs:
-            kind = self.dtypes.get(signal, "bool")
-            dtype = _np.bool_ if kind == "bool" else _np.int64
-            lanes = [instance.get(signal, ()) for instance in instances]
-            sizes = list(map(len, lanes))
-            longest = max(sizes)
-            width = max(1, longest)
-            lengths = _np.array(sizes, _np.int64)
-            if longest == width and min(sizes) == longest:
-                # rectangular fleet: one C-level conversion for the whole stream
-                data = _np.array(lanes, dtype)
-            else:
-                data = _np.zeros((n, width), dtype)
-                for row, lane in enumerate(lanes):
-                    if sizes[row]:
-                        data[row, : sizes[row]] = lane
-            streams[signal] = (data, lengths)
-        return self.run_staged(streams, n, max_steps)
+        staged = self.stage_fleet(instances)
+        if staged is None:
+            raise ValueError("a lane falls outside the bool/int64 fleet fragment")
+        return self.run_staged(staged, len(instances), max_steps)
 
     def run_staged(
         self,

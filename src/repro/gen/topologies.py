@@ -15,6 +15,8 @@ endochronous components:
   controller sampling its output per mode);
 * :func:`random_network` — the generic grammar workout: seeded-random
   components wired into a seeded-random DAG.
+* :func:`derivative_chain` — one deep single-clock component, the scaling
+  workload for clock calculus, canonical digests and fleet deployment.
 
 Every family returns ``(components, composition)`` over
 :class:`~repro.lang.normalize.NormalizedProcess`, the same convention the
@@ -55,6 +57,7 @@ __all__ = [
     "chain_of_buffers",
     "clock_divider",
     "crossbar",
+    "derivative_chain",
     "design_space",
     "divider_stage",
     "independent_components",
@@ -293,6 +296,28 @@ def clock_divider(stages: int) -> Family:
         for index in range(stages)
     ]
     return _compose(components, f"divider_{stages}")
+
+
+def derivative_chain(stages: int) -> ProcessDefinition:
+    """A deep single-clock dataflow whose values stay bounded.
+
+    ``u1`` counts the ticks of ``c`` and each ``g_i`` is the finite
+    difference of the previous stage, so every signal shares one clock and
+    magnitudes stay small however long the run: a fleet of these never
+    leaves the int64 fragment.
+    """
+    builder = ProcessBuilder("deriv", inputs=["c"], outputs=[f"g{stages}"])
+    builder.local("u1")
+    builder.constrain(tick("u1"), when_true("c"))
+    builder.define("u1", const(1) + signal("u1").pre(0))
+    previous = "u1"
+    for index in range(1, stages + 1):
+        name = f"g{index}"
+        if index < stages:
+            builder.local(name)
+        builder.define(name, signal(previous) - signal(previous).pre(0))
+        previous = name
+    return builder.build()
 
 
 def mode_automaton_component(

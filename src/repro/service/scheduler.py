@@ -569,6 +569,12 @@ class VerificationService:
             self.verdict_store_hits += 1
         return verdict
 
+    def _persist(self, key: QueryKey, verdict: Dict[str, object]) -> None:
+        """Write a computed verdict to the store unless it is there already."""
+        digest, prop, method, options_key = key
+        if not self.store.has(digest, self.store.query_kind(prop, method, options_key)):
+            self.store.store_verdict(digest, prop, method, options_key, verdict)
+
     async def _compute(
         self,
         key: QueryKey,
@@ -627,19 +633,18 @@ class VerificationService:
                             trace_id=cspan.trace_id,
                             stages=cost.get("stages") if isinstance(cost, dict) else None,
                         )
-                    verdict["digest"] = digest
                     if self.store is not None:
-                        # best-effort: ArtifactStore.put absorbs write failures
+                        # the session persisted the verdict as it computed it
+                        # whenever its artifact graph shares this store; write
+                        # only what it did not (another store, a verdict its
+                        # memory tier already held).  Best-effort:
+                        # ArtifactStore.put absorbs write failures
                         loop = asyncio.get_running_loop()
                         await loop.run_in_executor(
                             None,
-                            obs_trace.bind(
-                                partial(
-                                    self.store.store_verdict,
-                                    key[0], key[1], key[2], key[3], verdict,
-                                )
-                            ),
+                            obs_trace.bind(partial(self._persist, key, verdict)),
                         )
+                verdict["digest"] = digest
         finally:
             self._inflight.pop(key, None)
         encoded = json.dumps(verdict).encode("utf-8")

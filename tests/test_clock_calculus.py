@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 from repro.api.session import AnalysisContext
-from repro.clocks.algebra import ClockAlgebra
+from repro.bdd.bdd import BDDManager
+from repro.clocks.algebra import (
+    ClockAlgebra,
+    clock_variables,
+    presence_variable,
+    value_variable,
+)
 from repro.clocks.disjunctive import is_well_clocked, to_disjunctive_form
 from repro.clocks.expressions import (
     clock_key,
@@ -20,8 +26,9 @@ from repro.clocks.expressions import (
 )
 from repro.clocks.hierarchy import _interesting_clocks, build_hierarchy
 from repro.clocks.inference import infer_timing_relations
+from repro.clocks.order import structural_order
 from repro.clocks.relations import TimingRelations
-from repro.gen import design_space
+from repro.gen import design_space, topologies
 from repro.gen.corpus import Corpus
 from repro.lang.ast import ClockBinary, ClockEmpty, ClockFalse, ClockOf, ClockTrue
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_true
@@ -240,6 +247,96 @@ class TestImpliedEqualities:
     def test_clocks_outside_the_hierarchy_are_refused(self, filter_analysis):
         with pytest.raises(ValueError, match="not a clock of the hierarchy"):
             filter_analysis.hierarchy.implied_equalities([ClockOf("y"), ClockOf("nosuch")])
+
+
+def _unreduced_oracle(process, relations):
+    """``equal(a, b)``: ``R ⊨ a = b`` on a fresh manager, with every clock
+    relation, synchrony equalities included, encoded as its own conjunct."""
+    manager = BDDManager(clock_variables(structural_order([process])))
+
+    def encode(expression):
+        if isinstance(expression, ClockEmpty):
+            return manager.false
+        if isinstance(expression, ClockOf):
+            return manager.var(presence_variable(expression.name))
+        if isinstance(expression, (ClockTrue, ClockFalse)):
+            value = manager.var(value_variable(expression.name))
+            if isinstance(expression, ClockFalse):
+                value = ~value
+            return manager.var(presence_variable(expression.name)) & value
+        left, right = encode(expression.left), encode(expression.right)
+        return {"and": left & right, "or": left | right, "diff": left & ~right}[
+            expression.operator
+        ]
+
+    relation = manager.true
+    for clock_relation in relations.clock_relations:
+        relation = relation & encode(clock_relation.left).iff(encode(clock_relation.right))
+
+    def equal(left, right):
+        a, b = encode(left), encode(right)
+        return manager.leq(relation, a.implies(b)) and manager.leq(relation, b.implies(a))
+
+    return equal
+
+
+def _synchrony_class_designs():
+    for generated in design_space(range(300)):
+        yield generated.name, generated.composition, list(generated.components)
+    for family, size in (
+        ("pipeline_network", 8),
+        ("chain_of_buffers", 8),
+        ("arbiter_tree", 3),
+        ("mode_automaton", 6),
+        ("independent_components", 8),
+        ("clock_divider", 4),
+        ("token_ring", 4),
+    ):
+        components, composition = getattr(topologies, family)(size)
+        yield f"{family}_{size}", composition, list(components)
+    chain = normalize(topologies.derivative_chain(24))
+    yield "derivative_chain_24", chain, [chain]
+
+
+class TestSynchronyClasses:
+    """The algebra folds ``x^ = y^`` into the encoding; the hierarchy is the
+    one the unreduced relation gives."""
+
+    def test_classes_are_the_unreduced_relations_equalities(self):
+        checked = 0
+        for name, composition, components in _synchrony_class_designs():
+            context = AnalysisContext()
+            for process in [composition] + components:
+                analysis = context.analysis(process)
+                equal = _unreduced_oracle(analysis.process, analysis.relations)
+                hierarchy = analysis.hierarchy
+                # the oracle's partition: equality under R is an equivalence,
+                # so each clock joins the first group whose head it equals
+                groups = []
+                for clock in _interesting_clocks(analysis.process):
+                    for group in groups:
+                        if equal(group[0], clock):
+                            group.append(clock)
+                            break
+                    else:
+                        groups.append([clock])
+                assert [
+                    [clock_key(member) for member in group] for group in groups
+                ] == [
+                    [clock_key(member) for member in clock_class.members]
+                    for clock_class in hierarchy.classes
+                ], f"{name}: {analysis.process.name}"
+                checked += 1
+        assert checked >= 1000
+
+    def test_a_synchrony_chain_is_one_variable(self):
+        process = normalize(topologies.derivative_chain(32))
+        algebra = ClockAlgebra(process, infer_timing_relations(process))
+        assert len(algebra._factors) == 1
+        presences = {
+            algebra.encode(ClockOf(name)) for name in process.all_signals() if name != "c"
+        }
+        assert len(presences) == 1
 
 
 class TestNonConstructiveEntailment:

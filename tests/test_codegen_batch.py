@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,6 +144,10 @@ class TestLaneEligibility:
         filt = compile_batch(normalize(filter_process()))
         assert filt.stage_fleet([{"y": [True]}, {"y": [1]}]) is None
 
+    def test_run_many_refuses_an_ineligible_fleet(self):
+        with pytest.raises(ValueError, match="fleet fragment"):
+            self.batch().run_many([{"y": [1]}, {"y": [0.5]}])
+
 
 class TestLaneIdentity:
     def test_buffer_fleet_matches_scalar(self):
@@ -187,6 +192,81 @@ class TestLaneIdentity:
     def test_filter_fleet_hypothesis(self, lanes):
         process = normalize(filter_process())
         assert_fleet_matches_scalar(process, [{"y": lane} for lane in lanes])
+
+
+def gated_relay_process(name="gated"):
+    """x = (y + 0) when c, with y and c synchronous: one boolean and one
+    numeric input stream."""
+    builder = ProcessBuilder(name, inputs=["c", "y"], outputs=["x"])
+    builder.constrain(tick("y"), tick("c"))
+    builder.define("x", (signal("y") + const(0)).when(signal("c")))
+    return builder.build()
+
+
+#: what a boolean stream may carry besides genuine bools
+BOOL_LIKE = st.one_of(
+    st.booleans(), st.sampled_from([0, 1]), st.booleans().map(np.bool_), st.none()
+)
+
+
+@st.composite
+def mixed_fleets(draw):
+    """Fleets of lists and tuples of bools, ints 0/1, ``np.bool_`` and
+    ``None``, with absent streams, ragged or rectangular lanes, and lanes
+    sharing one stream object."""
+    width = draw(st.integers(0, 6))
+    sizes = st.just(width) if draw(st.booleans()) else st.integers(0, 6)
+
+    def stream(elements):
+        size = draw(sizes)
+        values = draw(st.lists(elements, min_size=size, max_size=size))
+        return tuple(values) if draw(st.integers(0, 3)) == 0 else values
+
+    lanes = []
+    for _ in range(draw(st.integers(1, 8))):
+        if lanes and draw(st.integers(0, 4)) == 0:
+            lanes.append(dict(lanes[-1]))  # the same stream objects again
+            continue
+        lane = {}
+        if draw(st.integers(0, 9)):
+            lane["c"] = stream(st.booleans() if draw(st.booleans()) else BOOL_LIKE)
+        if draw(st.integers(0, 9)):
+            lane["y"] = stream(st.integers(-50, 50))
+        lanes.append(lane)
+    return lanes
+
+
+class TestFleetStaging:
+    """Staging routes exactly the lanes ``lane_vectorizable`` accepts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=mixed_fleets())
+    def test_mixed_fleets_match_scalar_lane_by_lane(self, lanes):
+        process = gated_relay_process()
+        deployment = Design(name="g", components=[process]).compile(
+            "sequential", runtime="batched"
+        )
+        fleet = deployment.run_many(lanes)
+        expected = scalar_outputs(normalize(process), lanes)
+        assert list(zip(fleet.steps, fleet.outputs)) == expected
+        batch = compile_batch(normalize(process))
+        eligible = [batch.lane_vectorizable(lane) for lane in lanes]
+        assert fleet.vectorized == sum(eligible)
+        assert fleet.fallback == len(lanes) - sum(eligible)
+        assert (batch.stage_fleet(lanes) is not None) == all(eligible)
+
+    def test_stage_fleet_reads_bool_lists_exactly(self):
+        batch = compile_batch(normalize(filter_process()))
+        long = [index % 3 == 0 for index in range(300)]  # a 4-byte length header
+        lanes = [{"y": long}, {"y": long[:7]}, {"y": tuple(long[:5])}, {}]
+        data, lengths = batch.stage_fleet(lanes)["y"]
+        assert lengths.tolist() == [300, 7, 5, 0]
+        for row, lane in enumerate(lanes):
+            values = list(lane.get("y", ()))
+            assert data[row].tolist() == values + [False] * (300 - len(values))
+        # one element that is not a genuine bool refuses the fleet
+        for stray in (None, 1, np.bool_(True), ...):
+            assert batch.stage_fleet([{"y": long}, {"y": [True, stray]}]) is None
 
 
 class TestOverflowGuard:

@@ -48,7 +48,7 @@ from repro.lang.printer import (
     process_digest,
 )
 from repro.library import basic, ltta, producer_consumer
-from repro.gen.topologies import chain_of_buffers, pipeline_network
+from repro.gen.topologies import chain_of_buffers, derivative_chain, pipeline_network
 from repro.mc.compiled import CompiledAbstraction
 from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
 
@@ -625,26 +625,11 @@ def test_linear_rounds_rename_like_the_reference(process):
     assert format_canonical(process) == _reference_canonical(process)
 
 
-def _derivative_chain(stages):
-    builder = ProcessBuilder("deriv", inputs=["c"], outputs=[f"g{stages}"])
-    builder.local("u1")
-    builder.constrain(tick("u1"), when_true("c"))
-    builder.define("u1", const(1) + signal("u1").pre(0))
-    previous = "u1"
-    for index in range(1, stages + 1):
-        name = f"g{index}"
-        if index < stages:
-            builder.local(name)
-        builder.define(name, signal(previous) - signal(previous).pre(0))
-        previous = name
-    return builder.build()
-
-
 def test_canonical_form_renders_each_equation_at_most_twice(monkeypatch):
     """The refinement rounds fill render templates instead of rendering
     again: a 64-stage derivative chain (about 200 hidden locals, as many
     rounds as the chain is long) costs at most two renders per equation."""
-    process = normalize(_derivative_chain(64))
+    process = normalize(derivative_chain(64))
     calls = []
 
     def counting(equation):
@@ -655,16 +640,16 @@ def test_canonical_form_renders_each_equation_at_most_twice(monkeypatch):
     form = format_canonical(process)
     assert 0 < len(calls) <= 2 * len(process.equations)
     monkeypatch.undo()
-    assert process_digest(normalize(_derivative_chain(64))) == process_digest(process)
+    assert process_digest(normalize(derivative_chain(64))) == process_digest(process)
     assert form.count("\n  ") == len(process.equations)
 
 
 def test_memoized_signal_sets_follow_reassignment_and_stay_out_of_pickles():
     import pickle
 
-    process = normalize(_derivative_chain(2))
+    process = normalize(derivative_chain(2))
     equation = process.equations[0]
-    fresh = normalize(_derivative_chain(2))
+    fresh = normalize(derivative_chain(2))
     assert process.all_signals() == fresh.all_signals()
     assert equation.signals() == fresh.equations[0].signals()
     format_canonical(process)  # fills the render templates

@@ -21,10 +21,13 @@ import os
 import socket
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.api.session import Design
+from repro.gen.corpus import Corpus
 from repro.lang.printer import format_process
 from repro.gen.topologies import chain_of_buffers, pipeline_network
 from repro.service import (
@@ -261,6 +264,70 @@ def test_describe_persists_analysis_summaries(tmp_path):
     warm_digest = again.register(rebuilt, name="chain")
     assert again.describe_blocking(warm_digest) == summary  # served from disk
     again.close()
+
+
+class _RecordingStore(ArtifactStore):
+    """An artifact store that remembers the key of every write."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.written = []
+
+    def put(self, digest, kind, payload):
+        self.written.append((digest, kind))
+        return super().put(digest, kind, payload)
+
+
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "corpus.json"
+ROUND = [(prop, method) for prop in ("non-blocking", "weak-endochrony")
+         for method in ("static", "compiled")]
+
+
+def test_a_cold_round_writes_every_verdict_once(tmp_path):
+    designs = [entry.regenerate().design() for entry in Corpus.load(CORPUS_PATH)]
+    store = _RecordingStore(tmp_path / "store")
+    cold = VerificationService(store=store)
+    answers = {}
+    for design in designs:
+        digest = cold.register(design)
+        for prop, method in ROUND:
+            answers[digest, prop, method] = cold.verify_blocking(digest, prop, method=method)
+    cold.close()
+    counts = Counter(store.written)
+    assert counts and max(counts.values()) == 1, counts.most_common(3)
+    assert all(answer["digest"] == key[0] for key, answer in answers.items())
+
+    warm = VerificationService(store=ArtifactStore(tmp_path / "store"))
+    for entry in Corpus.load(CORPUS_PATH):  # fresh sessions: nothing in memory
+        warm.register(entry.regenerate().design())
+    for (digest, prop, method), answer in answers.items():
+        stored = warm.verify_blocking(digest, prop, method=method)
+        cached = warm.verify_blocking(digest, prop, method=method)
+        assert stored["digest"] == cached["digest"] == digest
+        assert stored["holds"] == answer["holds"]
+    assert warm.computations == 0
+    assert warm.verdict_store_hits == len(answers)
+    warm.close()
+
+
+def test_a_verdict_the_session_already_held_is_persisted_once(tmp_path):
+    # verified before the store was attached: the session answers from its
+    # memory tier and writes nothing, so the service writes the verdict
+    design = Design.from_source(FILTER_SOURCE)
+    design.verify("non-blocking", method="compiled")
+    store = _RecordingStore(tmp_path / "store")
+    service = VerificationService(store=store)
+    digest = service.register(design)
+    assert service.verify_blocking(digest, "non-blocking", method="compiled")["digest"] == digest
+    service.close()
+    verdicts = [key for key in store.written if key[1].startswith("verdict")]
+    assert len(verdicts) == 1
+
+    warm = VerificationService(store=ArtifactStore(tmp_path / "store"))
+    warm.register(FILTER_SOURCE)
+    assert warm.verify_blocking(digest, "non-blocking", method="compiled")["digest"] == digest
+    assert warm.computations == 0
+    warm.close()
 
 
 # ---------------------------------------------------------------------------

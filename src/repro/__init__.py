@@ -33,27 +33,74 @@ and memoized across components and queries::
 
 from __future__ import annotations
 
-from repro.lang.ast import ProcessDefinition
-from repro.lang.builder import (
-    ProcessBuilder,
-    SignalExpr,
-    const,
-    signal,
-    tick,
-    when_false,
-    when_true,
-)
-from repro.lang.normalize import NormalizedProcess, normalize
-from repro.lang.parser import parse_process, parse_program
-from repro.lang.printer import format_normalized_process, format_process
-from repro.lang.validate import ValidationError, validate_process
-from repro.semantics.interpreter import ABSENT, TICK, SignalInterpreter
+import importlib
+import sys
+from typing import Callable, List, Mapping, Tuple
 
-# -- the session facade (primary API) -----------------------------------------
-from repro.api.results import Cost, Diagnostic, Verdict
-from repro.api.session import AnalysisContext, Design, analyze
-from repro.api.backends import VerificationError
-from repro.api.deploy import Deployment, DeploymentError
+
+def _lazy_exports(
+    package: str, exports: Mapping[str, str]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each re-exported name to the module that defines it
+    (absolute, or relative to ``package``); the module is imported on the
+    first access of one of its names, and the name is then bound on the
+    package so later accesses are plain attribute reads.  Every package of
+    the library re-exports this way, so importing a package never loads a
+    layer the caller does not use.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str) -> object:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+_EXPORTS = {
+    # the session facade (primary API)
+    "Design": ".api.session",
+    "AnalysisContext": ".api.session",
+    "analyze": ".api.session",
+    "Verdict": ".api.results",
+    "Diagnostic": ".api.results",
+    "Cost": ".api.results",
+    "VerificationError": ".api.backends",
+    "Deployment": ".api.deploy",
+    "DeploymentError": ".api.deploy",
+    # language layer
+    "ProcessDefinition": ".lang.ast",
+    "ProcessBuilder": ".lang.builder",
+    "SignalExpr": ".lang.builder",
+    "const": ".lang.builder",
+    "signal": ".lang.builder",
+    "tick": ".lang.builder",
+    "when_false": ".lang.builder",
+    "when_true": ".lang.builder",
+    "NormalizedProcess": ".lang.normalize",
+    "normalize": ".lang.normalize",
+    "parse_process": ".lang.parser",
+    "parse_program": ".lang.parser",
+    "format_normalized_process": ".lang.printer",
+    "format_process": ".lang.printer",
+    "ValidationError": ".lang.validate",
+    "validate_process": ".lang.validate",
+    # semantics
+    "ABSENT": ".semantics.interpreter",
+    "TICK": ".semantics.interpreter",
+    "SignalInterpreter": ".semantics.interpreter",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.1.0"
 

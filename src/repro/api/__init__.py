@@ -24,34 +24,41 @@ One entry point for the paper's whole pipeline::
 * :mod:`repro.api.deploy` — the four deployment schemes behind one
   :class:`Deployment` interface.
 
-Submodules are loaded lazily (PEP 562) so that the property modules can
-import :mod:`repro.api.results` without creating an import cycle.
+The names above are exported lazily through the package-wide PEP 562 helper
+(:func:`repro._lazy_exports`): importing :mod:`repro.api` loads no
+submodule, so the property modules can import :mod:`repro.api.results`
+without creating an import cycle, and a verification query never loads
+:mod:`repro.api.deploy` and the code generators behind it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro import _lazy_exports
+
 _EXPORTS = {
-    "Design": "repro.api.session",
-    "AnalysisContext": "repro.api.session",
-    "analyze": "repro.api.session",
-    "ArtifactGraph": "repro.api.artifacts",
-    "Verdict": "repro.api.results",
-    "Diagnostic": "repro.api.results",
-    "Cost": "repro.api.results",
-    "verify": "repro.api.backends",
-    "VerificationError": "repro.api.backends",
-    "PROPERTIES": "repro.api.backends",
-    "METHODS": "repro.api.backends",
-    "Deployment": "repro.api.deploy",
-    "DeploymentError": "repro.api.deploy",
-    "SequentialDeployment": "repro.api.deploy",
-    "ControlledDeployment": "repro.api.deploy",
-    "ConcurrentDeployment": "repro.api.deploy",
-    "LttaDeployment": "repro.api.deploy",
-    "STRATEGIES": "repro.api.deploy",
+    "Design": ".session",
+    "AnalysisContext": ".session",
+    "analyze": ".session",
+    "ArtifactGraph": ".artifacts",
+    "Verdict": ".results",
+    "Diagnostic": ".results",
+    "Cost": ".results",
+    "verify": ".backends",
+    "VerificationError": ".backends",
+    "PROPERTIES": ".backends",
+    "METHODS": ".backends",
+    "Deployment": ".deploy",
+    "DeploymentError": ".deploy",
+    "SequentialDeployment": ".deploy",
+    "ControlledDeployment": ".deploy",
+    "ConcurrentDeployment": ".deploy",
+    "LttaDeployment": ".deploy",
+    "STRATEGIES": ".deploy",
 }
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = sorted(_EXPORTS)
 
@@ -69,16 +76,3 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.api.artifacts import ArtifactGraph
     from repro.api.results import Cost, Diagnostic, Verdict
     from repro.api.session import AnalysisContext, Design, analyze
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -101,6 +101,8 @@ class ArtifactGraph:
         self.stage_seconds: Dict[str, float] = {}
         #: child-elapsed accumulator parallel to ``_stack``
         self._child_seconds: List[float] = []
+        #: store objects a caller just read and missed (see note_store_miss)
+        self._store_misses: Set[Tuple[str, str]] = set()
 
     # -- counters -----------------------------------------------------------------
     def _count(self, stage: str, event: str, amount: int = 1) -> None:
@@ -149,6 +151,14 @@ class ArtifactGraph:
         finally:
             self._stack = stack
 
+    def note_store_miss(self, digest: str, kind: str) -> None:
+        """Record that the store object ``(digest, kind)`` was just read and
+        missed, so the next resolution of it computes without reading it
+        again.  The note is spent by that one resolution; if another writer
+        stored the object in between, it is recomputed — never answered
+        wrong, since the object is a function of its key."""
+        self._store_misses.add((digest, kind))
+
     def _remember(
         self, key: ArtifactKey, value: object, keep: Optional[Tuple[object, ...]]
     ) -> None:
@@ -189,7 +199,9 @@ class ArtifactGraph:
                     "artifact.hit", stage=stage, digest=digest[:12], tier="memory"
                 )
             return self._memory[key]
-        if kind is not None and self.store is not None:
+        if (digest, kind) in self._store_misses:
+            self._store_misses.discard((digest, kind))
+        elif kind is not None and self.store is not None:
             payload = self.store.get(digest, kind)
             if payload is not None:
                 try:

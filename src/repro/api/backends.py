@@ -28,16 +28,14 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.mc.onthefly import OnTheFlyChecker, ProductLTS
-from repro.mc.symbolic import SymbolicProductChecker
 from repro.properties.compilable import verify_compilable, verify_hierarchic
 from repro.properties.composition import verify_weakly_hierarchic
-from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
-from repro.properties.isochrony import verify_isochrony
 from repro.properties.nonblocking import verify_non_blocking
 from repro.properties.weak_endochrony import verify_weak_endochrony
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Design
+    from repro.mc.symbolic import SymbolicProductChecker
 
 PROPERTIES = (
     "compilable",
@@ -151,7 +149,7 @@ def _engine(
     return design.context.onthefly([design.composition], max_states, engine=engine)
 
 
-def _symbolic_checker(design: "Design", max_states: int) -> SymbolicProductChecker:
+def _symbolic_checker(design: "Design", max_states: int) -> "SymbolicProductChecker":
     """The design's symbolic checker, on the session's shared manager.
 
     For a multi-component design the product transition relation is the
@@ -162,6 +160,9 @@ def _symbolic_checker(design: "Design", max_states: int) -> SymbolicProductCheck
     registers, a signal two components define, a truncated component), is
     a product of one over the composed process.
     """
+    # the symbolic engine loads only for the queries that ask for it
+    from repro.mc.symbolic import SymbolicProductChecker
+
     context = design.context
     if len(design.components) >= 2:
         engine = _engine(design, max_states)
@@ -254,6 +255,9 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
         return _static_weakly_hierarchic(design)
 
     if prop == "endochrony":
+        # the trace semantics behind Definition 1 loads only for this property
+        from repro.properties.endochrony import check_endochrony_on_traces, verify_endochrony
+
         if method in ("auto", "static"):
             return verify_endochrony(design.composition, design.analysis)
         if method == "explicit":
@@ -430,6 +434,8 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
             raise VerificationError(
                 "isochrony with method='explicit' needs input_flows={signal: [values...]}"
             )
+        from repro.properties.isochrony import verify_isochrony
+
         left, right = design.components
         return verify_isochrony(
             left,

@@ -9,25 +9,30 @@ transformation of Section 3.4 that eliminates symmetric differences
 (Definition 7, "well-clocked" processes).
 """
 
-from repro.clocks.expressions import (
-    clock_key,
-    clock_signals,
-    format_clock_expression,
-    iter_subclocks,
-    simplify_clock,
-)
-from repro.clocks.relations import (
-    Node,
-    signal_node,
-    clock_node,
-    ClockRelation,
-    SchedulingRelation,
-    TimingRelations,
-)
-from repro.clocks.inference import infer_timing_relations
-from repro.clocks.algebra import ClockAlgebra
-from repro.clocks.hierarchy import ClockHierarchy, build_hierarchy
-from repro.clocks.disjunctive import DisjunctiveFormResult, to_disjunctive_form, is_well_clocked
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "clock_key": ".expressions",
+    "clock_signals": ".expressions",
+    "format_clock_expression": ".expressions",
+    "iter_subclocks": ".expressions",
+    "simplify_clock": ".expressions",
+    "Node": ".relations",
+    "signal_node": ".relations",
+    "clock_node": ".relations",
+    "ClockRelation": ".relations",
+    "SchedulingRelation": ".relations",
+    "TimingRelations": ".relations",
+    "infer_timing_relations": ".inference",
+    "ClockAlgebra": ".algebra",
+    "ClockHierarchy": ".hierarchy",
+    "build_hierarchy": ".hierarchy",
+    "DisjunctiveFormResult": ".disjunctive",
+    "to_disjunctive_form": ".disjunctive",
+    "is_well_clocked": ".disjunctive",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "clock_key",

@@ -21,29 +21,34 @@
   component, rendez-vous implemented with barriers.
 """
 
-from repro.codegen.runtime import EndOfStream, StreamIO, RecordingIO, simulate
-from repro.codegen.sequential import (
-    CompiledProcess,
-    CodeGenerationError,
-    StepOp,
-    StepProgram,
-    build_step_program,
-    compile_process,
-)
-from repro.codegen.interpreted import InterpretedProcess, compile_interpreted
-from repro.codegen.batch import (
-    BatchCompilationError,
-    BatchOverflowError,
-    BatchProgram,
-    FleetResult,
-    compile_batch,
-)
-from repro.codegen.controller import (
-    ClockConstraintSpec,
-    ControlledComposition,
-    synthesize_controller,
-)
-from repro.codegen.concurrent import ConcurrentComposition, run_concurrent
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "EndOfStream": ".runtime",
+    "StreamIO": ".runtime",
+    "RecordingIO": ".runtime",
+    "simulate": ".runtime",
+    "CompiledProcess": ".sequential",
+    "CodeGenerationError": ".sequential",
+    "StepOp": ".sequential",
+    "StepProgram": ".sequential",
+    "build_step_program": ".sequential",
+    "compile_process": ".sequential",
+    "InterpretedProcess": ".interpreted",
+    "compile_interpreted": ".interpreted",
+    "BatchCompilationError": ".batch",
+    "BatchOverflowError": ".batch",
+    "BatchProgram": ".batch",
+    "FleetResult": ".batch",
+    "compile_batch": ".batch",
+    "ClockConstraintSpec": ".controller",
+    "ControlledComposition": ".controller",
+    "synthesize_controller": ".controller",
+    "ConcurrentComposition": ".concurrent",
+    "run_concurrent": ".concurrent",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EndOfStream",

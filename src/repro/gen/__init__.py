@@ -20,61 +20,59 @@ The subsystem has four layers, each usable on its own:
 ``python -m repro.gen`` / ``repro-gen`` is the command-line entry point.
 """
 
-from repro.gen.corpus import (
-    Corpus,
-    CorpusEntry,
-    Drift,
-    build_corpus,
-    build_entry,
-    check_corpus,
-    seed_store,
-)
-from repro.gen.differential import (
-    CONTRACTS,
-    METHODS,
-    PROPERTIES,
-    AgreementContract,
-    DifferentialReport,
-    DifferentialResult,
-    Disagreement,
-    FormulationGap,
-    ShrunkCounterexample,
-    run_design,
-    run_matrix,
-    shrink,
-    verdict_matrix,
-)
-from repro.gen.grammar import (
-    BOOL,
-    BOOL_SAMPLED,
-    NUM,
-    NUM_SAMPLED,
-    SORTS,
-    ComponentSpec,
-    Grammar,
-    Rule,
-    Sort,
-    build_component,
-    default_rules,
-    enumerate_components,
-    sample_component,
-)
-from repro.gen.topologies import (
-    FAMILIES,
-    GeneratedDesign,
-    arbiter_tree,
-    chain_of_buffers,
-    clock_divider,
-    crossbar,
-    design_space,
-    independent_components,
-    mode_automaton,
-    pipeline_network,
-    random_network,
-    sample_design,
-    star_network,
-    token_ring,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "Corpus": ".corpus",
+    "CorpusEntry": ".corpus",
+    "Drift": ".corpus",
+    "build_corpus": ".corpus",
+    "build_entry": ".corpus",
+    "check_corpus": ".corpus",
+    "seed_store": ".corpus",
+    "CONTRACTS": ".differential",
+    "METHODS": ".differential",
+    "PROPERTIES": ".differential",
+    "AgreementContract": ".differential",
+    "DifferentialReport": ".differential",
+    "DifferentialResult": ".differential",
+    "Disagreement": ".differential",
+    "FormulationGap": ".differential",
+    "ShrunkCounterexample": ".differential",
+    "run_design": ".differential",
+    "run_matrix": ".differential",
+    "shrink": ".differential",
+    "verdict_matrix": ".differential",
+    "BOOL": ".grammar",
+    "BOOL_SAMPLED": ".grammar",
+    "NUM": ".grammar",
+    "NUM_SAMPLED": ".grammar",
+    "SORTS": ".grammar",
+    "ComponentSpec": ".grammar",
+    "Grammar": ".grammar",
+    "Rule": ".grammar",
+    "Sort": ".grammar",
+    "build_component": ".grammar",
+    "default_rules": ".grammar",
+    "enumerate_components": ".grammar",
+    "sample_component": ".grammar",
+    "FAMILIES": ".topologies",
+    "GeneratedDesign": ".topologies",
+    "arbiter_tree": ".topologies",
+    "chain_of_buffers": ".topologies",
+    "clock_divider": ".topologies",
+    "crossbar": ".topologies",
+    "design_space": ".topologies",
+    "independent_components": ".topologies",
+    "mode_automaton": ".topologies",
+    "pipeline_network": ".topologies",
+    "random_network": ".topologies",
+    "sample_design": ".topologies",
+    "star_network": ".topologies",
+    "token_ring": ".topologies",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     # grammar

@@ -13,21 +13,26 @@ The size-parameterized synthetic networks the benchmarks sweep over live in
 :mod:`repro.gen.topologies`.
 """
 
-from repro.library.basic import (
-    filter_process,
-    merge_process,
-    buffer_process,
-    buffer2_process,
-    filter_merge_composition,
-)
-from repro.library.producer_consumer import (
-    producer_process,
-    consumer_process,
-    main_process,
-    main2_process,
-)
-from repro.library.ltta import writer_process, bus_process, reader_process, ltta_process
-from repro.library.controllers import rendezvous_controller_process
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "filter_process": ".basic",
+    "merge_process": ".basic",
+    "buffer_process": ".basic",
+    "buffer2_process": ".basic",
+    "filter_merge_composition": ".basic",
+    "producer_process": ".producer_consumer",
+    "consumer_process": ".producer_consumer",
+    "main_process": ".producer_consumer",
+    "main2_process": ".producer_consumer",
+    "writer_process": ".ltta",
+    "bus_process": ".ltta",
+    "reader_process": ".ltta",
+    "ltta_process": ".ltta",
+    "rendezvous_controller_process": ".controllers",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "filter_process",

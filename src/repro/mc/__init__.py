@@ -12,21 +12,28 @@ the fly, with lazy product construction and early termination
 (:mod:`repro.mc.invariants`).
 """
 
-from repro.mc.transition import BooleanAbstraction, ReactionChoice, ReactionLTS
-from repro.mc.onthefly import InvariantResult, LazyReactionLTS, OnTheFlyChecker, ProductLTS
-from repro.mc.symbolic import SymbolicProductChecker
-from repro.mc.compiled import (
-    CompilationError,
-    CompiledAbstraction,
-    compilation_obstacles,
-)
-from repro.mc.invariants import (
-    check_state_independent,
-    check_order_independent,
-    check_flow_independent,
-    check_weak_endochrony_invariants,
-    WeakEndochronyInvariantReport,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "BooleanAbstraction": ".transition",
+    "ReactionChoice": ".transition",
+    "ReactionLTS": ".transition",
+    "InvariantResult": ".onthefly",
+    "LazyReactionLTS": ".onthefly",
+    "OnTheFlyChecker": ".onthefly",
+    "ProductLTS": ".onthefly",
+    "SymbolicProductChecker": ".symbolic",
+    "CompilationError": ".compiled",
+    "CompiledAbstraction": ".compiled",
+    "compilation_obstacles": ".compiled",
+    "check_state_independent": ".invariants",
+    "check_order_independent": ".invariants",
+    "check_flow_independent": ".invariants",
+    "check_weak_endochrony_invariants": ".invariants",
+    "WeakEndochronyInvariantReport": ".invariants",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BooleanAbstraction",

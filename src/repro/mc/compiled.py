@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.bdd import BDD, BDDManager
-from repro.clocks.order import structural_order
+from repro.clocks.order import VariableOrder, structural_order
 from repro.lang.ast import (
     ClockBinary,
     ClockEmpty,
@@ -78,13 +78,32 @@ from repro.mc.transition import (
 from repro.mocc.interning import intern_state
 from repro.mocc.reactions import Reaction
 
-from repro.mc.symbolic import (
-    current_variable,
-    event_variable,
-    next_variable,
-    symbolic_variables,
-    value_variable,
-)
+
+# The step relation's BDD variables; :mod:`repro.mc.symbolic` encodes its
+# product relations over the same names.
+def current_variable(register: str) -> str:
+    return f"s·{register}"
+
+
+def next_variable(register: str) -> str:
+    return f"s'·{register}"
+
+
+def event_variable(signal: str) -> str:
+    return f"e·{signal}"
+
+
+def value_variable(signal: str) -> str:
+    return f"d·{signal}"
+
+
+def symbolic_variables(order: VariableOrder) -> Tuple[str, ...]:
+    """The ``e·x`` / ``d·x`` / ``s·r`` / ``s'·r`` variables of ``order``:
+    per signal its event then its data variable, and a register's current
+    and next variables right after it — so the renaming ``s'·r -> s·r`` of
+    the image keeps the level order."""
+    return order.variables(event_variable, value_variable, (current_variable, next_variable))
+
 
 #: boolean operators the step relation can encode directly
 _BOOLEAN_OPERATORS = frozenset({"and", "or", "xor", "not", "id", "=", "/="})

@@ -37,34 +37,17 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.bdd.bdd import BDD, BDDManager
-from repro.clocks.order import VariableOrder, structural_order
+from repro.clocks.order import structural_order
 from repro.lang.normalize import NormalizedProcess
+from repro.mc.compiled import (
+    current_variable,
+    event_variable,
+    next_variable,
+    symbolic_variables,
+    value_variable,
+)
 from repro.mc.onthefly import InvariantResult, product_conflicts
 from repro.mc.transition import ReactionLTS, State
-
-
-def current_variable(register: str) -> str:
-    return f"s·{register}"
-
-
-def next_variable(register: str) -> str:
-    return f"s'·{register}"
-
-
-def event_variable(signal: str) -> str:
-    return f"e·{signal}"
-
-
-def value_variable(signal: str) -> str:
-    return f"d·{signal}"
-
-
-def symbolic_variables(order: VariableOrder) -> Tuple[str, ...]:
-    """The ``e·x`` / ``d·x`` / ``s·r`` / ``s'·r`` variables of ``order``:
-    per signal its event then its data variable, and a register's current
-    and next variables right after it — so the renaming ``s'·r -> s·r`` of
-    the image keeps the level order."""
-    return order.variables(event_variable, value_variable, (current_variable, next_variable))
 
 
 def _own_signals(lts: ReactionLTS) -> List[str]:

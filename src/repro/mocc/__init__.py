@@ -8,22 +8,31 @@ compositions (synchronous ``|`` and asynchronous ``||``) used to state
 endochrony, weak endochrony and isochrony.
 """
 
-from repro.mocc.tags import Tag, TagSupply, chain_of, is_chain
-from repro.mocc.signals import SignalTrace
-from repro.mocc.behaviors import (
-    Behavior,
-    clock_equivalent,
-    flow_equivalent,
-    is_stretching,
-    is_relaxation,
-)
-from repro.mocc.reactions import Reaction, independent, merge_reactions
-from repro.mocc.interning import clear_interned_states, intern_state, interned_state_count
-from repro.mocc.processes import (
-    DenotationalProcess,
-    synchronous_composition,
-    asynchronous_composition,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "Tag": ".tags",
+    "TagSupply": ".tags",
+    "chain_of": ".tags",
+    "is_chain": ".tags",
+    "SignalTrace": ".signals",
+    "Behavior": ".behaviors",
+    "clock_equivalent": ".behaviors",
+    "flow_equivalent": ".behaviors",
+    "is_stretching": ".behaviors",
+    "is_relaxation": ".behaviors",
+    "Reaction": ".reactions",
+    "independent": ".reactions",
+    "merge_reactions": ".reactions",
+    "clear_interned_states": ".interning",
+    "intern_state": ".interning",
+    "interned_state_count": ".interning",
+    "DenotationalProcess": ".processes",
+    "synchronous_composition": ".processes",
+    "asynchronous_composition": ".processes",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Tag",

@@ -19,48 +19,51 @@ The two cheap globals every instrumented call site keys off:
 and ``metrics.GLOBAL`` (the process-wide registry).
 """
 
-from repro.obs.metrics import (  # noqa: F401
-    GLOBAL,
-    LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    reset_global,
-)
-from repro.obs.trace import (  # noqa: F401
-    NULL_SPAN,
-    Span,
-    SpanContext,
-    Tracer,
-    activate,
-    add_event,
-    bind,
-    configure,
-    configure_from_env,
-    current_context,
-    current_span,
-    enabled,
-    extract,
-    extract_env,
-    get_tracer,
-    inject,
-    inject_env,
-    pop,
-    push,
-    reset,
-    span,
-    span_tree,
-    tag_current,
-)
-from repro.obs.export import (  # noqa: F401
-    chrome_trace,
-    format_table,
-    flatten_stats,
-    parse_prometheus,
-    snapshot_rows,
-    to_prometheus,
-    write_chrome_trace,
-)
-from repro.obs.profile import SlowQueryLog, bdd_tag_delta, bdd_tags  # noqa: F401
-from repro.obs import collect  # noqa: F401
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "GLOBAL": ".metrics",
+    "LATENCY_BUCKETS": ".metrics",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "reset_global": ".metrics",
+    "NULL_SPAN": ".trace",
+    "Span": ".trace",
+    "SpanContext": ".trace",
+    "Tracer": ".trace",
+    "activate": ".trace",
+    "add_event": ".trace",
+    "bind": ".trace",
+    "configure": ".trace",
+    "configure_from_env": ".trace",
+    "current_context": ".trace",
+    "current_span": ".trace",
+    "enabled": ".trace",
+    "extract": ".trace",
+    "extract_env": ".trace",
+    "get_tracer": ".trace",
+    "inject": ".trace",
+    "inject_env": ".trace",
+    "pop": ".trace",
+    "push": ".trace",
+    "reset": ".trace",
+    "span": ".trace",
+    "span_tree": ".trace",
+    "tag_current": ".trace",
+    "chrome_trace": ".export",
+    "format_table": ".export",
+    "flatten_stats": ".export",
+    "parse_prometheus": ".export",
+    "snapshot_rows": ".export",
+    "to_prometheus": ".export",
+    "write_chrome_trace": ".export",
+    "SlowQueryLog": ".profile",
+    "bdd_tag_delta": ".profile",
+    "bdd_tags": ".profile",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

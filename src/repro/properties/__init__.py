@@ -18,28 +18,28 @@ in the README feature table.
   (Definition 12) and the Theorem 1 pipeline.
 """
 
-from repro.properties.compilable import (
-    ProcessAnalysis,
-    verify_compilable,
-    verify_hierarchic,
-)
-from repro.properties.endochrony import (
-    check_endochrony_on_traces,
-    verify_endochrony,
-    EndochronyTraceReport,
-)
-from repro.properties.weak_endochrony import (
-    check_weak_endochrony,
-    verify_weak_endochrony,
-    WeakEndochronyReport,
-)
-from repro.properties.nonblocking import verify_non_blocking
-from repro.properties.isochrony import check_isochrony, verify_isochrony, IsochronyReport
-from repro.properties.composition import (
-    CompositionVerdict,
-    check_weakly_hierarchic,
-    verify_weakly_hierarchic,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "ProcessAnalysis": ".compilable",
+    "verify_compilable": ".compilable",
+    "verify_hierarchic": ".compilable",
+    "check_endochrony_on_traces": ".endochrony",
+    "verify_endochrony": ".endochrony",
+    "EndochronyTraceReport": ".endochrony",
+    "check_weak_endochrony": ".weak_endochrony",
+    "verify_weak_endochrony": ".weak_endochrony",
+    "WeakEndochronyReport": ".weak_endochrony",
+    "verify_non_blocking": ".nonblocking",
+    "check_isochrony": ".isochrony",
+    "verify_isochrony": ".isochrony",
+    "IsochronyReport": ".isochrony",
+    "CompositionVerdict": ".composition",
+    "check_weakly_hierarchic": ".composition",
+    "verify_weakly_hierarchic": ".composition",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ProcessAnalysis",

@@ -8,10 +8,23 @@ the constraints induced by clock calculation, decides acyclicity
 serialized schedules used by sequential code generation (Definition 9).
 """
 
-from repro.sched.graph import SchedulingGraph, Edge
+from repro import _lazy_exports
+
+# bound eagerly: the function shares its name with its submodule, which the
+# import system binds on this package whenever anything imports
+# ``repro.sched.reinforce`` — a lazy export would be shadowed by the module
 from repro.sched.reinforce import reinforce
-from repro.sched.closure import is_acyclic, cyclic_nodes
-from repro.sched.serialize import sequential_schedule, SerializationError
+
+_EXPORTS = {
+    "SchedulingGraph": ".graph",
+    "Edge": ".graph",
+    "is_acyclic": ".closure",
+    "cyclic_nodes": ".closure",
+    "sequential_schedule": ".serialize",
+    "SerializationError": ".serialize",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "SchedulingGraph",

@@ -11,20 +11,23 @@ Two complementary views are provided:
   equivalences and properties of the paper are checked.
 """
 
-from repro.semantics.interpreter import (
-    ABSENT,
-    TICK,
-    ClockError,
-    UnderdeterminedError,
-    SignalInterpreter,
-    InstantResult,
-)
-from repro.semantics.environment import FlowEnvironment, ReactiveEnvironment
-from repro.semantics.denotational import (
-    enumerate_behaviors,
-    behavior_from_run,
-    run_to_completion,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "ABSENT": ".interpreter",
+    "TICK": ".interpreter",
+    "ClockError": ".interpreter",
+    "UnderdeterminedError": ".interpreter",
+    "SignalInterpreter": ".interpreter",
+    "InstantResult": ".interpreter",
+    "FlowEnvironment": ".environment",
+    "ReactiveEnvironment": ".environment",
+    "enumerate_behaviors": ".denotational",
+    "behavior_from_run": ".denotational",
+    "run_to_completion": ".denotational",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ABSENT",

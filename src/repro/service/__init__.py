@@ -41,25 +41,28 @@ Quickstart (programmatic, no socket)::
     assert verdict["holds"]
 """
 
-from repro.service.errors import (
-    BackendCrashed,
-    DeadlineExceeded,
-    QueryFailed,
-    ServiceError,
-    ServiceOverloaded,
-    ServiceUnavailable,
-    TransportError,
-)
-from repro.service.faults import FaultInjected, FaultPlan
-from repro.service.registry import DesignRegistry
-from repro.service.store import ArtifactStore
-from repro.service.scheduler import (
-    InlineBackend,
-    ProcessPoolBackend,
-    VerificationService,
-)
-from repro.service.client import ServiceClient
-from repro.service.server import ServiceServer
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "BackendCrashed": ".errors",
+    "DeadlineExceeded": ".errors",
+    "QueryFailed": ".errors",
+    "ServiceError": ".errors",
+    "ServiceOverloaded": ".errors",
+    "ServiceUnavailable": ".errors",
+    "TransportError": ".errors",
+    "FaultInjected": ".faults",
+    "FaultPlan": ".faults",
+    "DesignRegistry": ".registry",
+    "ArtifactStore": ".store",
+    "InlineBackend": ".scheduler",
+    "ProcessPoolBackend": ".scheduler",
+    "VerificationService": ".scheduler",
+    "ServiceClient": ".client",
+    "ServiceServer": ".server",
+}
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ArtifactStore",

@@ -24,7 +24,9 @@ queries over one registry, one artifact store and one bounded worker pool:
 
 The scheduler is loop-agnostic: all asyncio state is created lazily inside
 the running loop, so one service instance can serve a socket server, a
-test's ``asyncio.run`` and the CLI alike.
+test's ``asyncio.run`` and the CLI alike.  The synchronous wrappers
+(:meth:`VerificationService.verify_blocking`) share one loop of the
+service's own, on its own thread, across every calling thread.
 
 **Fault tolerance** (the invariant ``tests/test_chaos.py`` pins: correct
 verdict or typed error, never a wrong answer, never a hang):
@@ -56,6 +58,7 @@ from functools import partial
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.api.artifacts import COUNTER_FIELDS
+from repro.api.backends import canonical_property
 from repro.api.session import Design, ProcessLike
 from repro.lang.printer import options_fingerprint
 from repro.obs import collect as obs_collect
@@ -86,6 +89,17 @@ def _retrieve_exception(task: "asyncio.Task") -> None:
     """
     if not task.cancelled():
         task.exception()
+
+
+async def _drain_loop() -> None:
+    """Cancel what still runs on a loop about to close (a computation whose
+    every caller gave up), then join its default executor's threads."""
+    current = asyncio.current_task()
+    pending = [task for task in asyncio.all_tasks() if task is not current]
+    for task in pending:
+        task.cancel()
+    await asyncio.gather(*pending, return_exceptions=True)
+    await asyncio.get_running_loop().shutdown_default_executor()
 
 
 def _is_digest(value: str) -> bool:
@@ -124,7 +138,13 @@ class InlineBackend:
         self._serialize = threading.Lock()
 
     def _verify(
-        self, design: Design, prop: str, method: str, options: Dict[str, object]
+        self,
+        design: Design,
+        digest: str,
+        prop: str,
+        method: str,
+        options: Dict[str, object],
+        absent: Optional[str],
     ):
         with obs_trace.span("backend.exec", backend=self.name, prop=prop):
             if self.fault_plan is not None:
@@ -133,17 +153,33 @@ class InlineBackend:
                 # real thing
                 execute_worker_fault(self.fault_plan.exec_fault(), allow_crash=False)
             with self._serialize:
+                if absent is not None:
+                    design.context.graph.note_store_miss(digest, absent)
                 return design.verify(prop, method, **options)
 
     async def run(
-        self, design: Design, digest: str, prop: str, method: str, options: Dict[str, object]
+        self,
+        design: Design,
+        digest: str,
+        prop: str,
+        method: str,
+        options: Dict[str, object],
+        absent: Optional[str] = None,
     ) -> Dict[str, object]:
+        """The verdict of one query, computed on ``design``'s session.
+
+        ``absent`` names the verdict object the caller just found missing
+        from the session's artifact store; the session then computes
+        without reading that object a second time.
+        """
         loop = asyncio.get_running_loop()
         # bind: executor threads don't inherit contextvars, so the trace
         # context rides the callable into the worker thread explicitly
         verdict = await loop.run_in_executor(
             self._executor,
-            obs_trace.bind(partial(self._verify, design, prop, method, options)),
+            obs_trace.bind(
+                partial(self._verify, design, digest, prop, method, options, absent)
+            ),
         )
         return verdict.to_dict()
 
@@ -278,8 +314,20 @@ class ProcessPoolBackend:
         broken.shutdown(wait=False)
 
     async def run(
-        self, design: Design, digest: str, prop: str, method: str, options: Dict[str, object]
+        self,
+        design: Design,
+        digest: str,
+        prop: str,
+        method: str,
+        options: Dict[str, object],
+        absent: Optional[str] = None,
     ) -> Dict[str, object]:
+        """The verdict of one query, computed in a pool worker.
+
+        ``absent`` (see :meth:`InlineBackend.run`) is not forwarded: a
+        worker reads its own store, ``store_root``, which need not be the
+        one the caller found the verdict missing from.
+        """
         loop = asyncio.get_running_loop()
         fault = self.fault_plan.exec_fault() if self.fault_plan is not None else None
         trace = None
@@ -415,6 +463,11 @@ class VerificationService:
         # EWMA of recent computation durations: the retry_after estimator
         self._ewma_seconds = 0.0
         self._ewma_samples = 0
+        #: the event loop behind the ``*_blocking`` wrappers, on its own
+        #: thread (made on first use, closed by :meth:`close`)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[threading.Thread] = None
+        self._loop_lock = threading.Lock()
 
     # -- registration -------------------------------------------------------------
     def register(
@@ -487,8 +540,6 @@ class VerificationService:
         with :class:`ServiceOverloaded` (its ``retry_after`` is the
         backoff hint) — bounded memory beats an unbounded queue.
         """
-        from repro.api.backends import canonical_property
-
         self.queries += 1
         with obs_trace.span("service.verify", prop=prop, method=method) as qspan:
             if isinstance(target, str) and _is_digest(target):
@@ -599,10 +650,19 @@ class VerificationService:
                     cspan.set_tag("outcome", "computed")
                     self.computations += 1
                     design = self.registry.get(digest)
+                    # the session reads this very store object when it shares
+                    # the store; it just missed, so one read is enough
+                    absent = (
+                        self.store.query_kind(*key[1:])
+                        if self.store is not None and design.context.artifact_cache is self.store
+                        else None
+                    )
                     started = time.perf_counter()
                     try:
                         verdict = dict(
-                            await self.backend.run(design, digest, prop, method, dict(options))
+                            await self.backend.run(
+                                design, digest, prop, method, dict(options), absent
+                            )
                         )
                     except asyncio.CancelledError:
                         raise
@@ -654,6 +714,26 @@ class VerificationService:
             self._cache.popitem(last=False)
         return encoded
 
+    def _run_blocking(self, coroutine):
+        """Run ``coroutine`` on the service's own event loop; its result.
+
+        The loop lives on one daemon thread for the service's lifetime, so a
+        synchronous call costs a hand-off to that thread instead of an event
+        loop's (and its default executor's) set-up and tear-down per call.
+        Callers on any number of threads share the loop and with it the
+        in-flight table, so their identical queries coalesce.  The caller's
+        contextvars (the active trace span) ride along with the coroutine.
+        """
+        with self._loop_lock:
+            if self._loop is None:
+                self._loop = asyncio.new_event_loop()
+                self._loop_thread = threading.Thread(
+                    target=self._loop.run_forever, name="repro-service-loop", daemon=True
+                )
+                self._loop_thread.start()
+            loop = self._loop
+        return asyncio.run_coroutine_threadsafe(coroutine, loop).result()
+
     def verify_blocking(
         self,
         target: Union[Design, str, Iterable[ProcessLike]],
@@ -662,8 +742,8 @@ class VerificationService:
         deadline: Optional[float] = None,
         **options: object,
     ) -> Dict[str, object]:
-        """Synchronous convenience wrapper: ``asyncio.run(self.verify(...))``."""
-        return asyncio.run(
+        """Synchronous :meth:`verify`, safe to call from several threads."""
+        return self._run_blocking(
             self.verify(target, prop, method, deadline=deadline, **options)
         )
 
@@ -705,8 +785,8 @@ class VerificationService:
     def describe_blocking(
         self, target: Union[Design, str, Iterable[ProcessLike]]
     ) -> Dict[str, object]:
-        """Synchronous convenience wrapper: ``asyncio.run(self.describe(...))``."""
-        return asyncio.run(self.describe(target))
+        """Synchronous :meth:`describe`, safe to call from several threads."""
+        return self._run_blocking(self.describe(target))
 
     # -- lifecycle / reporting -------------------------------------------------------
     def artifact_stats(self) -> Dict[str, object]:
@@ -780,4 +860,12 @@ class VerificationService:
         }
 
     def close(self) -> None:
+        with self._loop_lock:
+            loop, thread = self._loop, self._loop_thread
+            self._loop = self._loop_thread = None
+        if loop is not None:
+            asyncio.run_coroutine_threadsafe(_drain_loop(), loop).result()
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
         self.backend.shutdown()

@@ -2,6 +2,8 @@
 
 A name deleted from a module but left in its ``__all__`` breaks
 ``from <module> import *`` and advertises an entry point that is gone.
+Packages re-export lazily (:func:`repro._lazy_exports`), so a stale entry
+of an export map would otherwise only fail at a user's attribute access.
 """
 
 import importlib
@@ -12,11 +14,18 @@ PACKAGES = [
     "repro",
     "repro.api",
     "repro.bdd",
+    "repro.clocks",
     "repro.codegen",
     "repro.gen",
+    "repro.lang",
     "repro.library",
     "repro.mc",
+    "repro.mocc",
+    "repro.obs",
     "repro.properties",
+    "repro.sched",
+    "repro.semantics",
+    "repro.service",
 ]
 
 
@@ -28,3 +37,14 @@ def test_exported_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+    assert set(module.__all__) <= set(dir(module))
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_lazy_exports_are_the_defining_modules_objects(name):
+    package = importlib.import_module(name)
+    for export, module_name in getattr(package, "_EXPORTS", {}).items():
+        # the defining module first: a submodule of the same name as the
+        # export, bound on the package by its import, must not shadow it
+        defined = getattr(importlib.import_module(module_name, name), export)
+        assert getattr(package, export) is defined, f"{name}.{export}"

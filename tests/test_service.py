@@ -19,6 +19,7 @@ import asyncio
 import json
 import os
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -130,6 +131,42 @@ def test_repeat_queries_hit_the_lru_cache():
     assert service.computations == 1
     assert service.cache_hits == 1
     service.close()
+
+
+def test_blocking_calls_from_four_threads_share_one_event_loop():
+    service = VerificationService()
+    _, composition = pipeline_network(4)
+    digest = service.register([composition])
+    start = threading.Barrier(4)
+    answers, errors = [], []
+
+    def caller():
+        try:
+            start.wait()
+            for prop in ("non-blocking", "weak-endochrony"):
+                answers.append(service.verify_blocking(digest, prop, method="compiled"))
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=caller) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the callers' first-use set-up
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(answers) == 8
+    # one loop for every caller: identical queries coalesce or hit the cache
+    assert service.computations == 2
+    assert service.coalesced + service.cache_hits == 6
+    loop = service._loop
+    service.close()
+    assert loop.is_closed()
 
 
 def test_lru_cache_evicts_least_recently_used():
@@ -267,15 +304,20 @@ def test_describe_persists_analysis_summaries(tmp_path):
 
 
 class _RecordingStore(ArtifactStore):
-    """An artifact store that remembers the key of every write."""
+    """An artifact store that remembers the key of every write and read."""
 
     def __init__(self, root):
         super().__init__(root)
         self.written = []
+        self.read = []
 
     def put(self, digest, kind, payload):
         self.written.append((digest, kind))
         return super().put(digest, kind, payload)
+
+    def _read(self, digest, kind):
+        self.read.append((digest, kind))
+        return super()._read(digest, kind)
 
 
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "corpus" / "corpus.json"
@@ -295,6 +337,11 @@ def test_a_cold_round_writes_every_verdict_once(tmp_path):
     cold.close()
     counts = Counter(store.written)
     assert counts and max(counts.values()) == 1, counts.most_common(3)
+    # the service's own store check is the only read of a computed verdict:
+    # the session that computes it does not read the same object again
+    verdict_reads = Counter(key for key in store.read if key[1].startswith("verdict"))
+    assert len(verdict_reads) == cold.computations
+    assert max(verdict_reads.values()) == 1, verdict_reads.most_common(3)
     assert all(answer["digest"] == key[0] for key, answer in answers.items())
 
     warm = VerificationService(store=ArtifactStore(tmp_path / "store"))

@@ -207,31 +207,16 @@ class ControlledDeployment(Deployment):
         return self.controlled.c_listing()
 
 
-class ConcurrentDeployment(Deployment):
-    """Section 5.2, concurrent variant: one thread per component, barriers."""
+class ConcurrentDeployment(ControlledDeployment):
+    """Section 5.2, concurrent variant: the controller's schedule on threads.
+
+    The same synthesized :class:`ControlledComposition` decides every global
+    step; :class:`~repro.codegen.concurrent.ConcurrentComposition` executes
+    it with one thread per component and barrier pairs.  ``run`` defaults
+    to 10,000 global steps.
+    """
 
     strategy = "concurrent"
-
-    def __init__(self, design: "Design", max_steps: int = 10_000, runtime: str = "specialized"):
-        self.design = design
-        self.runtime = runtime
-        self._compiled = _compile_components(design, runtime)
-        controlled = synthesize_controller(self._compiled, design.criterion())
-        self.constraints = list(controlled.constraints)
-        self._controlled = controlled  # kept for the listing only
-        self.max_steps = max_steps
-
-    @property
-    def inputs(self) -> Tuple[str, ...]:
-        return self._controlled.external_inputs
-
-    @property
-    def outputs(self) -> Tuple[str, ...]:
-        return self._controlled.external_outputs
-
-    def reset(self) -> None:
-        for compiled in self._compiled:
-            compiled.reset()
 
     def step(self, io: StreamIO) -> bool:
         raise DeploymentError(
@@ -241,19 +226,12 @@ class ConcurrentDeployment(Deployment):
         )
 
     def run(
-        self, inputs: Mapping[str, Sequence[object]], max_steps: Optional[int] = None
+        self, inputs: Mapping[str, Sequence[object]], max_steps: int = 10_000
     ) -> Dict[str, List[object]]:
-        self.reset()
-        composition = ConcurrentComposition(
-            self._compiled, self.constraints, max_steps or self.max_steps
-        )
-        with obs_trace.span("deploy.run", strategy=self.strategy, runtime=self.runtime):
-            outputs = composition.run(inputs)
-        _record_run(self.strategy, self.runtime, steps=0)
-        return {name: outputs.get(name, []) for name in self.outputs}
+        return super().run(inputs, max_steps)
 
-    def listing(self) -> str:
-        return self._controlled.c_listing()
+    def _drive(self, io: StreamIO, max_steps: int) -> int:
+        return ConcurrentComposition(self.controlled).run(io, max_steps)
 
 
 class LttaDeployment(Deployment):
@@ -573,9 +551,7 @@ def build_deployment(
     if strategy == "controlled":
         return ControlledDeployment(design, runtime=runtime)
     if strategy == "concurrent":
-        return ConcurrentDeployment(
-            design, max_steps=int(options.get("max_steps", 10_000)), runtime=runtime
-        )
+        return ConcurrentDeployment(design, runtime=runtime)
     if strategy == "ltta":
         return LttaDeployment(design, paces=options.get("paces"))
     raise DeploymentError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -45,7 +45,6 @@ _EXPORTS = {
     "ControlledComposition": ".controller",
     "synthesize_controller": ".controller",
     "ConcurrentComposition": ".concurrent",
-    "run_concurrent": ".concurrent",
 }
 
 __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
@@ -72,5 +71,4 @@ __all__ = [
     "ControlledComposition",
     "synthesize_controller",
     "ConcurrentComposition",
-    "run_concurrent",
 ]

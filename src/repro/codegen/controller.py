@@ -7,12 +7,28 @@ components so that:
 
 * a component whose current step does not involve a constrained clock runs
   freely (no synchronization is imposed on ``a`` or ``b`` alone);
-* a component that reaches a constrained clock *suspends* (its freshly read
-  input is kept pending and no new input is read) until every other party of
-  the constraint has reached the matching clock;
+* a component that reaches a constrained clock *suspends* (the value that
+  decided its literal stays pending and it reads nothing new) until every
+  other party of the constraint has reached the matching clock;
 * when all parties have arrived the rendez-vous fires: the suspended steps
   execute in dependency order and the shared signals flow from producers to
   consumers within the same global step.
+
+:class:`ControlledComposition` is the one schedule of a global step, and
+both Section 5.2 vehicles execute it: :meth:`~ControlledComposition.step`
+runs the components one after the other, and
+:class:`~repro.codegen.concurrent.ConcurrentComposition` runs them on one
+thread per component.  Two rules make a step's flows those of the
+synchronous composition:
+
+* *Pending values.*  A step reads its external inputs itself, only those
+  on its active clocks; the controller reads ahead only the signals of the
+  constraint literals.  A value read but not consumed by a completed step
+  stays pending and is served to the next read of its signal.
+* *Shared values last one global step.*  A component whose step asks for a
+  shared value that no producer wrote in this global step sits the step
+  out: it writes nothing, its registers are untouched and the values it
+  read stay pending.
 
 This reproduces the behaviour of the generated ``main_iterate`` listing of
 the paper without adding any master clock to the interface: the interface of
@@ -21,12 +37,12 @@ the controlled composition is the union of the component interfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.codegen.runtime import EndOfStream, StreamIO
 from repro.codegen.sequential import CompiledProcess
-from repro.lang.ast import ClockExpressionSyntax, ClockFalse, ClockOf, ClockTrue
+from repro.lang.ast import ClockExpressionSyntax, ClockFalse, ClockTrue
 from repro.lang.normalize import NormalizedProcess
 from repro.properties.composition import CompositionVerdict
 
@@ -103,196 +119,175 @@ def dependency_order(components: Sequence[NormalizedProcess]) -> List[Normalized
 
 
 class _ComponentIO:
-    """IO adapter serving a component from pre-read inputs and shared values.
+    """One component's persistent IO: pending external values, the shared store.
 
-    The adapter is persistent: one instance per component lives across global
-    steps and is :meth:`rebind`-ed with the step's fresh inputs.  A stable IO
-    identity lets the exec-compiled tier
-    (:class:`~repro.codegen.sequential.CompiledProcess`) keep its bound
-    step closure across steps instead of recompiling the binding each time.
+    One adapter per component lives as long as the composition, so the
+    exec-compiled tier binds its step closure once.  A shared read the
+    current global step does not carry fails and marks the adapter
+    ``starved``.
     """
 
-    def __init__(
-        self,
-        external: Mapping[str, object],
-        shared_in: Mapping[str, object],
-        outer: StreamIO,
-        shared_outputs: Set[str],
-        shared_store: Dict[str, object],
-    ):
-        self._external = dict(external)
-        self._shared_in = dict(shared_in)
-        self._outer = outer
-        self._shared_outputs = shared_outputs
-        self._shared_store = shared_store
+    def __init__(self, shared: Set[str], store: Dict[str, object]):
+        self.outer: Optional[StreamIO] = None
+        self.pending: Dict[str, object] = {}
+        self.taken: Dict[str, object] = {}
+        self.starved = False
+        self._shared = shared
+        self._store = store
 
-    def rebind(
-        self,
-        external: Mapping[str, object],
-        shared_in: Mapping[str, object],
-        outer: StreamIO,
-    ) -> None:
-        """Point the adapter at this step's values, keeping its identity."""
-        self._external = dict(external)
-        self._shared_in = dict(shared_in)
-        self._outer = outer
+    def peek(self, name: str, outer: StreamIO) -> object:
+        """The next value of an external signal, read ahead and kept pending."""
+        if name not in self.pending:
+            self.pending[name] = outer.read(name)
+        return self.pending[name]
 
     def read(self, name: str) -> object:
-        if name in self._external:
-            return self._external[name]
-        if name in self._shared_in:
-            return self._shared_in[name]
-        raise EndOfStream(name)
+        if name in self._shared:
+            if name not in self._store:
+                self.starved = True
+                raise EndOfStream(name)
+            return self._store[name]
+        if name in self.pending:
+            value = self.pending.pop(name)
+        else:
+            value = self.outer.read(name)
+        self.taken[name] = value
+        return value
 
     def write(self, name: str, value: object) -> None:
-        if name in self._shared_outputs:
-            self._shared_store[name] = value
+        if name in self._shared:
+            self._store[name] = value
         else:
-            self._outer.write(name, value)
-
-
-@dataclass
-class _ComponentState:
-    """Scheduling state of one component inside the controlled composition."""
-
-    compiled: CompiledProcess
-    pending_inputs: Dict[str, object] = field(default_factory=dict)
-    arrived: Dict[int, bool] = field(default_factory=dict)  # constraint index -> waiting
-    io: Optional[_ComponentIO] = None  # persistent adapter, rebound per step
+            self.outer.write(name, value)
 
 
 class ControlledComposition:
-    """Separately compiled components scheduled by a synthesized controller."""
+    """Separately compiled components scheduled by a synthesized controller.
+
+    The schedule of one global step is two operations, shared by both
+    Section 5.2 vehicles: :meth:`plan` opens the step and decides which
+    components run, :meth:`execute` runs one of them.  :meth:`step` is the
+    sequential vehicle; :class:`~repro.codegen.concurrent.ConcurrentComposition`
+    runs the same two operations on one thread per component.
+    """
 
     def __init__(
         self,
         components: Sequence[CompiledProcess],
         constraints: Sequence[ClockConstraintSpec],
     ):
-        self.components: Dict[str, _ComponentState] = {
-            compiled.process.name: _ComponentState(compiled) for compiled in components
-        }
         self.constraints = list(constraints)
         processes = [compiled.process for compiled in components]
-        self._order = [process.name for process in dependency_order(processes)]
+        by_name = {compiled.process.name: compiled for compiled in components}
+        #: the components, producers of shared signals before their consumers
+        self.components: Dict[str, CompiledProcess] = {
+            process.name: by_name[process.name] for process in dependency_order(processes)
+        }
         self._shared_signals = shared_signals(processes)
         self._shared_store: Dict[str, object] = {}
-        for state in self.components.values():
-            for index, constraint in enumerate(self.constraints):
-                if constraint.literal_for(state.compiled.process.name) is not None:
-                    state.arrived[index] = False
+        self._io = {
+            name: _ComponentIO(self._shared_signals, self._shared_store)
+            for name in self.components
+        }
+        #: whether a component step completed in the current global step
+        #: (None before the first one)
+        self._progressed: Optional[bool] = None
 
     # -- interface --------------------------------------------------------------------
     @property
     def external_inputs(self) -> Tuple[str, ...]:
-        names: List[str] = []
-        for name in self._order:
-            for signal in self.components[name].compiled.process.inputs:
-                if signal not in self._shared_signals and signal not in names:
-                    names.append(signal)
-        return tuple(names)
+        return self._external("inputs")
 
     @property
     def external_outputs(self) -> Tuple[str, ...]:
+        return self._external("outputs")
+
+    def _external(self, side: str) -> Tuple[str, ...]:
         names: List[str] = []
-        for name in self._order:
-            for signal in self.components[name].compiled.process.outputs:
+        for compiled in self.components.values():
+            for signal in getattr(compiled.process, side):
                 if signal not in self._shared_signals and signal not in names:
                     names.append(signal)
         return tuple(names)
 
     def reset(self) -> None:
-        for state in self.components.values():
-            state.compiled.reset()
-            state.pending_inputs = {}
-            for index in state.arrived:
-                state.arrived[index] = False
-        # cleared in place: the persistent per-component IO adapters hold a
-        # reference to this dict
+        for compiled in self.components.values():
+            compiled.reset()
+        for adapter in self._io.values():
+            adapter.pending.clear()
+            adapter.taken.clear()
         self._shared_store.clear()
+        self._progressed = None
 
-    # -- one controlled global step ------------------------------------------------------
-    def step(self, io: StreamIO) -> bool:
-        """One iteration of the controlled main loop.
+    # -- the schedule of one global step -------------------------------------------------
+    def plan(self, io: StreamIO) -> Optional[List[str]]:
+        """Open a global step; the components that run in it, in dependency order.
 
-        Follows the structure of the paper's generated ``main_iterate``:
-        decide which components may read a new input, read, evaluate the
-        constraint literals, fire rendez-vous when every party has arrived,
-        and execute the components that are allowed to run.
+        Shared values last one global step, so the store is cleared first.
+        Each constraint literal is evaluated on its party's pending value
+        (read ahead from ``io`` when none is pending).  A party whose literal
+        holds has *arrived*; the rendez-vous fires when every party has
+        arrived.  An arrived party of a rendez-vous that does not fire sits
+        the step out, its literal's value still pending, so it is suspended
+        until the other side arrives.  Returns ``None`` when a literal's
+        stream has run dry, or when the previous global step completed no
+        component step: it changed nothing but the pending values, which
+        now decide every later step the same way.
         """
-        waiting: Dict[str, bool] = {}
-        for name, state in self.components.items():
-            waiting[name] = any(state.arrived.values())
-
-        # read new inputs for components that are not suspended
-        fresh_inputs: Dict[str, Dict[str, object]] = {}
-        for name in self._order:
-            state = self.components[name]
-            if waiting[name]:
-                fresh_inputs[name] = dict(state.pending_inputs)
-                continue
-            values: Dict[str, object] = {}
-            for signal in state.compiled.process.inputs:
-                if signal in self._shared_signals:
-                    continue
-                try:
-                    values[signal] = io.read(signal)
-                except EndOfStream:
-                    return False
-            fresh_inputs[name] = values
-            state.pending_inputs = dict(values)
-
-        # evaluate arrival of every constraint party
-        for index, constraint in enumerate(self.constraints):
+        if self._progressed is False:
+            return None
+        self._progressed = False
+        self._shared_store.clear()
+        fired: List[Set[str]] = []
+        suspended: Set[str] = set()
+        for constraint in self.constraints:
+            arrived: Set[str] = set()
             for literal in (constraint.left, constraint.right):
-                state = self.components[literal.component]
-                if waiting[literal.component]:
-                    continue  # arrival flag keeps its pending value
-                value = fresh_inputs[literal.component].get(literal.signal)
-                state.arrived[index] = value is not None and literal.holds(value)
-
-        fired: Dict[int, bool] = {}
-        for index, constraint in enumerate(self.constraints):
-            left_state = self.components[constraint.left.component]
-            right_state = self.components[constraint.right.component]
-            fired[index] = left_state.arrived[index] and right_state.arrived[index]
-
-        # a component runs if every constraint it is part of is either not
-        # pending for it or fires in this step
-        for name in self._order:
-            state = self.components[name]
-            may_run = all(
-                (not state.arrived[index]) or fired[index] for index in state.arrived
-            )
-            if not may_run:
-                continue
-            shared_in = {
-                signal: self._shared_store[signal]
-                for signal in state.compiled.process.inputs
-                if signal in self._shared_signals and signal in self._shared_store
-            }
-            component_io = state.io
-            if component_io is None:
-                component_io = state.io = _ComponentIO(
-                    external=fresh_inputs[name],
-                    shared_in=shared_in,
-                    outer=io,
-                    shared_outputs=self._shared_signals
-                    & set(state.compiled.process.outputs),
-                    shared_store=self._shared_store,
-                )
+                try:
+                    value = self._io[literal.component].peek(literal.signal, io)
+                except EndOfStream:
+                    return None
+                if literal.holds(value):
+                    arrived.add(literal.component)
+            if len(arrived) == 2:
+                fired.append(arrived)
             else:
-                component_io.rebind(fresh_inputs[name], shared_in, io)
-            if not state.compiled.step(component_io):
-                return False
-            state.pending_inputs = {}
+                suspended |= arrived
+        # a rendez-vous one of whose parties is suspended elsewhere does not
+        # fire either
+        while True:
+            held = {name for parties in fired if parties & suspended for name in parties}
+            if held <= suspended:
+                break
+            suspended |= held
+        return [name for name in self.components if name not in suspended]
 
-        # clear the arrival flags of fired constraints
-        for index, constraint in enumerate(self.constraints):
-            if fired[index]:
-                self.components[constraint.left.component].arrived[index] = False
-                self.components[constraint.right.component].arrived[index] = False
-        return True
+    def execute(self, name: str, io: StreamIO) -> bool:
+        """Run component ``name``'s step in the current global step.
+
+        Returns False when one of its external streams has run dry.  A step
+        that asks for a shared value the global step does not carry sits the
+        step out: every read precedes every register update and every write
+        in a generated step, so its registers are untouched and it wrote
+        nothing; the external values it read stay pending.
+        """
+        adapter = self._io[name]
+        adapter.outer = io
+        if self.components[name].step(adapter):
+            adapter.taken.clear()
+            self._progressed = True
+            return True
+        adapter.pending.update(adapter.taken)
+        adapter.taken.clear()
+        starved, adapter.starved = adapter.starved, False
+        return starved
+
+    def step(self, io: StreamIO) -> bool:
+        """One global step, the components executed one after the other."""
+        running = self.plan(io)
+        if running is None:
+            return False
+        return all(self.execute(name, io) for name in running)
 
     def run(self, io: StreamIO, max_steps: int = 1_000_000) -> int:
         steps = 0
@@ -306,34 +301,32 @@ class ControlledComposition:
         lines = ["bool main_iterate() {"]
         for index, constraint in enumerate(self.constraints):
             lines.append(f"  /* rendez-vous {index}: {constraint} */")
-        for name in self._order:
-            state = self.components[name]
-            inputs = [
-                signal
-                for signal in state.compiled.process.inputs
-                if signal not in self._shared_signals
+        involved = {
+            name: [
+                index
+                for index, constraint in enumerate(self.constraints)
+                if constraint.literal_for(name) is not None
             ]
+            for name in self.components
+        }
+        for name, compiled in self.components.items():
             lines.append(f"  /* component {name} */")
             lines.append(f"  C_{name} = !waiting_{name};")
-            for signal in inputs:
-                lines.append(f"  if (C_{name}) {{ if (!r_main_{signal}(&{signal})) return FALSE; }}")
-            for index in state.arrived:
+            for signal in compiled.process.inputs:
+                if signal not in self._shared_signals:
+                    lines.append(
+                        f"  if (C_{name}) {{ if (!r_main_{signal}(&{signal})) return FALSE; }}"
+                    )
+            for index in involved[name]:
                 literal = self.constraints[index].literal_for(name)
-                negation = "" if literal and literal.when_true else "!"
-                lines.append(
-                    f"  if (C_{name}) r{index}_{name} = {negation}{literal.signal if literal else '?'};"
-                )
-        for index, _constraint in enumerate(self.constraints):
-            parties = " && ".join(
-                f"r{index}_{party}" for party in self.constraints[index].parties()
-            )
+                negation = "" if literal.when_true else "!"
+                lines.append(f"  if (C_{name}) r{index}_{name} = {negation}{literal.signal};")
+        for index, constraint in enumerate(self.constraints):
+            parties = " && ".join(f"r{index}_{party}" for party in constraint.parties())
             lines.append(f"  fire_{index} = {parties};")
-        for name in self._order:
-            state = self.components[name]
+        for name in self.components:
             guards = (
-                " && ".join(
-                    f"(!r{index}_{name} || fire_{index})" for index in state.arrived
-                )
+                " && ".join(f"(!r{index}_{name} || fire_{index})" for index in involved[name])
                 or "TRUE"
             )
             lines.append(f"  if ({guards}) {name}_iterate();")
@@ -383,14 +376,12 @@ def synthesize_controller(
     # implied equalities off the live clock hierarchy
     analysis = verdict.composition_analysis()
     if analysis is not None:
-        from repro.lang.ast import ClockFalse as _CF, ClockTrue as _CT
-
         candidate_literals: List[ClockExpressionSyntax] = []
         boolean = set(analysis.process.boolean_signals())
         for signal in sorted(owners):
             if signal in boolean:
-                candidate_literals.append(_CT(signal))
-                candidate_literals.append(_CF(signal))
+                candidate_literals.append(ClockTrue(signal))
+                candidate_literals.append(ClockFalse(signal))
         for left, right in analysis.hierarchy.implied_equalities(candidate_literals):
             left_literal = _literal_from_expression(left, owners)
             right_literal = _literal_from_expression(right, owners)

@@ -16,6 +16,7 @@ from repro.codegen.runtime import StreamIO
 from repro.gen.topologies import pipeline_network
 from repro.library.ltta import ltta_components
 from repro.library.producer_consumer import normalized_suite
+from repro.obs import metrics as obs_metrics
 
 INPUTS = {"a": [True, False, True, False], "b": [False, True, False, True]}
 EXPECTED_U = [1, 2]
@@ -86,6 +87,13 @@ class TestConcurrent:
         flows = deployment.run(INPUTS)
         assert flows["u"] == EXPECTED_U
         assert flows["v"] == EXPECTED_V
+
+    def test_run_counts_its_global_steps(self, main_design):
+        labels = {"strategy": "concurrent", "runtime": "specialized"}
+        before = obs_metrics.GLOBAL.get_value("repro_deploy_steps_total", labels) or 0
+        main_design.compile("concurrent").run(INPUTS)
+        after = obs_metrics.GLOBAL.get_value("repro_deploy_steps_total", labels)
+        assert after - before == 4  # the controlled run of INPUTS takes 4 steps
 
     def test_step_is_rejected_with_guidance(self, main_design):
         deployment = main_design.compile("concurrent")

@@ -1,8 +1,15 @@
 """Tests for the compositional code generation scheme: controller (E14, E15) and threads (E16)."""
 
+import random
+import sys
+import threading
+import time
+
 import pytest
 
-from repro.codegen.concurrent import ConcurrentComposition, run_concurrent
+from repro import Design
+
+from repro.codegen.concurrent import ConcurrentComposition
 from repro.codegen.controller import (
     ClockConstraintSpec,
     ClockLiteral,
@@ -11,10 +18,17 @@ from repro.codegen.controller import (
 )
 from repro.codegen.runtime import StreamIO
 from repro.codegen.sequential import compile_process
+from repro.gen.topologies import sample_design
 from repro.library.controllers import rendezvous_controller_process, scheduler_process
 from repro.lang.normalize import normalize
 from repro.properties.composition import check_weakly_hierarchic
 from repro.semantics.interpreter import SignalInterpreter
+
+
+def concurrent_flows(components, constraints, inputs):
+    io = StreamIO({name: list(values) for name, values in inputs.items()})
+    ConcurrentComposition(ControlledComposition(components, constraints)).run(io)
+    return io.outputs
 
 
 @pytest.fixture()
@@ -146,16 +160,137 @@ class TestConcurrentScheme:
 
         producer.reset()
         consumer.reset()
-        concurrent_outputs = run_concurrent(
+        concurrent_outputs = concurrent_flows(
             [producer, consumer], controlled.constraints, inputs
         )
         assert concurrent_outputs.get("u") == sequential_io.output("u")
         assert concurrent_outputs.get("v") == sequential_io.output("v")
 
+    def test_a_component_error_is_raised_once_every_thread_stopped(self, compiled_pair):
+        producer, consumer, _verdict = compiled_pair
+
+        def failing_step(io):
+            raise ValueError("consumer failed")
+
+        consumer.step = failing_step
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="consumer failed"):
+            concurrent_flows([producer, consumer], [], {"a": [True], "b": [True]})
+        assert threading.active_count() == threads_before
+
     def test_concurrent_composition_without_constraints_runs_freely(self, producer_consumer):
         producer = compile_process(producer_consumer["producer"])
-        outputs = run_concurrent([producer], [], {"a": [True, True, False]})
+        outputs = concurrent_flows([producer], [], {"a": [True, True, False]})
         assert outputs.get("u") == [1, 2]
+
+
+T, F = True, False
+
+
+def _section52_flows(design, inputs, max_steps=1_000_000):
+    """The controlled and the concurrent flows of ``design`` on ``inputs``."""
+    controlled = design.compile("controlled").run(inputs, max_steps=max_steps)
+    concurrent = design.compile("concurrent").run(inputs, max_steps=max_steps)
+    return controlled, concurrent
+
+
+class TestSection52Flows:
+    """Both vehicles run one schedule and agree with the synchronous flows."""
+
+    def test_a_step_reads_only_what_it_consumes(self):
+        """An arbiter reads ``r0`` on ``[s1_0]`` and ``r1`` on ``[¬s1_0]`` only."""
+        arbiter = next(c for c in sample_design(5).components if c.name == "arb1_0")
+        design = Design.from_process(arbiter)
+        inputs = {"s1_0": [T, F, T], "r0": [1, 2, 3], "r1": [4, 5, 6]}
+        assert design.compile("sequential").run(inputs) == {"g1_0": [1, 4, 2]}
+        controlled, concurrent = _section52_flows(design, inputs)
+        assert controlled == concurrent == {"g1_0": [1, 4, 2]}
+
+    def test_a_shared_value_lasts_one_global_step(self):
+        """Two dividers: the second one sees every other value of ``k1``."""
+        design = Design.from_generated(sample_design(0))
+        inputs = {"k0": [3, 3, 0, 2, 3, 3]}
+        assert design.compile("sequential").run(inputs)["k2"] == [3, 3]
+        controlled, concurrent = _section52_flows(design, inputs)
+        assert controlled == concurrent == {"k2": [3, 3]}
+
+    def test_buffer_chain_forwards_a_prefix_of_its_input(self):
+        design = Design.from_generated(sample_design(21))
+        controlled, concurrent = _section52_flows(design, {"y0": [T, F, F, T, T, F]})
+        assert controlled == concurrent == {"y2": [T, F, F, T, T]}
+
+    def test_crossbar_pairs_the_rendezvous_instants(self):
+        """``[p0] = [e0_0] = [e0_1]``: the k-th true of each side meet."""
+        design = Design.from_generated(sample_design(47))
+        inputs = {"p0": [T, F, T], "e0_0": [F, T, F, T], "e0_1": [T, T]}
+        controlled, concurrent = _section52_flows(design, inputs)
+        assert controlled == concurrent == {"y0": [1, 2], "y1": [2, 3]}
+
+    def test_a_global_step_without_progress_ends_the_run(self):
+        """A ring's stations each wait for the previous one's token, so none
+        steps; the state then repeats, and the run ends instead of spinning
+        to the step bound."""
+        design = Design.from_generated(sample_design(26))
+        deployment = design.compile("concurrent")
+        inputs = {name: [T] * 6 for name in deployment.inputs}
+        io = StreamIO(inputs)
+        assert design.compile("controlled").controlled.run(io) == 1
+        started = time.perf_counter()
+        assert deployment.run(inputs) == {}
+        assert time.perf_counter() - started < 1.0
+
+    def test_concurrent_equals_controlled_on_sampled_designs(self):
+        """Seeds 0-119: equal, repeatable and prompt concurrent runs.
+
+        Rings have no external input and stop only at the step bound, so
+        every run is bounded at 50 global steps.
+        """
+        checked = 0
+        for seed in range(120):
+            generated = sample_design(seed)
+            if len(generated.components) < 2:
+                continue
+            design = Design.from_generated(generated)
+            if not design.criterion().weakly_hierarchic():
+                continue
+            rng = random.Random(seed)
+            boolean = set(design.composition.boolean_signals())
+            deployment = design.compile("concurrent")
+            inputs = {
+                name: [rng.random() < 0.5 if name in boolean else rng.randrange(10) for _ in range(6)]
+                for name in deployment.inputs
+            }
+            expected = design.compile("controlled").run(inputs, max_steps=50)
+            for _ in range(3):
+                started = time.perf_counter()
+                assert deployment.run(inputs, max_steps=50) == expected, generated.name
+                assert time.perf_counter() - started < 1.0, generated.name
+            checked += 1
+        assert checked == 96
+
+
+    def test_concurrent_runs_agree_under_fast_thread_switching(self):
+        """Eight threads on a 2x2 crossbar, switching every microsecond."""
+        design = Design.from_generated(sample_design(16))
+        rng = random.Random(16)
+        deployment = design.compile("concurrent")
+        inputs = {name: [rng.random() < 0.7 for _ in range(24)] for name in deployment.inputs}
+        expected = design.compile("controlled").run(inputs)
+        outcomes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(
+                target=lambda: outcomes.extend(deployment.run(inputs) for _ in range(20)),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert outcomes == [expected] * 20
+        assert any(expected.values())
 
 
 class TestSignalLevelControllers:

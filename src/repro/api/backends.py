@@ -24,7 +24,7 @@ interpreter-backed enumeration.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.mc.onthefly import OnTheFlyChecker, ProductLTS
@@ -86,14 +86,25 @@ def _static_weakly_hierarchic(design: "Design") -> Verdict:
     return verdict
 
 
-def _retitle(verdict: Verdict, prop: str, note: str) -> Verdict:
-    """Present a criterion verdict as evidence for a Theorem 1 corollary."""
+#: Theorem 1's corollaries of the weakly hierarchic criterion, each with
+#: the note its static verdict opens with
+_COROLLARIES = {
+    "weak-endochrony": "weakly hierarchic ⇒ weakly endochronous (Theorem 1)",
+    "non-blocking": "weakly hierarchic ⇒ non-blocking (Definition 12)",
+    "isochrony": "weakly hierarchic ⇒ components isochronous (Theorem 1)",
+}
+
+
+def _theorem1(design: "Design", prop: str) -> Verdict:
+    """The criterion's verdict, presented as evidence for the corollary ``prop``."""
+    verdict = _static_weakly_hierarchic(design)
     return Verdict(
         prop=prop,
         subject=verdict.subject,
         holds=verdict.holds,
         method=verdict.method,
-        diagnostics=[Diagnostic(note, verdict.holds)] + list(verdict.diagnostics),
+        diagnostics=[Diagnostic(_COROLLARIES[prop], verdict.holds)]
+        + list(verdict.diagnostics),
         cost=verdict.cost,
         report=verdict.report,
     )
@@ -183,6 +194,83 @@ def _symbolic_checker(design: "Design", max_states: int) -> "SymbolicProductChec
     )
 
 
+def _explored(
+    design: "Design", prop: str, max_states: int, engine: str, requested: bool
+) -> Verdict:
+    """Weak endochrony or non-blocking decided on the on-the-fly engine.
+
+    Weak endochrony checks the Definition 2 axioms, non-blocking searches
+    the frontier for a deadlock; both expand the lazy product only as they
+    visit states and stop at the first violation.  ``engine="compiled"``
+    serves per-component reactions from compiled step relations,
+    ``"interpreter"`` is the ``method="explicit"`` opt-out.  No composition
+    analysis is passed: neither check consults it, so a warm-store query
+    stays free of analysis work.  ``requested`` says the caller asked for
+    the compiled engine by name (see :func:`_label_compiled`).
+    """
+    checker = _engine(design, max_states, engine)
+    if prop == "weak-endochrony":
+        verdict = verify_weak_endochrony(
+            design.composition, checker=checker, method="explicit", max_states=max_states
+        )
+    else:
+        verdict = verify_non_blocking(design.composition, checker=checker, max_states=max_states)
+    # report the engine that actually ran: a design outside the compiled
+    # fragment fell back to the interpreter enumeration
+    if engine == "compiled":
+        _label_compiled(verdict, checker, requested)
+    return verdict
+
+
+def _symbolic_weak_endochrony(design: "Design", max_states: int) -> Verdict:
+    """The invariants of Section 4.1, cross-checked by BDD reachability.
+
+    The invariants visit only the states their root pairs need, so the
+    engine first explores the rest, and the query's cost counts that sweep
+    as the explicit axioms count theirs.  A product is left alone when its
+    check stopped at a violation (exploring the rest of the product is the
+    work the early stop saved); a product cut by the bound gets no
+    reachability diagnostic (the product relation has no bound to match).
+    """
+    engine = _engine(design, max_states)
+    verdict = verify_weak_endochrony(
+        design.composition,
+        analysis=design.analysis,
+        checker=engine,
+        method="symbolic",
+        max_states=max_states,
+    )
+    product = isinstance(engine.lazy, ProductLTS)
+    if product and not verdict.holds:
+        return verdict
+    states = transitions = 0
+    for state in engine.iter_states():
+        states += 1
+        transitions += len(engine.transitions_from(state))
+    if states > verdict.cost.states:
+        verdict.cost = replace(verdict.cost, states=states, transitions=transitions)
+    if product and engine.truncated:
+        return verdict
+    checker = _symbolic_checker(design, max_states)
+    reachable = checker.reachable_count()
+    verdict.diagnostics.append(
+        Diagnostic(
+            "symbolic reachability agrees with exploration",
+            reachable == engine.states_discovered,
+            f"{reachable} reachable states (BDD)",
+        )
+    )
+    verdict.cost = Cost(
+        seconds=verdict.cost.seconds,
+        states=verdict.cost.states,
+        transitions=verdict.cost.transitions,
+        state_bound=verdict.cost.state_bound,
+        bdd_nodes=checker.bdd_nodes(),
+        components=len(design.components),
+    )
+    return verdict
+
+
 def _symbolic_non_blocking(design: "Design", max_states: int) -> Verdict:
     """Definition 4 decided on BDDs: no reachable state without a successor."""
     with stopwatch() as elapsed:
@@ -212,20 +300,27 @@ def _symbolic_non_blocking(design: "Design", max_states: int) -> Verdict:
     )
 
 
-def _auto(design: "Design", prop: str, static_verdict: Verdict, fallback) -> Verdict:
-    """Theorem 1 preference: keep the static answer when it concludes."""
-    if static_verdict.holds:
-        return static_verdict
-    verdict = fallback()
-    verdict.diagnostics.insert(
-        0,
-        Diagnostic(
-            "static criterion inconclusive (Definition 12 not met) — "
-            f"fell back to {verdict.method} model checking",
-            True,
-        ),
+def _explicit_isochrony(design: "Design", options: Dict[str, object]) -> Verdict:
+    """Synchronous against asynchronous flows of two components on bounded traces."""
+    if len(design.components) != 2:
+        raise VerificationError(
+            "isochrony with method='explicit' compares the synchronous and "
+            "asynchronous compositions of exactly two components"
+        )
+    input_flows = options.get("input_flows")
+    if input_flows is None:
+        raise VerificationError(
+            "isochrony with method='explicit' needs input_flows={signal: [values...]}"
+        )
+    from repro.properties.isochrony import verify_isochrony
+
+    left, right = design.components
+    return verify_isochrony(
+        left,
+        right,
+        input_flows,
+        max_instants=int(options.get("max_instants", 8)),
     )
-    return verdict
 
 
 def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verdict:
@@ -292,191 +387,50 @@ def verify(design: "Design", prop: str, method: str = "auto", **options) -> Verd
             )
         raise VerificationError("endochrony supports methods auto/static/explicit")
 
-    if prop == "weak-endochrony":
-        def explicit(engine: str = "compiled") -> Verdict:
-            # Definition 2 axioms driven by the on-the-fly engine: the lazy
-            # product expands successors only as the axioms visit states and
-            # stops at the first violating reaction.  The engine serves
-            # per-component reactions from compiled step relations by
-            # default; ``method="explicit"`` opts out to the interpreter.
-            # No composition analysis is passed — the explicit axioms never
-            # consult it, so a warm-store query stays free of analysis work.
-            checker = _engine(design, max_states, engine)
-            verdict = verify_weak_endochrony(
-                design.composition,
-                checker=checker,
-                method="explicit",
-                max_states=max_states,
-            )
-            # report the engine that actually ran: a design outside the
-            # compiled fragment fell back to the interpreter enumeration
-            if engine == "compiled":
-                _label_compiled(verdict, checker, requested=method == "compiled")
-            return verdict
-
-        def symbolic() -> Verdict:
-            engine = _engine(design, max_states)
-            verdict = verify_weak_endochrony(
-                design.composition,
-                analysis=design.analysis,
-                checker=engine,
-                method="symbolic",
-                max_states=max_states,
-            )
-            # cross-check the explored state count with the BDD reachability
-            # of Section 4.1's symbolic formulation, on the shared manager.
-            # The invariants visit only the states their root pairs need, so
-            # the engine first explores the rest, and the query's cost counts
-            # that sweep as the explicit axioms count theirs.  A product is
-            # left alone when its check stopped at a violation (exploring the
-            # rest of the product is the work the early stop saved); a
-            # product cut by the bound gets no diagnostic (the product
-            # relation has no bound to match).
-            product = isinstance(engine.lazy, ProductLTS)
-            if product and not verdict.holds:
-                return verdict
-            states = transitions = 0
-            for state in engine.iter_states():
-                states += 1
-                transitions += len(engine.transitions_from(state))
-            if states > verdict.cost.states:
-                verdict.cost = replace(verdict.cost, states=states, transitions=transitions)
-            if product and engine.truncated:
-                return verdict
-            checker = _symbolic_checker(design, max_states)
-            reachable = checker.reachable_count()
-            verdict.diagnostics.append(
-                Diagnostic(
-                    "symbolic reachability agrees with exploration",
-                    reachable == engine.states_discovered,
-                    f"{reachable} reachable states (BDD)",
-                )
-            )
-            verdict.cost = Cost(
-                seconds=verdict.cost.seconds,
-                states=verdict.cost.states,
-                transitions=verdict.cost.transitions,
-                state_bound=verdict.cost.state_bound,
-                bdd_nodes=checker.bdd_nodes(),
-                components=len(design.components),
-            )
-            return verdict
-
-        if method == "static":
-            return _retitle(
-                _static_weakly_hierarchic(design),
-                "weak-endochrony",
-                "weakly hierarchic ⇒ weakly endochronous (Theorem 1)",
-            )
-        if method == "explicit":
-            return explicit("interpreter")
-        if method == "compiled":
-            return explicit("compiled")
-        if method == "symbolic":
-            return symbolic()
-        return _auto(
-            design,
-            prop,
-            _retitle(
-                _static_weakly_hierarchic(design),
-                "weak-endochrony",
-                "weakly hierarchic ⇒ weakly endochronous (Theorem 1)",
-            ),
-            explicit,
-        )
-
-    if prop == "non-blocking":
-        def explicit(engine: str = "compiled") -> Verdict:
-            # frontier search with early termination on the first deadlock
-            checker = _engine(design, max_states, engine)
-            verdict = verify_non_blocking(
-                design.composition,
-                checker=checker,
-                max_states=max_states,
-            )
-            # honest labeling: "compiled" only when the engine actually is
-            if engine == "compiled":
-                _label_compiled(verdict, checker, requested=method == "compiled")
-            return verdict
-
-        if method == "static":
-            return _retitle(
-                _static_weakly_hierarchic(design),
-                "non-blocking",
-                "weakly hierarchic ⇒ non-blocking (Definition 12)",
-            )
-        if method == "explicit":
-            return explicit("interpreter")
-        if method == "compiled":
-            return explicit("compiled")
-        if method == "symbolic":
-            return _symbolic_non_blocking(design, max_states)
-        return _auto(
-            design,
-            prop,
-            _retitle(
-                _static_weakly_hierarchic(design),
-                "non-blocking",
-                "weakly hierarchic ⇒ non-blocking (Definition 12)",
-            ),
-            explicit,
-        )
-
-    # prop == "isochrony"
-    def explicit_isochrony() -> Verdict:
-        if len(design.components) != 2:
-            raise VerificationError(
-                "isochrony with method='explicit' compares the synchronous and "
-                "asynchronous compositions of exactly two components"
-            )
-        input_flows = options.get("input_flows")
-        if input_flows is None:
-            raise VerificationError(
-                "isochrony with method='explicit' needs input_flows={signal: [values...]}"
-            )
-        from repro.properties.isochrony import verify_isochrony
-
-        left, right = design.components
-        return verify_isochrony(
-            left,
-            right,
-            input_flows,
-            max_instants=int(options.get("max_instants", 8)),
-        )
-
+    # Theorem 1's corollaries: weak-endochrony, non-blocking, isochrony
     if method == "static":
-        return _retitle(
-            _static_weakly_hierarchic(design),
-            "isochrony",
-            "weakly hierarchic ⇒ components isochronous (Theorem 1)",
-        )
-    if method == "explicit":
-        return explicit_isochrony()
-    if method in ("symbolic", "compiled"):
-        raise VerificationError(
-            f"isochrony has no {method} backend; use static or explicit"
-        )
-    static_verdict = _retitle(
-        _static_weakly_hierarchic(design),
-        "isochrony",
-        "weakly hierarchic ⇒ components isochronous (Theorem 1)",
-    )
-    if static_verdict.holds:
-        return static_verdict
-    if len(design.components) != 2 or "input_flows" not in options:
-        # The criterion is sufficient, not necessary: say "not proven", don't
-        # let the verdict read as a disproof.
-        static_verdict.diagnostics.insert(
+        return _theorem1(design, prop)
+    if method == "auto":
+        # the paper's preference: keep the static answer when it concludes
+        static_verdict = _theorem1(design, prop)
+        if static_verdict.holds:
+            return static_verdict
+        if prop == "isochrony" and (
+            len(design.components) != 2 or "input_flows" not in options
+        ):
+            # The criterion is sufficient, not necessary: say "not proven",
+            # don't let the verdict read as a disproof.
+            static_verdict.diagnostics.insert(
+                0,
+                Diagnostic(
+                    "static criterion inconclusive (Definition 12 not met) — isochrony is "
+                    "NOT disproved; pass input_flows on a two-component design for the "
+                    "explicit bounded check",
+                    True,
+                ),
+            )
+            return static_verdict
+    if prop == "isochrony":
+        if method in ("symbolic", "compiled"):
+            raise VerificationError(f"isochrony has no {method} backend; use static or explicit")
+        verdict = _explicit_isochrony(design, options)
+    elif method == "symbolic" and prop == "weak-endochrony":
+        verdict = _symbolic_weak_endochrony(design, max_states)
+    elif method == "symbolic":
+        verdict = _symbolic_non_blocking(design, max_states)
+    else:
+        engine = "interpreter" if method == "explicit" else "compiled"
+        verdict = _explored(design, prop, max_states, engine, requested=method == "compiled")
+    if method == "auto":
+        verdict.diagnostics.insert(
             0,
             Diagnostic(
-                "static criterion inconclusive (Definition 12 not met) — isochrony is "
-                "NOT disproved; pass input_flows on a two-component design for the "
-                "explicit bounded check",
+                "static criterion inconclusive (Definition 12 not met) — "
+                f"fell back to {verdict.method} model checking",
                 True,
             ),
         )
-        return static_verdict
-    return _auto(design, prop, static_verdict, explicit_isochrony)
+    return verdict
 
 
 def _require_static(prop: str, method: str) -> None:

@@ -385,10 +385,6 @@ class BatchedDeployment(Deployment):
         """Whether the design itself compiled to the numpy fast path."""
         return self._batch is not None
 
-    def batch_source(self) -> Optional[str]:
-        """The generated numpy kernel source (None outside the fragment)."""
-        return self._batch.python_source if self._batch is not None else None
-
     def reset(self) -> None:
         self._scalar.reset()
 

@@ -257,10 +257,6 @@ class ClockAlgebra:
         """``R |= left = right``."""
         return self.entails(self.encode(left).iff(self.encode(right)))
 
-    def entails_subclock(self, left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> bool:
-        """``R |= left ⊆ right``: whenever ``left`` ticks, ``right`` ticks."""
-        return self.entails(self.encode(left).implies(self.encode(right)))
-
     def is_empty_clock(self, expression: ClockExpressionSyntax) -> bool:
         """``R |= expression = 0``."""
         return self.entails(~self.encode(expression))

@@ -49,9 +49,6 @@ class ClockClass:
                 return member
         return self.members[0]
 
-    def member_keys(self) -> Set[ClockKey]:
-        return {clock_key(member) for member in self.members}
-
     def signal_clocks(self) -> List[str]:
         return sorted(member.name for member in self.members if isinstance(member, ClockOf))
 

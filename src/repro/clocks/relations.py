@@ -16,10 +16,10 @@ the scheduling graph and the compilation criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.clocks.expressions import format_clock_expression
-from repro.lang.ast import ClockExpressionSyntax, ClockOf
+from repro.lang.ast import ClockExpressionSyntax
 
 
 # A node of the scheduling graph: either the value of a signal or its clock.
@@ -115,15 +115,6 @@ class TimingRelations:
         for relation in self.scheduling_relations:
             names |= relation.signals()
         return names
-
-    def visible_signals(self) -> Set[str]:
-        return self.signals() - self.hidden_signals
-
-    def clock_relations_for(self, name: str) -> Iterator[ClockRelation]:
-        """Clock relations whose left-hand side is exactly the clock of ``name``."""
-        for relation in self.clock_relations:
-            if isinstance(relation.left, ClockOf) and relation.left.name == name:
-                yield relation
 
     def __str__(self) -> str:
         lines = ["clock relations:"]

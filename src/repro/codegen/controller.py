@@ -72,13 +72,6 @@ class ClockConstraintSpec:
     def parties(self) -> Tuple[str, str]:
         return (self.left.component, self.right.component)
 
-    def literal_for(self, component: str) -> Optional[ClockLiteral]:
-        if self.left.component == component:
-            return self.left
-        if self.right.component == component:
-            return self.right
-        return None
-
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
 
@@ -297,39 +290,55 @@ class ControlledComposition:
 
     # -- listing -----------------------------------------------------------------------
     def c_listing(self) -> str:
-        """A C-like rendering of the controlled main loop (paper, Section 5.2)."""
+        """A C-like rendering of the global step :meth:`plan` and :meth:`execute` run.
+
+        Only the signals of the constraint literals are read ahead, and the
+        values stay pending; every other input is read by the component's
+        own ``<c>_iterate()`` (paper, Section 5.2).
+        """
         lines = ["bool main_iterate() {"]
         for index, constraint in enumerate(self.constraints):
             lines.append(f"  /* rendez-vous {index}: {constraint} */")
-        involved = {
-            name: [
-                index
-                for index, constraint in enumerate(self.constraints)
-                if constraint.literal_for(name) is not None
-            ]
-            for name in self.components
-        }
-        for name, compiled in self.components.items():
-            lines.append(f"  /* component {name} */")
-            lines.append(f"  C_{name} = !waiting_{name};")
-            for signal in compiled.process.inputs:
-                if signal not in self._shared_signals:
-                    lines.append(
-                        f"  if (C_{name}) {{ if (!r_main_{signal}(&{signal})) return FALSE; }}"
-                    )
-            for index in involved[name]:
-                literal = self.constraints[index].literal_for(name)
-                negation = "" if literal.when_true else "!"
-                lines.append(f"  if (C_{name}) r{index}_{name} = {negation}{literal.signal};")
+        lines.append("  if (!progressed) return FALSE;  /* the last step changed nothing */")
+        lines.append("  progressed = FALSE;")
+        lines.append("  clear_shared();  /* shared values last one global step */")
+        involved: Dict[str, List[int]] = {name: [] for name in self.components}
+        peeked: Set[Tuple[str, str]] = set()
         for index, constraint in enumerate(self.constraints):
+            for literal in (constraint.left, constraint.right):
+                involved[literal.component].append(index)
+                if (literal.component, literal.signal) not in peeked:
+                    peeked.add((literal.component, literal.signal))
+                    lines.append(
+                        f"  if (!peek_{literal.signal}(&{literal.signal})) return FALSE;"
+                        "  /* read ahead, kept pending */"
+                    )
+                negation = "" if literal.when_true else "!"
+                lines.append(f"  r{index}_{literal.component} = {negation}{literal.signal};")
             parties = " && ".join(f"r{index}_{party}" for party in constraint.parties())
             lines.append(f"  fire_{index} = {parties};")
-        for name in self.components:
-            guards = (
-                " && ".join(f"(!r{index}_{name} || fire_{index})" for index in involved[name])
-                or "TRUE"
+        for name, indices in involved.items():
+            if indices:
+                arrived = " || ".join(f"(r{index}_{name} && !fire_{index})" for index in indices)
+                lines.append(f"  suspended_{name} = {arrived};")
+        if self.constraints:
+            lines.append("  do {  /* a rendez-vous with a suspended party is held back */")
+            lines.append("    held = FALSE;")
+            for index, constraint in enumerate(self.constraints):
+                left, right = constraint.parties()
+                lines.append(
+                    f"    if (fire_{index} && (suspended_{left} || suspended_{right})) "
+                    f"{{ fire_{index} = FALSE; suspended_{left} = suspended_{right} = held = TRUE; }}"
+                )
+            lines.append("  } while (held);")
+        lines.append("  /* each step reads its own inputs, pending values first; a step")
+        lines.append("     missing a shared value is STARVED: it sits out, its reads kept pending */")
+        for name, indices in involved.items():
+            guard = f"if (!suspended_{name}) " if indices else ""
+            lines.append(
+                f"  {guard}switch ({name}_iterate()) "
+                "{ case DRY: return FALSE; case DONE: progressed = TRUE; case STARVED: ; }"
             )
-            lines.append(f"  if ({guards}) {name}_iterate();")
         lines.append("  return TRUE;")
         lines.append("}")
         return "\n".join(lines)
@@ -357,11 +366,13 @@ def synthesize_controller(
 ) -> ControlledComposition:
     """Build the controlled composition from the criterion's reported constraints.
 
-    Only constraints relating sampled clocks of *external inputs of two
-    different components* become rendez-vous points — exactly the constraints
-    (such as ``[¬a] = [b]``) that require synchronizing the independently
-    paced components.  Constraints involving shared (internal) signals are
-    already enforced by the data-flow through the shared store.
+    The controller reads the clock pairs the criterion persisted
+    (:attr:`CompositionVerdict.constraints`) and derives nothing itself.
+    Only pairs relating sampled clocks of *external inputs of two different
+    components* become rendez-vous points — exactly the constraints (such
+    as ``[¬a] = [b]``) that require synchronizing the independently paced
+    components.  Constraints involving shared (internal) signals are already
+    enforced by the data-flow through the shared store.
     """
     owners: Dict[str, str] = {}
     shared = shared_signals([compiled.process for compiled in components])
@@ -371,23 +382,12 @@ def synthesize_controller(
                 owners[signal] = compiled.process.name
 
     constraints: List[ClockConstraintSpec] = []
-    # a criterion verdict assembled from persisted artifacts materializes
-    # its composition analysis here, on demand — synthesis reads the
-    # implied equalities off the live clock hierarchy
-    analysis = verdict.composition_analysis()
-    if analysis is not None:
-        candidate_literals: List[ClockExpressionSyntax] = []
-        boolean = set(analysis.process.boolean_signals())
-        for signal in sorted(owners):
-            if signal in boolean:
-                candidate_literals.append(ClockTrue(signal))
-                candidate_literals.append(ClockFalse(signal))
-        for left, right in analysis.hierarchy.implied_equalities(candidate_literals):
-            left_literal = _literal_from_expression(left, owners)
-            right_literal = _literal_from_expression(right, owners)
-            if left_literal is None or right_literal is None:
-                continue
-            if left_literal.component == right_literal.component:
-                continue
-            constraints.append(ClockConstraintSpec(left=left_literal, right=right_literal))
+    for left, right in verdict.constraints:
+        left_literal = _literal_from_expression(left, owners)
+        right_literal = _literal_from_expression(right, owners)
+        if left_literal is None or right_literal is None:
+            continue
+        if left_literal.component == right_literal.component:
+            continue
+        constraints.append(ClockConstraintSpec(left=left_literal, right=right_literal))
     return ControlledComposition(components, constraints)

@@ -306,9 +306,6 @@ class ProcessDefinition:
     def free_signals(self) -> FrozenSet[str]:
         return self.body.free_signals() - frozenset(self.locals)
 
-    def with_body(self, body: Statement) -> "ProcessDefinition":
-        return ProcessDefinition(self.name, self.inputs, self.outputs, body, self.locals)
-
 
 def compose(*statements: Statement) -> Statement:
     """Flattened synchronous composition of statements."""

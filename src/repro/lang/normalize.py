@@ -249,9 +249,6 @@ class NormalizedProcess:
             )
         )
 
-    def equations_defining(self, name: str) -> Tuple[PrimitiveEquation, ...]:
-        return tuple(eq for eq in self.equations if eq.defined_signal() == name)
-
     def compose(self, other: "NormalizedProcess", name: Optional[str] = None) -> "NormalizedProcess":
         """Synchronous composition of two normalized processes.
 

@@ -80,10 +80,3 @@ def validate_process(
     if issues:
         raise ValidationError(issues)
     return normalized
-
-
-def validate_normalized(process: NormalizedProcess) -> None:
-    """Validate an already-normalized process, raising on any issue."""
-    issues = collect_issues(process)
-    if issues:
-        raise ValidationError(issues)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.mocc.behaviors import Behavior, clock_equivalent, flow_equivalent
+from repro.mocc.behaviors import Behavior, flow_equivalent
 from repro.mocc.reactions import Reaction, concatenate
 from repro.mocc.signals import SignalTrace
 
@@ -78,15 +78,6 @@ class DenotationalProcess:
 
     def extend(self, behaviors: Iterable[Behavior]) -> "DenotationalProcess":
         return DenotationalProcess(self._domain, tuple(self._behaviors) + tuple(behaviors))
-
-    # -- equivalence-aware membership -----------------------------------------
-    def contains_clock_equivalent(self, behavior: Behavior) -> bool:
-        """True iff some behavior of the process is clock equivalent to ``behavior``."""
-        return any(clock_equivalent(behavior, candidate) for candidate in self)
-
-    def contains_flow_equivalent(self, behavior: Behavior) -> bool:
-        """True iff some behavior of the process is flow equivalent to ``behavior``."""
-        return any(flow_equivalent(behavior, candidate) for candidate in self)
 
     def flow_classes(self) -> Set[Tuple[Tuple[str, Tuple[object, ...]], ...]]:
         """The set of flow-equivalence classes of the process, as canonical keys."""

@@ -170,13 +170,6 @@ def _fault_families(fault_stats) -> List[Family]:
     ]
 
 
-def fault_plan_collector(plan) -> Collector:
-    def collect() -> List[Family]:
-        return _fault_families(plan.stats())
-
-    return collect
-
-
 # -- artifact graph ----------------------------------------------------------------
 def _stage_families(stages: Dict[str, Dict[str, int]]) -> List[Family]:
     samples = []
@@ -193,45 +186,6 @@ def _stage_families(stages: Dict[str, Dict[str, int]]) -> List[Family]:
             samples,
         )
     ]
-
-
-def graph_collector(graph) -> Collector:
-    def collect() -> List[Family]:
-        stats = graph.stats()
-        families = _stage_families(stats["stages"])
-        families.append(
-            _counter(
-                "repro_artifact_resolutions_total",
-                "Graph-wide resolutions by tier",
-                [
-                    _sample(stats["hits"], tier="memory"),
-                    _sample(stats["store_hits"], tier="store"),
-                    _sample(stats["computed"], tier="computed"),
-                ],
-            )
-        )
-        families.append(
-            _gauge(
-                "repro_artifact_nodes",
-                "Live artifact-graph nodes",
-                [_sample(stats["nodes"])],
-            )
-        )
-        seconds = stats.get("stage_seconds") or {}
-        if seconds:
-            families.append(
-                _gauge(
-                    "repro_artifact_stage_self_seconds",
-                    "Cumulative per-stage compute self-time",
-                    [
-                        _sample(round(value, 6), stage=stage)
-                        for stage, value in sorted(seconds.items())
-                    ],
-                )
-            )
-        return families
-
-    return collect
 
 
 # -- BDD kernel --------------------------------------------------------------------

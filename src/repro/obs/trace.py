@@ -304,10 +304,6 @@ class Tracer:
         with self._lock:
             return "".join(json.dumps(span) + "\n" for span in self.spans)
 
-    def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as stream:
-            stream.write(self.to_jsonl())
-
     def stats(self) -> Dict[str, object]:
         with self._lock:
             return {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.api.results import Cost, Diagnostic, Verdict, stopwatch
 from repro.clocks.expressions import format_clock_expression
@@ -34,6 +34,14 @@ from repro.properties.compilable import ProcessAnalysis
 #: artifact-store object kinds of the criterion's two persisted stages
 DIAGNOSIS_KIND = "diagnosis"
 OBLIGATIONS_KIND = "obligations"
+
+#: one reported clock constraint: two equal clocks, each a signal clock
+#: ``x^`` or a boolean sampling ``[x]`` / ``[¬x]``
+ClockPair = Tuple[ClockExpressionSyntax, ClockExpressionSyntax]
+
+#: the persisted ``[kind, name]`` form of each side of a :data:`ClockPair`
+_CLOCK_KINDS = {"of": ClockOf, "true": ClockTrue, "false": ClockFalse}
+_KIND_OF_CLOCK = {clock_type: kind for kind, clock_type in _CLOCK_KINDS.items()}
 
 
 @dataclass
@@ -86,17 +94,20 @@ class CompositionObligations:
 
     Everything the criterion needs from the *composed* process:
     well-clockedness, acyclicity, the root count, the shared interface
-    signals and the reported clock constraints (the isochrony obligations
-    the code generator turns into rendez-vous points).  Keyed by the design
-    digest — editing any component moves the key, so exactly this artifact
-    (and nothing per-component) is recomputed after an edit.
+    signals and the clock constraints between components (Section 5.1's
+    report, the isochrony obligations the controller of Section 5.2 turns
+    into rendez-vous points).  The constraints are kept as clock pairs, each
+    side persisted as ``[kind, name]``, so the controller reads them off this
+    artifact without any clock calculus.  Keyed by the design digest —
+    editing any component moves the key, so exactly this artifact (and
+    nothing per-component) is recomputed after an edit.
     """
 
     well_clocked: bool
     acyclic: bool
     roots: int
     shared_signals: Tuple[str, ...]
-    reported_constraints: Tuple[str, ...]
+    constraints: Tuple[ClockPair, ...]
 
     def to_payload(self) -> Dict[str, object]:
         return {
@@ -104,23 +115,37 @@ class CompositionObligations:
             "acyclic": self.acyclic,
             "roots": self.roots,
             "shared_signals": list(self.shared_signals),
-            "reported_constraints": list(self.reported_constraints),
+            "constraints": [
+                [[_KIND_OF_CLOCK[type(clock)], clock.name] for clock in pair]
+                for pair in self.constraints
+            ],
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "CompositionObligations":
+        """Decode a payload; one without clock pairs raises ``KeyError``."""
         return cls(
             well_clocked=bool(payload["well_clocked"]),
             acyclic=bool(payload["acyclic"]),
             roots=int(payload["roots"]),
             shared_signals=tuple(payload["shared_signals"]),
-            reported_constraints=tuple(payload["reported_constraints"]),
+            constraints=tuple(
+                tuple(_CLOCK_KINDS[kind](str(name)) for kind, name in (left, right))
+                for left, right in payload["constraints"]
+            ),
         )
 
 
 @dataclass
 class CompositionVerdict:
-    """The outcome of the static compositional criterion."""
+    """The outcome of the static compositional criterion.
+
+    Assembled from the criterion's artifact nodes, so a warm store yields it
+    without building any :class:`ProcessAnalysis`.  ``constraints`` is the
+    one clock-constraint report of the composition: the controller synthesis
+    of Section 5.2 reads its pairs, and :attr:`reported_constraints` renders
+    them in the paper's notation.
+    """
 
     components: List[ComponentDiagnosis] = field(default_factory=list)
     composition_name: str = ""
@@ -128,27 +153,15 @@ class CompositionVerdict:
     composition_acyclic: bool = False
     composition_roots: int = 0
     shared_signals: List[str] = field(default_factory=list)
-    reported_constraints: List[str] = field(default_factory=list)
-    analysis: Optional[ProcessAnalysis] = None
-    #: lazy supplier of the composition analysis: the verdict is assembled
-    #: from artifact nodes, which may come from a store without any analysis
-    #: being built; consumers that need the live object call
-    #: :meth:`composition_analysis`
-    analysis_provider: Optional[Callable[[], ProcessAnalysis]] = field(
-        default=None, repr=False, compare=False
-    )
+    constraints: List[ClockPair] = field(default_factory=list)
 
-    def composition_analysis(self) -> Optional[ProcessAnalysis]:
-        """The composition's :class:`ProcessAnalysis`, computed on demand.
-
-        A verdict assembled from the artifact graph carries no live
-        analysis — the whole point of the warm path; consumers that need
-        one (the Section 5.2 controller synthesis mines its clock algebra)
-        get it here, paid only when actually asked for.
-        """
-        if self.analysis is None and self.analysis_provider is not None:
-            self.analysis = self.analysis_provider()
-        return self.analysis
+    @property
+    def reported_constraints(self) -> List[str]:
+        """The clock constraints as the clock calculus reports them, e.g. ``[¬a] = [b]``."""
+        return [
+            f"{format_clock_expression(left)} = {format_clock_expression(right)}"
+            for left, right in self.constraints
+        ]
 
     def components_endochronous(self) -> bool:
         return all(component.endochronous() for component in self.components)
@@ -180,9 +193,10 @@ class CompositionVerdict:
             f"  composition: well-clocked={self.composition_well_clocked}, "
             f"acyclic={self.composition_acyclic}, roots={self.composition_roots}"
         )
-        if self.reported_constraints:
+        reported = self.reported_constraints
+        if reported:
             lines.append("  reported clock constraints:")
-            lines.extend(f"    {constraint}" for constraint in self.reported_constraints)
+            lines.extend(f"    {constraint}" for constraint in reported)
         verdict = (
             "weakly hierarchic: weakly endochronous and isochronous (Theorem 1)"
             if self.weakly_hierarchic()
@@ -203,7 +217,7 @@ def _shared_signals(components: Sequence[NormalizedProcess]) -> List[str]:
 
 def _interface_clock_constraints(
     analysis: ProcessAnalysis, components: Sequence[NormalizedProcess], shared: Iterable[str]
-) -> List[str]:
+) -> List[ClockPair]:
     """Clock equalities between the components implied by the composition.
 
     These are the constraints Polychrony *reports* (Section 5.1) — e.g.
@@ -222,16 +236,12 @@ def _interface_clock_constraints(
         if name in boolean:
             candidate_clocks.append(ClockTrue(name))
             candidate_clocks.append(ClockFalse(name))
-    constraints: List[str] = []
-    for left, right in analysis.hierarchy.implied_equalities(candidate_clocks):
-        left_names = left.free_signals()
-        right_names = right.free_signals()
-        if left_names == right_names:
-            continue  # trivially about the same signal
-        constraints.append(
-            f"{format_clock_expression(left)} = {format_clock_expression(right)}"
-        )
-    return constraints
+    return [
+        (left, right)
+        for left, right in analysis.hierarchy.implied_equalities(candidate_clocks)
+        # a pair about one signal is trivial
+        if left.free_signals() != right.free_signals()
+    ]
 
 
 def _diagnose_component(analysis: ProcessAnalysis, name: str) -> ComponentDiagnosis:
@@ -286,9 +296,7 @@ def composition_obligations(
             acyclic=analysis.is_acyclic(),
             roots=analysis.root_count(),
             shared_signals=tuple(shared),
-            reported_constraints=tuple(
-                _interface_clock_constraints(analysis, components, shared)
-            ),
+            constraints=tuple(_interface_clock_constraints(analysis, components, shared)),
         )
 
     composition_identity = context.digest_of(composition)
@@ -348,10 +356,7 @@ def check_weakly_hierarchic(
         composition_acyclic=obligations.acyclic,
         composition_roots=obligations.roots,
         shared_signals=list(obligations.shared_signals),
-        reported_constraints=list(obligations.reported_constraints),
-        # the analysis is supplied lazily: a warm-path verdict built no
-        # ProcessAnalysis, and most consumers never need one
-        analysis_provider=lambda: context.analysis(composition),
+        constraints=list(obligations.constraints),
     )
 
 
@@ -382,13 +387,14 @@ def verify_weakly_hierarchic(
     diagnostics.append(
         Diagnostic("composition acyclic (Definition 8)", report.composition_acyclic)
     )
-    if report.reported_constraints:
+    reported = report.reported_constraints
+    if reported:
         diagnostics.append(
             Diagnostic(
                 "reported clock constraints",
                 True,
-                "; ".join(report.reported_constraints),
-                witness=tuple(report.reported_constraints),
+                "; ".join(reported),
+                witness=tuple(reported),
             )
         )
     return Verdict(

@@ -26,7 +26,11 @@ The scheduler is loop-agnostic: all asyncio state is created lazily inside
 the running loop, so one service instance can serve a socket server, a
 test's ``asyncio.run`` and the CLI alike.  The synchronous wrappers
 (:meth:`VerificationService.verify_blocking`) share one loop of the
-service's own, on its own thread, across every calling thread.
+service's own, on its own thread, across every calling thread.  Callers
+that each run their own loop on one service coalesce only within a loop:
+an in-flight task can be awaited on its own loop alone, so a caller on
+another loop computes the query itself (the store or the cache usually
+absorbs the work).
 
 **Fault tolerance** (the invariant ``tests/test_chaos.py`` pins: correct
 verdict or typed error, never a wrong answer, never a hang):
@@ -583,6 +587,14 @@ class VerificationService:
                 # leave an unretrieved-exception warning behind
                 task.add_done_callback(_retrieve_exception)
                 self._inflight[key] = task
+            elif task.get_loop() is not asyncio.get_running_loop():
+                # a task can be awaited only on its own event loop: a caller
+                # on another loop computes on its own
+                qspan.set_tag("outcome", "computed")
+                task = asyncio.ensure_future(
+                    self._compute(key, digest, prop, method, options)
+                )
+                task.add_done_callback(_retrieve_exception)
             else:
                 self.coalesced += 1
                 qspan.set_tag("outcome", "coalesced")

@@ -228,6 +228,47 @@ class TestVerifyBackends:
         with pytest.raises(VerificationError):
             main_design.verify("weak-endochrony", method="sigali")
 
+    @pytest.mark.parametrize(
+        "prop, method, components, options, message",
+        [
+            (
+                "isochrony", "symbolic", 2, {},
+                "isochrony has no symbolic backend; use static or explicit",
+            ),
+            (
+                "isochrony", "compiled", 2, {},
+                "isochrony has no compiled backend; use static or explicit",
+            ),
+            (
+                "endochrony", "symbolic", 2, {},
+                "endochrony supports methods auto/static/explicit",
+            ),
+            (
+                "isochrony", "explicit", 3, {"input_flows": {"x0": [True]}},
+                "isochrony with method='explicit' compares the synchronous and "
+                "asynchronous compositions of exactly two components",
+            ),
+            (
+                "isochrony", "explicit", 2, {},
+                "isochrony with method='explicit' needs input_flows={signal: [values...]}",
+            ),
+            (
+                "compilable", "compiled", 2, {},
+                "compilable is decided by the clock calculus; use method='static'",
+            ),
+        ],
+    )
+    def test_dispatcher_refusals(self, main_design, prop, method, components, options, message):
+        if components == 2:
+            design = main_design
+        else:
+            pipeline, _ = pipeline_network(components)
+            design = Design(name="pipeline", components=list(pipeline))
+        with pytest.raises(VerificationError) as refusal:
+            design.verify(prop, method=method, **options)
+        assert refusal.type is VerificationError
+        assert str(refusal.value) == message
+
     def test_verdict_diagnostics_carry_reported_constraints(self, main_design):
         verdict = main_design.verify("weakly-hierarchic")
         constraints = [d for d in verdict.diagnostics if d.name == "reported clock constraints"]

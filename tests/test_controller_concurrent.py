@@ -118,6 +118,23 @@ class TestControllerSynthesis:
         assert "rendez-vous" in listing
         assert "producer_iterate()" in listing and "consumer_iterate()" in listing
 
+    def test_c_listing_reads_ahead_only_constraint_literals(self):
+        # arbiter_2 has no rendez-vous: its main loop reads no input itself,
+        # each component's step reads its own
+        deployment = Design.from_generated(sample_design(5)).compile("controlled")
+        assert deployment.constraints == []
+        listing = deployment.listing()
+        for name in deployment.inputs:
+            assert f"&{name})" not in listing
+        for component in ("arb0_0", "arb1_0", "arb1_1"):
+            assert f"{component}_iterate()" in listing
+
+    def test_c_listing_reads_ahead_each_literal_once(self, compiled_pair):
+        producer, consumer, verdict = compiled_pair
+        listing = synthesize_controller([producer, consumer], verdict).c_listing()
+        assert listing.count("(&a)") == listing.count("peek_a(&a)") == 1
+        assert listing.count("(&b)") == listing.count("peek_b(&b)") == 1
+
     def test_reset_clears_pending_state(self, compiled_pair):
         producer, consumer, verdict = compiled_pair
         controlled = synthesize_controller([producer, consumer], verdict)

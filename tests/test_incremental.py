@@ -120,10 +120,34 @@ def test_warm_store_serves_the_criterion_without_any_analysis(tmp_path):
     assert warm.stats()["stages"]["diagnosis"]["store_hits"] == 4
     assert warm.stats()["stages"]["obligations"]["store_hits"] == 1
     assert "analysis" not in warm.stats()["stages"]
-    # the composition analysis is supplied lazily, only when asked for
-    assert report.analysis is None
-    assert report.composition_analysis() is not None
-    assert warm.stats()["stages"]["analysis"]["computed"] == 1
+    # the controller reads the persisted constraint report: compiling the
+    # components analyses each of them, and the composition never
+    warm.compile("controlled")
+    assert warm.stats()["stages"]["analysis"]["computed"] == 4
+
+
+def test_an_obligations_object_without_clock_pairs_is_recomputed(tmp_path):
+    """An obligations object that stores the constraints only as strings
+    (the earlier format) is a store miss: counted invalid and recomputed."""
+    flavors = ["copy", "negate", "copy", "delayed"]
+    store = ArtifactStore(tmp_path / "store")
+    cold_constraints = _chain_design(flavors, store).criterion().reported_constraints
+    assert cold_constraints
+    objects = sorted((tmp_path / "store" / "objects").glob("*/*/obligations-*.json"))
+    assert len(objects) == 1
+    digest, kind = objects[0].parent.name, objects[0].stem
+    payload = dict(store.get(digest, kind))
+    del payload["constraints"]
+    payload["reported_constraints"] = list(cold_constraints)
+    store.put(digest, kind, payload)
+
+    warm = _chain_design(flavors, ArtifactStore(tmp_path / "store"))
+    report = warm.criterion()
+    obligations = warm.stats()["stages"]["obligations"]
+    assert obligations["invalid"] == 1
+    assert obligations["computed"] == 1
+    assert obligations["store_hits"] == 0
+    assert report.reported_constraints == cold_constraints
 
 
 def test_edited_warm_session_recomputes_only_the_edit(tmp_path):

@@ -169,6 +169,38 @@ def test_blocking_calls_from_four_threads_share_one_event_loop():
     assert loop.is_closed()
 
 
+@pytest.mark.parametrize("repetition", range(20))
+def test_callers_on_two_event_loops_both_get_the_verdict(repetition):
+    """A query in flight on one event loop cannot be awaited from another:
+    the second loop's caller must still get its answer, never an error."""
+    service = VerificationService()
+    _, composition = pipeline_network(6)
+    digest = service.register([composition])
+    start = threading.Barrier(2)
+    answers, errors = [], []
+
+    def caller():
+        try:
+            start.wait()
+            answers.append(
+                asyncio.run(service.verify(digest, "weak-endochrony", method="compiled"))
+            )
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=caller) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(answers) == 2 and answers[0] == answers[1]
+    assert answers[0]["holds"] is True
+    assert service.computations <= 2
+    service.close()
+
+
 def test_lru_cache_evicts_least_recently_used():
     service = VerificationService(cache_size=2)
     _, composition = pipeline_network(4)

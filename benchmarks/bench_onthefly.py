@@ -24,8 +24,9 @@ before it is checked.  Scenarios pinned here:
    ``n``-relay pipeline costs the eager engine ``O(3^n)`` interpreter calls
    per state; the lazy product joins ``O(n)`` per-component reaction lists.
 3. *Batched parallel queries* — ``Design.verify_many(parallel=N)`` shards
-   independent queries over a process pool and beats the sequential loop
-   whenever more than one core is available.
+   independent queries over the verification service's
+   ``ProcessPoolBackend`` (created for the batch) and beats the sequential
+   loop whenever more than one core is available.
 
 Run with:  pytest benchmarks/bench_onthefly.py --benchmark-only
 (the timing assertions also run in the plain suite; CI uploads the JSON)

@@ -19,8 +19,6 @@ One entry point for the paper's whole pipeline::
   result model;
 * :mod:`repro.api.backends` — dispatch between the static criterion and the
   on-the-fly explicit / symbolic model checkers;
-* :mod:`repro.api.parallel` — process-pool sharding behind
-  ``Design.verify_many(parallel=N)``;
 * :mod:`repro.api.deploy` — the four deployment schemes behind one
   :class:`Deployment` interface.
 

@@ -22,7 +22,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 
 def _json_safe(value: object) -> object:
@@ -30,8 +30,9 @@ def _json_safe(value: object) -> object:
 
     Witnesses can be arbitrary checker objects (reaction pairs, states,
     behaviors); a JSON-able verdict keeps the primitive ones and stringifies
-    the rest, mirroring the pickling sanitization of
-    :mod:`repro.api.parallel`.
+    the rest.  This is the one encoding of a verdict that leaves its
+    process: over the socket, into the artifact store and back from a
+    process-pool worker (``Design.verify_many(parallel=N)`` included).
     """
     if value is None:
         return None

@@ -19,8 +19,8 @@ by code generation and by later verification calls, instead of being
 re-derived per query.
 
 Batched workloads go through :meth:`Design.verify_many` (several properties
-in one call; ``parallel=N`` shards the independent queries over a process
-pool, see :mod:`repro.api.parallel`) and :meth:`Design.map_components` (one
+in one call; ``parallel=N`` shards the independent queries over the
+service's process-pool backend) and :meth:`Design.map_components` (one
 property on every component).  Model-checking
 queries run on the on-the-fly engine of :mod:`repro.mc.onthefly`, served
 and memoized by :meth:`AnalysisContext.onthefly`.
@@ -806,6 +806,11 @@ class Design:
         return self._digest
 
     @property
+    def custom_composition(self) -> Optional[NormalizedProcess]:
+        """The explicit ``composition=`` of this design, else ``None``."""
+        return self._composition if self._custom_composition else None
+
+    @property
     def composition(self) -> NormalizedProcess:
         """The synchronous composition of the components (cached)."""
         if not self._components:
@@ -857,8 +862,9 @@ class Design:
         options)``: repeated queries return the same object from the memory
         tier, and with an artifact store attached a verification query of a
         content-addressed design is deterministic, so completed verdicts
-        reload across sessions (reloaded verdicts carry no ``report`` — the
-        same sanitization as crossing a process boundary).
+        reload across sessions (reloaded verdicts carry no ``report``: the
+        store holds the :meth:`Verdict.to_dict` encoding, the same one that
+        crosses a process boundary).
         """
         from repro.api.backends import canonical_property, verify as dispatch
         from repro.api.results import Verdict
@@ -933,23 +939,40 @@ class Design:
 
         ``props`` is a list of property specs (see :meth:`_query_spec`);
         ``method`` and ``common_options`` apply to every spec that does not
-        override them.  With ``parallel=N > 1`` the independent queries are
-        sharded over ``N`` worker processes, each holding its own memoized
-        :class:`AnalysisContext`; the returned verdicts are then *sanitized*
-        (``report`` dropped, unpicklable witnesses stringified — see
-        :mod:`repro.api.parallel`).  Sequentially (the default), queries
-        share this design's context and cache, and verdicts are complete.
+        override them.  Sequentially (the default), queries share this
+        design's context and cache, and verdicts are complete.  With
+        ``parallel=N > 1`` they run on a
+        :class:`~repro.service.scheduler.ProcessPoolBackend` of ``N`` workers
+        made for the call, which re-open this session's artifact store.
+        Verdicts then come back through :meth:`Verdict.to_dict` (no
+        ``report``; a witness JSON cannot encode becomes its ``repr``), a
+        worker's error keeps its type, a query whose worker dies twice
+        raises :class:`~repro.service.errors.BackendCrashed`, and under
+        tracing the workers' spans join the caller's trace.
         """
         specs = [self._query_spec(spec, method, common_options) for spec in props]
         if not parallel or parallel <= 1 or len(specs) <= 1:
             return [self.verify(prop, m, **options) for prop, m, options in specs]
-        from repro.api.parallel import run_queries
+        # loaded here only: a sequential query imports no asyncio
+        import asyncio
+        from concurrent.futures import ThreadPoolExecutor
 
-        tasks = [(prop, m, options) for prop, m, options in specs]
-        return run_queries(
-            self._components, self.name, tasks, parallel,
-            store_root=self.context.store_root(),
-        )
+        from repro.api.results import Verdict
+        from repro.service.scheduler import ProcessPoolBackend
+
+        backend = ProcessPoolBackend(workers=parallel, store_root=self.context.store_root())
+        digest = self.digest()
+
+        async def batch():
+            return await asyncio.gather(*(backend.run(self, digest, *spec) for spec in specs))
+
+        try:
+            # its own loop on a helper thread: callers inside a running loop work too
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                payloads = helper.submit(obs_trace.bind(asyncio.run), batch()).result()
+        finally:
+            backend.shutdown()
+        return [Verdict.from_dict(payload) for payload in payloads]
 
     def component_design(self, index: int) -> "Design":
         """A cached single-component design over component ``index``, sharing

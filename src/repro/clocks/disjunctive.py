@@ -15,15 +15,10 @@ disjunctive form is *well-clocked* (Definition 7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.clocks.algebra import ClockAlgebra
-from repro.clocks.expressions import (
-    clock_key,
-    contains_difference,
-    format_clock_expression,
-    simplify_clock,
-)
+from repro.clocks.expressions import format_clock_expression, simplify_clock
 from repro.clocks.hierarchy import ClockHierarchy
 from repro.clocks.relations import ClockRelation, SchedulingRelation, TimingRelations
 from repro.lang.ast import (
@@ -31,7 +26,6 @@ from repro.lang.ast import (
     ClockEmpty,
     ClockExpressionSyntax,
     ClockFalse,
-    ClockOf,
     ClockTrue,
 )
 from repro.lang.normalize import NormalizedProcess

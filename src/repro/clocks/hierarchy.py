@@ -17,14 +17,13 @@ by the compositional criterion of Section 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.expressions import clock_key, format_clock_expression
 from repro.clocks.relations import TimingRelations
 from repro.lang.ast import (
     ClockBinary,
-    ClockEmpty,
     ClockExpressionSyntax,
     ClockFalse,
     ClockOf,

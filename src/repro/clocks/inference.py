@@ -16,10 +16,9 @@ adopts the clock of its context), so a sampling of a constant
 
 from __future__ import annotations
 
-from typing import List
 
-from repro.clocks.relations import TimingRelations, clock_node, signal_node
-from repro.lang.ast import ClockBinary, ClockExpressionSyntax, ClockOf, ClockTrue, Const
+from repro.clocks.relations import TimingRelations, signal_node
+from repro.lang.ast import ClockBinary, ClockOf, ClockTrue, Const
 from repro.lang.normalize import (
     ClockEquation,
     DelayEquation,

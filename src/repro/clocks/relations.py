@@ -16,7 +16,7 @@ the scheduling graph and the compilation criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.clocks.expressions import format_clock_expression
 from repro.lang.ast import ClockExpressionSyntax

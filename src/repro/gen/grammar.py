@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lang.ast import (
     BinaryOp,

@@ -17,8 +17,8 @@ inference) can be written uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import FrozenSet, List, Tuple
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,16 @@ constructors or with the operator-overloading wrapper returned by
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.lang.ast import (
     BinaryOp,
     Cell,
-    ClockBinary,
     ClockConstraint,
-    ClockEmpty,
     ClockExpressionSyntax,
     ClockFalse,
     ClockOf,
     ClockTrue,
-    Composition,
     Const,
     Default,
     Definition,
@@ -160,18 +157,6 @@ def when_true(name: str) -> ClockTrue:
 def when_false(name: str) -> ClockFalse:
     """The clock ``[¬x]`` (signal present and false)."""
     return ClockFalse(name)
-
-
-def clock_and(left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> ClockBinary:
-    return ClockBinary("and", left, right)
-
-
-def clock_or(left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> ClockBinary:
-    return ClockBinary("or", left, right)
-
-
-def clock_diff(left: ClockExpressionSyntax, right: ClockExpressionSyntax) -> ClockBinary:
-    return ClockBinary("diff", left, right)
 
 
 class ProcessBuilder:

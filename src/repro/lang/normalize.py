@@ -20,7 +20,7 @@ types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.lang.ast import (
     BinaryOp,

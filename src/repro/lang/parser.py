@@ -36,7 +36,6 @@ from repro.lang.ast import (
     ClockFalse,
     ClockOf,
     ClockTrue,
-    Composition,
     Const,
     Default,
     Definition,

@@ -11,12 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Set
 
 from repro.lang.ast import ProcessDefinition
-from repro.lang.normalize import (
-    ClockEquation,
-    DelayEquation,
-    NormalizedProcess,
-    normalize,
-)
+from repro.lang.normalize import DelayEquation, NormalizedProcess, normalize
 
 
 class ValidationError(Exception):

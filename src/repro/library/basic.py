@@ -7,7 +7,7 @@ to obtain the primitive-equation form consumed by the analyses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.lang.ast import ProcessDefinition
 from repro.lang.builder import ProcessBuilder, const, signal, tick, when_false, when_true

@@ -13,7 +13,7 @@ provides it as a reusable library process (a two-party barrier), and
 from __future__ import annotations
 
 from repro.lang.ast import ProcessDefinition
-from repro.lang.builder import ProcessBuilder, const, signal, tick
+from repro.lang.builder import ProcessBuilder, signal
 
 
 def rendezvous_controller_process(name: str = "rendezvous") -> ProcessDefinition:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.lang.ast import ProcessDefinition
-from repro.lang.builder import ProcessBuilder, const, signal, tick, when_false, when_true
+from repro.lang.builder import ProcessBuilder, signal, tick, when_true
 from repro.lang.normalize import NormalizedProcess, normalize
 from repro.library.basic import buffer2_process, filter_process
 

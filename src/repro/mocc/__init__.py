@@ -24,9 +24,7 @@ _EXPORTS = {
     "Reaction": ".reactions",
     "independent": ".reactions",
     "merge_reactions": ".reactions",
-    "clear_interned_states": ".interning",
     "intern_state": ".interning",
-    "interned_state_count": ".interning",
     "DenotationalProcess": ".processes",
     "synchronous_composition": ".processes",
     "asynchronous_composition": ".processes",
@@ -49,8 +47,6 @@ __all__ = [
     "independent",
     "merge_reactions",
     "intern_state",
-    "clear_interned_states",
-    "interned_state_count",
     "DenotationalProcess",
     "synchronous_composition",
     "asynchronous_composition",

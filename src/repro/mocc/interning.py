@@ -32,12 +32,3 @@ def intern_state(state: State) -> State:
         _STATES.clear()
     _STATES[state] = state
     return state
-
-
-def clear_interned_states() -> None:
-    """Reset the intern table (between unrelated sessions)."""
-    _STATES.clear()
-
-
-def interned_state_count() -> int:
-    return len(_STATES)

@@ -16,7 +16,7 @@ Signal lives in :mod:`repro.semantics`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.mocc.behaviors import Behavior, flow_equivalent
 from repro.mocc.reactions import Reaction, concatenate

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import json
 import os
 import threading
 import time
@@ -299,10 +298,6 @@ class Tracer:
                 if span["trace_id"] not in seen:
                     seen.append(span["trace_id"])
         return seen
-
-    def to_jsonl(self) -> str:
-        with self._lock:
-            return "".join(json.dumps(span) + "\n" for span in self.spans)
 
     def stats(self) -> Dict[str, object]:
         with self._lock:

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Set, Tuple
 from repro.bdd.bdd import BDD
 from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.expressions import format_clock_expression
-from repro.clocks.relations import Node, SchedulingRelation, TimingRelations, format_node
+from repro.clocks.relations import Node, TimingRelations, format_node
 from repro.lang.ast import ClockExpressionSyntax
 from repro.lang.normalize import NormalizedProcess
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.clocks.algebra import ClockAlgebra
 from repro.clocks.relations import TimingRelations, clock_node, signal_node
 from repro.lang.ast import (
     ClockBinary,

@@ -16,7 +16,7 @@ enumerates behaviors up to a bounded number of instants:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.lang.normalize import NormalizedProcess
 from repro.mocc.behaviors import Behavior

@@ -14,7 +14,7 @@ Two environments are provided, mirroring the two sides of isochrony:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.semantics.interpreter import ABSENT
 

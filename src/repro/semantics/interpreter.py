@@ -16,8 +16,8 @@ re-checks that every equation is satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.lang.ast import (
     ClockBinary,

@@ -17,7 +17,7 @@ adds the long-lived layer the ROADMAP's north star asks for:
   request scheduler with request coalescing (identical in-flight
   ``(digest, prop, method)`` queries share one computation), an LRU verdict
   cache, and a bounded worker-pool backend (in-process threads or a process
-  pool reusing the :mod:`repro.api.parallel` worker pattern);
+  pool, the one that also shards ``Design.verify_many(parallel=N)``);
 * :class:`~repro.service.client.ServiceClient` and
   ``python -m repro.service`` — a JSON-lines protocol over a local Unix
   socket plus the matching CLI (``serve`` / ``submit`` / ``query`` /

@@ -19,8 +19,8 @@ queries over one registry, one artifact store and one bounded worker pool:
   worker, zero pickling); :class:`ProcessPoolBackend` shards across worker
   processes, each holding per-digest memoized
   :class:`~repro.api.session.Design` sessions and its own handle on the
-  shared artifact store — the process-pool worker pattern of
-  :mod:`repro.api.parallel` promoted to a long-lived serving layer.
+  shared artifact store — the one process pool of the library, which also
+  runs ``Design.verify_many(parallel=N)``.
 
 The scheduler is loop-agnostic: all asyncio state is created lazily inside
 the running loop, so one service instance can serve a socket server, a
@@ -40,7 +40,8 @@ verdict or typed error, never a wrong answer, never a hang):
 * :class:`ProcessPoolBackend` survives worker crashes: a
   ``BrokenProcessPool`` rebuilds the pool once and re-dispatches the query a
   bounded number of times, so coalesced riders don't all die with the
-  worker (:class:`~repro.service.errors.BackendCrashed` when exhausted);
+  worker (:class:`~repro.service.errors.BackendCrashed` when exhausted —
+  the same policy for a ``verify_many(parallel=N)`` batch);
 * per-query ``deadline=`` raises
   :class:`~repro.service.errors.DeadlineExceeded` without cancelling the
   shared in-flight computation other riders still want;
@@ -225,6 +226,10 @@ TRACE_SHIP_KEY = "_obs_spans"
 def _worker_query(task) -> Dict[str, object]:
     """One query in a pool worker: per-digest memoized sessions + shared store.
 
+    The design is rebuilt with its custom ``composition`` (``None``: the
+    plain compose), and a rebuild whose digest is not the task's raises
+    rather than answer for another design.
+
     ``fault`` is the parent's :meth:`FaultPlan.exec_fault` decision for this
     dispatch — drawn in the parent so the schedule stays deterministic, and
     executed here where a ``crash`` takes the real worker process down.
@@ -234,9 +239,7 @@ def _worker_query(task) -> Dict[str, object]:
     worker records spans into its own tracer, and ships them back beside
     the verdict under :data:`TRACE_SHIP_KEY` for the parent to adopt.
     """
-    from repro.api.parallel import sanitize_verdict
-
-    digest, components, name, prop, method, options, fault, trace = task
+    digest, components, composition, name, prop, method, options, fault, trace = task
     parent_context = None
     if trace is not None:
         obs_trace.configure(enabled=True)
@@ -250,10 +253,15 @@ def _worker_query(task) -> Dict[str, object]:
             designs: Dict[str, Design] = _WORKER["designs"]  # type: ignore[assignment]
             design = designs.get(digest)
             if design is None:
-                design = Design(name=name, components=list(components))
+                design = Design(name, components, composition=composition)
+                if design.digest() != digest:
+                    raise RuntimeError(
+                        f"worker rebuilt design {name!r} as {design.digest()[:12]}…, "
+                        f"not {digest[:12]}…; refusing to answer for another design"
+                    )
                 design.context.artifact_cache = _WORKER.get("store")
                 designs[digest] = design
-            verdict = sanitize_verdict(design.verify(prop, method, **options)).to_dict()
+            verdict = design.verify(prop, method, **options).to_dict()
     if trace is not None:
         verdict[TRACE_SHIP_KEY] = obs_trace.get_tracer().drain()
     return verdict
@@ -263,12 +271,13 @@ class ProcessPoolBackend:
     """Shard queries over ``workers`` processes, all reading one artifact store.
 
     Each worker process builds a design at most once per digest and keeps
-    its own memoized :class:`~repro.api.session.AnalysisContext` (the
-    :mod:`repro.api.parallel` pattern); the shared on-disk artifact store
-    means even a worker seeing a design for the first time starts from the
-    persisted compiled relation instead of recompiling.  Verdicts come back
-    sanitized (reports dropped, unpicklable witnesses stringified), exactly
-    as from ``Design.verify_many(parallel=N)``.
+    its own memoized :class:`~repro.api.session.AnalysisContext`; the shared
+    on-disk artifact store means even a worker seeing a design for the
+    first time starts from the persisted compiled relation instead of
+    recompiling.  Verdicts come back as :meth:`Verdict.to_dict` payloads
+    (no report; a witness JSON cannot encode becomes its ``repr``).  The
+    service serves ``--backend process`` with one long-lived instance, and
+    ``Design.verify_many(parallel=N)`` runs each batch on one of its own.
     """
 
     name = "process"
@@ -338,7 +347,8 @@ class ProcessPoolBackend:
         if obs_trace.TRACING:
             context = obs_trace.current_context()
             trace = context.to_traceparent() if context is not None else ""
-        base = (digest, tuple(design.components), design.name, prop, method, options)
+        composition = design.custom_composition
+        base = (digest, design.components, composition, design.name, prop, method, options)
         for attempt in range(self.MAX_DISPATCHES):
             pool = self._pool
             try:

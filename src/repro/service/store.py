@@ -32,9 +32,10 @@ every persistent stage of the pipeline, which is how a warm store
 accelerates all of them — compilations, per-component diagnoses,
 composition obligations and completed verdicts alike — and how every
 engine of the session (single process, lazy product, retyped product
-components) transparently reuses persisted relations.  The historical
-:meth:`load_compiled` / :meth:`store_compiled` protocol remains as a thin
-wrapper over the same objects.
+components) transparently reuses persisted relations.  The graph is the
+only reader and writer of ``compiled`` objects: their codec is
+:func:`repro.mc.compiled.compiled_artifact_payload` /
+:func:`~repro.mc.compiled.compiled_from_artifact`.
 
 Writes are atomic (temp file + ``os.replace``), so concurrent services
 sharing a store directory can race on the same artifact and both end up
@@ -72,19 +73,12 @@ import os
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.obs import trace as obs_trace
 from repro.service.faults import FaultPlan
 
 from repro.api.artifacts import verdict_kind
-from repro.lang.normalize import NormalizedProcess
-from repro.lang.printer import process_digest
-from repro.mc.compiled import (
-    CompiledAbstraction,
-    compiled_artifact_payload,
-    compiled_from_artifact,
-)
 
 
 class ArtifactStore:
@@ -303,40 +297,6 @@ class ArtifactStore:
             if obs_trace.TRACING:
                 obs_trace.add_event("store.heal", digest=digest[:12], kind=kind)
         return path
-
-    # -- the historical artifact_cache protocol (wraps the graph objects) ----------
-    def load_compiled(
-        self, process: NormalizedProcess
-    ) -> Tuple[bool, Optional[CompiledAbstraction]]:
-        """``(found, abstraction)`` for a process's compiled step relation.
-
-        ``(True, None)`` is the persisted negative answer — the process is
-        known to be outside the compiled fragment and the caller should fall
-        back to the interpreter without attempting compilation.  A payload
-        that fails validation (format bump, stale negative, α-variant
-        spellings) is treated as a miss and recompiled.  Sessions now reach
-        the same objects through the artifact graph's :meth:`get`/:meth:`put`
-        protocol; this wrapper serves direct callers.
-        """
-        digest = process_digest(process)
-        payload = self.get(digest, "compiled")
-        if payload is None:
-            return False, None
-        try:
-            return True, compiled_from_artifact(process, payload)
-        except (KeyError, ValueError, TypeError):
-            self.invalid += 1
-            return False, None
-
-    def store_compiled(
-        self, process: NormalizedProcess, abstraction: Optional[CompiledAbstraction]
-    ) -> None:
-        """Persist a compilation result — positive or negative — for reuse."""
-        self.put(
-            process_digest(process),
-            "compiled",
-            compiled_artifact_payload(process, abstraction),
-        )
 
     # -- analysis summaries --------------------------------------------------------
     def load_analysis(self, digest: str) -> Optional[Dict[str, object]]:

@@ -77,7 +77,7 @@ def test_a_verification_query_loads_no_deployment_layer():
     assert not _within(
         loaded,
         "repro.codegen", "repro.api.deploy", "repro.gen", "repro.library",
-        "repro.service", "numpy",
+        "repro.service", "numpy", "asyncio", "concurrent.futures",
     )
     # engines and semantics of the other methods and properties load at
     # their own seams

@@ -225,6 +225,59 @@ def test_custom_composition_gets_its_own_artifact_keys(tmp_path):
     assert not shared.verify("weakly-hierarchic").holds
 
 
+def _custom_composition_design() -> Design:
+    """Two independent ``copy`` stages composed as a cyclic process instead
+    of their plain compose: the criterion fails on this design only."""
+    cyclic = ProcessBuilder("cyc", inputs=[], outputs=["u", "v"])
+    cyclic.define("u", signal("v"))
+    cyclic.define("v", signal("u"))
+    return Design(
+        name="chain",
+        components=[_stage(0, "copy"), _stage(2, "copy")],
+        composition=normalize(cyclic.build()),
+    )
+
+
+CUSTOM_SPECS = ["weakly-hierarchic", ("non-blocking", "static")]
+
+
+def test_parallel_workers_answer_for_the_custom_composition():
+    sequential = _custom_composition_design().verify_many(CUSTOM_SPECS)
+    assert [v.holds for v in sequential] == [False, False]
+    parallel = _custom_composition_design().verify_many(CUSTOM_SPECS, parallel=2)
+    assert [v.holds for v in parallel] == [False, False]
+
+
+def test_the_process_backend_answers_for_the_custom_composition(tmp_path):
+    from repro.service import ProcessPoolBackend, VerificationService
+
+    service = VerificationService(
+        store=ArtifactStore(tmp_path / "store"),
+        backend=ProcessPoolBackend(workers=1, store_root=tmp_path / "store"),
+    )
+    try:
+        for prop, method in (("weakly-hierarchic", "auto"), ("non-blocking", "static")):
+            verdict = service.verify_blocking(_custom_composition_design(), prop, method)
+            assert verdict["holds"] is False
+    finally:
+        service.close()
+
+
+def test_a_worker_refuses_a_design_it_cannot_rebuild():
+    """A task whose fields rebuild another design (here: the custom
+    composition left out) fails loudly instead of answering for it."""
+    from repro.service import scheduler
+
+    design = _custom_composition_design()
+    scheduler._initialize_worker(None)
+    task = (
+        design.digest(), design.components, None, design.name,
+        "weakly-hierarchic", "auto", {}, None, None,
+    )
+    with pytest.raises(RuntimeError, match="refusing to answer for another design"):
+        scheduler._worker_query(task)
+
+
 def _chain_design_components(components, store=None) -> Design:
     design = Design(name="chain", components=list(components))
     if store is not None:

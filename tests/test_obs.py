@@ -565,6 +565,21 @@ def test_coalesced_riders_share_the_computation_but_keep_their_spans():
     assert len(table["service.compute"]) == 1, "riders share one computation"
 
 
+def test_verify_many_parallel_workers_join_the_callers_trace():
+    from repro.api.session import Design
+
+    obs_trace.configure(enabled=True)
+    design = Design.from_source(FILTER_SOURCE)
+    with obs_trace.span("caller") as caller:
+        verdicts = design.verify_many(
+            [("non-blocking", "compiled"), ("weak-endochrony", "compiled")], parallel=2
+        )
+    assert all(verdict.holds for verdict in verdicts)
+    workers = spans_by_name(obs_trace.get_tracer().spans)["worker.exec"]
+    assert len(workers) == 2
+    assert {span["trace_id"] for span in workers} == {caller.trace_id}
+
+
 def test_process_pool_worker_spans_are_shipped_and_adopted():
     obs_trace.configure(enabled=True)
     service = VerificationService(backend=ProcessPoolBackend(workers=1))

@@ -12,6 +12,7 @@ component library.
 
 from __future__ import annotations
 
+import asyncio
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import Design
+from repro.api.backends import VerificationError
 from repro.lang.builder import ProcessBuilder, signal
 from repro.lang.normalize import normalize
 from repro.library.basic import buffer_process, filter_process
@@ -62,6 +64,15 @@ _GENERATORS = {
     "buffers": chain_of_buffers,
     "independent": independent_components,
 }
+
+
+def _arbitrated_chain() -> Design:
+    """Three buffers whose output an arbiter merges with a free input:
+    not weakly endochronous."""
+    components, _composition = chain_of_buffers(3)
+    builder = ProcessBuilder("arbiter", inputs=["y3", "w"], outputs=["out"])
+    builder.define("out", signal("y3").default(signal("w")))
+    return Design(name="arb", components=list(components) + [normalize(builder.build())])
 
 
 def _arbiter_for(composition):
@@ -261,14 +272,8 @@ class TestOnTheFlyChecker:
         assert verdict.holds == composed.holds
 
     def test_query_cost_does_not_depend_on_earlier_queries(self):
-        def design():
-            components, _composition = chain_of_buffers(3)
-            builder = ProcessBuilder("arbiter", inputs=["y3", "w"], outputs=["out"])
-            builder.define("out", signal("y3").default(signal("w")))
-            return Design(name="arb", components=list(components) + [normalize(builder.build())])
-
-        fresh = design().verify("weak-endochrony", method="symbolic")
-        warmed = design()
+        fresh = _arbitrated_chain().verify("weak-endochrony", method="symbolic")
+        warmed = _arbitrated_chain()
         warmed.verify("non-blocking", method="compiled")  # explores every state
         again = warmed.verify("weak-endochrony", method="symbolic")
         assert not fresh.holds and not again.holds
@@ -359,9 +364,42 @@ class TestBatchLayer:
         sequential = design.verify_many(specs)
         parallel = design.verify_many(specs, parallel=2)
         assert [bool(v) for v in sequential] == [bool(v) for v in parallel]
-        # cross-process verdicts are sanitized: no report payload
+        # cross-process verdicts travel as to_dict payloads: no report
         assert all(v.report is None for v in parallel)
         assert all(v.report is not None for v in sequential)
+
+    def test_parallel_verdicts_encode_as_the_sequential_ones(self):
+        # a failing query too, so witnesses are compared
+        specs = [
+            ("weak-endochrony", "explicit"),
+            ("non-blocking", "explicit"),
+            ("weakly-hierarchic", "static"),
+        ]
+        sequential = _arbitrated_chain().verify_many(specs)
+        parallel = _arbitrated_chain().verify_many(specs, parallel=2)
+        assert sequential[0].witness() is not None
+
+        def payload(verdict):
+            encoded = verdict.to_dict()
+            del encoded["cost"]["seconds"]
+            return encoded
+
+        assert [payload(v) for v in parallel] == [payload(v) for v in sequential]
+
+    def test_a_worker_verification_error_keeps_its_type(self):
+        with pytest.raises(VerificationError, match="exactly two components"):
+            _arbitrated_chain().verify_many(
+                [("isochrony", "explicit"), ("non-blocking", "explicit")], parallel=2
+            )
+
+    def test_verify_many_parallel_inside_a_running_event_loop(self, design):
+        specs = [("non-blocking", "explicit"), ("weak-endochrony", "explicit")]
+
+        async def notebook_cell():
+            return design.verify_many(specs, parallel=2)
+
+        parallel = asyncio.run(notebook_cell())
+        assert [v.holds for v in parallel] == [v.holds for v in design.verify_many(specs)]
 
     def test_map_components_checks_each_component(self, design):
         verdicts = design.map_components("endochrony")

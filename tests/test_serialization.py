@@ -49,7 +49,7 @@ from repro.lang.printer import (
 )
 from repro.library import basic, ltta, producer_consumer
 from repro.gen.topologies import chain_of_buffers, derivative_chain, pipeline_network
-from repro.mc.compiled import CompiledAbstraction
+from repro.mc.compiled import CompiledAbstraction, compiled_from_artifact
 from repro.mc.onthefly import LazyReactionLTS, OnTheFlyChecker
 
 
@@ -219,25 +219,30 @@ def test_compiled_payload_round_trip_in_the_fallback_fragment():
     assert compilation_obstacles(process)
 
     store = ArtifactStore(tempfile.mkdtemp())
-    store.store_compiled(process, None)
-    found, abstraction = store.load_compiled(process)
-    assert found and abstraction is None
+    writer = _context_over(store)
+    assert writer.compiled(process) is None  # computed, persisted negative
     payload = store.get(process_digest(process), "compiled")
+    assert compiled_from_artifact(process, payload) is None
     assert payload["compilable"] is False
     assert payload["obstacles"]
 
     # a negative answer from an older payload format is a miss (the fragment
     # may have widened since), not a permanent pin to the interpreter
     stale = dict(payload, format=-1)
+    with pytest.raises(ValueError, match="format"):
+        compiled_from_artifact(process, stale)
     store.put(process_digest(process), "compiled", stale)
-    found_stale, _ = store.load_compiled(process)
-    assert not found_stale
-    store.store_compiled(process, None)  # restore for the session check below
+    reader = _context_over(store)
+    assert reader.compiled(process) is None
+    counters = reader.graph.stats()["stages"]["compiled"]
+    assert (counters["invalid"], counters["computed"]) == (1, 1)
 
-    # a session over the store serves the negative answer without recompiling
+    # a session over the store (the recompute healed the object) serves the
+    # negative answer without recompiling
     design = Design.from_process(process)
     design.context.artifact_cache = store
     assert design.context.compiled(process) is None
+    assert design.context.graph.stats()["stages"]["compiled"]["store_hits"] == 1
     verdict = design.verify("non-blocking", method="compiled")
     assert verdict.method == "explicit"  # honest labeling: interpreter ran
     fresh = Design.from_process(process).verify("non-blocking", method="explicit")
@@ -342,11 +347,26 @@ def test_compiled_payload_refuses_alpha_variants():
     from repro.service.store import ArtifactStore
 
     store = ArtifactStore(tempfile.mkdtemp())
-    store.store_compiled(first, CompiledAbstraction(first))
-    found, loaded = store.load_compiled(second)
-    assert not found and loaded is None
-    found, loaded = store.load_compiled(first)
-    assert found and loaded._signals == first.all_signals()
+    assert _context_over(store).compiled(first) is not None
+    payload = store.get(process_digest(first), "compiled")
+    with pytest.raises(ValueError, match="variant"):
+        compiled_from_artifact(second, payload)
+    variant = _context_over(store)
+    recompiled = variant.compiled(second)
+    counters = variant.graph.stats()["stages"]["compiled"]
+    assert (counters["invalid"], counters["computed"]) == (1, 1)
+    assert recompiled._signals == second.all_signals()
+    loaded = compiled_from_artifact(first, payload)
+    assert loaded._signals == first.all_signals()
+
+
+def _context_over(store):
+    """A fresh session context whose persistent tier is ``store``."""
+    from repro.api.session import AnalysisContext
+
+    context = AnalysisContext()
+    context.artifact_cache = store
+    return context
 
 
 def test_bdd_load_rejects_unordered_levels_and_duplicates():
